@@ -91,6 +91,11 @@ class LayerSpec:
             raise NetworkSpecError(f"layer {self.index}: {e}") from e
 
     @property
+    def cfg(self) -> StructuredConfig:
+        # Valid for every kind: dwconv has cin = c = 1, linear has k = n = 1.
+        return StructuredConfig(C=self.cin, N=self.k, c=self.c, n=self.n)
+
+    @property
     def pooled_hw(self) -> tuple[int, int]:
         # Extent after the stride-1 sum-pool stage, before the small conv.
         return (
@@ -239,23 +244,17 @@ def parse_network_spec(path, input_size=(224, 224)) -> list[LayerSpec]:
         unknown = set(obj) - {"kind", "cout", "cin", "k", "c", "n", "stride", "pad", "dilation"}
         if unknown:
             raise NetworkSpecError(f"layer {i}: unknown keys {sorted(unknown)}")
-        try:
-            spec = LayerSpec(
-                index=i,
-                kind=obj["kind"],
-                cout=int(obj["cout"]),
-                cin=int(obj["cin"]),
-                k=int(obj["k"]),
-                c=int(obj["c"]),
-                n=int(obj["n"]),
-                stride=int(obj.get("stride", 1)),
-                pad=int(obj.get("pad", 0)),
-                dilation=int(obj.get("dilation", 1)),
-                in_h=1 if obj["kind"] == "linear" else h,
-                in_w=1 if obj["kind"] == "linear" else w,
-            )
-        except KeyError as e:
-            raise NetworkSpecError(f"layer {i}: missing key {e.args[0]!r}") from e
+        missing = [key for key in ("kind", "cout", "cin", "k", "c", "n") if key not in obj]
+        if missing:
+            raise NetworkSpecError(f"layer {i}: missing key {missing[0]!r}")
+        fields = {key: value for key, value in obj.items() if key != "kind"}
+        for key, value in fields.items():
+            if type(value) is not int:  # bool is an int subclass and is rejected too
+                raise NetworkSpecError(f"layer {i}: {key} must be an integer, got {value!r}")
+        linear = obj["kind"] == "linear"
+        spec = LayerSpec(
+            index=i, kind=obj["kind"], in_h=1 if linear else h, in_w=1 if linear else w, **fields
+        )
         in_ch = spec.cout if spec.kind == "dwconv" else spec.cin
         if channels is not None and in_ch != channels:
             raise NetworkSpecError(
@@ -426,60 +425,32 @@ def count_ops_instrumented(spec: LayerSpec, seed: int = 0) -> dict:
         raise ValueError(f"problem too large to instrument ({work} > {_MAX_INSTRUMENTED})")
     direct = OpCounts()
     decomposed = OpCounts()
+    cfg = spec.cfg
+    alphas = np.asarray(random_tensor(seed, (spec.cout, cfg.c, cfg.n, cfg.n)))
+    w = _reconstruct_stack(alphas, cfg)
     if spec.kind == "linear":
-        p_out, q_in, r = spec.cout, spec.cin, spec.c
-        cfg = StructuredConfig(C=q_in, N=1, c=r, n=1)
-        rows = random_tensor(seed, (p_out, r, 1, 1))
-        w = _reconstruct_stack(np.asarray(rows), cfg).reshape(p_out, q_in)
-        x = random_tensor(seed + 1, (q_in,))
-        y_direct = _matvec_scalar(w, x, direct)
-        pooled = _pool1d_scalar(x, q_in - r + 1, decomposed)
-        small = np.asarray(rows).reshape(p_out, r)
-        y_decomp = _matvec_scalar(small, pooled, decomposed)
+        x = random_tensor(seed + 1, (spec.cin,))
+        y_direct = _matvec_scalar(w.reshape(spec.cout, spec.cin), x, direct)
+        pooled = _pool1d_scalar(x, cfg.pool_dims[0], decomposed)
+        y_decomp = _matvec_scalar(alphas.reshape(spec.cout, spec.c), pooled, decomposed)
     elif spec.kind == "dwconv":
-        ch = spec.cout
-        cfg = StructuredConfig(C=1, N=spec.k, c=1, n=spec.n)
-        alphas = random_tensor(seed, (ch, 1, spec.n, spec.n))
-        w = _reconstruct_stack(np.asarray(alphas), cfg)
-        x = random_tensor(seed + 1, (ch, spec.in_h, spec.in_w))
+        x = random_tensor(seed + 1, (spec.cout, spec.in_h, spec.in_w))
         outs_d, outs_p = [], []
-        for b in range(ch):
+        for b in range(spec.cout):
             outs_d.append(
                 _conv_scalar(x[b : b + 1], w[b : b + 1], spec.stride, spec.pad, spec.dilation, direct)
             )
-            pooled = _pool_scalar(
-                x[b : b + 1],
-                (1, spec.k - spec.n + 1, spec.k - spec.n + 1),
-                spec.pad,
-                spec.dilation,
-                decomposed,
-            )
+            pooled = _pool_scalar(x[b : b + 1], cfg.pool_dims, spec.pad, spec.dilation, decomposed)
             outs_p.append(
-                _conv_scalar(
-                    pooled,
-                    np.asarray(alphas[b]).reshape(1, 1, spec.n, spec.n),
-                    spec.stride,
-                    0,
-                    spec.dilation,
-                    decomposed,
-                )
+                _conv_scalar(pooled, alphas[b : b + 1], spec.stride, 0, spec.dilation, decomposed)
             )
         y_direct = np.concatenate(outs_d)
         y_decomp = np.concatenate(outs_p)
     else:
-        cfg = StructuredConfig(C=spec.cin, N=spec.k, c=spec.c, n=spec.n)
-        alphas = random_tensor(seed, (spec.cout, spec.c, spec.n, spec.n))
-        w = _reconstruct_stack(np.asarray(alphas), cfg)
         x = random_tensor(seed + 1, (spec.cin, spec.in_h, spec.in_w))
         y_direct = _conv_scalar(x, w, spec.stride, spec.pad, spec.dilation, direct)
-        pooled = _pool_scalar(
-            x,
-            (spec.cin - spec.c + 1, spec.k - spec.n + 1, spec.k - spec.n + 1),
-            spec.pad,
-            spec.dilation,
-            decomposed,
-        )
-        y_decomp = _conv_scalar(pooled, np.asarray(alphas), spec.stride, 0, spec.dilation, decomposed)
+        pooled = _pool_scalar(x, cfg.pool_dims, spec.pad, spec.dilation, decomposed)
+        y_decomp = _conv_scalar(pooled, alphas, spec.stride, 0, spec.dilation, decomposed)
     err = np.max(np.abs(y_direct - y_decomp)) / max(1.0, np.max(np.abs(y_direct)))
     if err > 1e-10:
         raise RuntimeError(f"instrumented paths disagree (relative error {err:.3e})")

@@ -5,9 +5,6 @@ divergence), 2 usage/parse/config errors. Structured output goes to stdout
 (a single JSON document with --format json, fixed-width text otherwise);
 diagnostics go to stderr. Every source of randomness is seeded through flags,
 so identical invocations produce byte-identical output.
-
-STRUCTCONV_THREADS caps the verify worker pool (default: cpu count); the
-output is independent of the thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,20 +30,6 @@ def _emit(args, payload, table_lines):
             sys.stdout.write(line + "\n")
 
 
-def _thread_count(n_jobs):
-    env = os.environ.get("STRUCTCONV_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"STRUCTCONV_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ValueError(f"STRUCTCONV_THREADS must be >= 1, got {cap}")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
-
-
 def _verify_input_hw(spec):
     # Equivalence is independent of spatial extent, so keep inputs small:
     # the minimum valid extent for the geometry plus one stride of margin.
@@ -56,98 +38,56 @@ def _verify_input_hw(spec):
 
 
 def _verify_layer(spec, seed, trials, corrupt):
+    cfg = spec.cfg
     worst = 0.0
     for t in range(trials):
         s = seed * 1000003 + spec.index * 7919 + t
+        alphas = np.array(tensor.random_tensor(s, (spec.cout, cfg.c, cfg.n, cfg.n)))
+        dense = structured._reconstruct_stack(alphas, cfg)
+        if corrupt and t == 0:
+            alphas[0, 0, 0, 0] += 1e-3
         if spec.kind == "linear":
-            rows = np.array(tensor.random_tensor(s, (spec.cout, spec.c, 1, 1)))
-            cfg = structured.StructuredConfig(C=spec.cin, N=1, c=spec.c, n=1)
-            dense = structured._reconstruct_stack(rows, cfg).reshape(spec.cout, spec.cin)
             x = tensor.random_tensor(s + 500009, (spec.cin,))
-            small = rows.reshape(spec.cout, spec.c)
-            if corrupt and t == 0:
-                small = small.copy()
-                small[0, 0] += 1e-3
             layer = structured.DecomposedLinearLayer(
-                in_features=spec.cin, R=spec.c, small=small
+                in_features=spec.cin, R=spec.c, small=alphas.reshape(spec.cout, spec.c)
             )
-            direct = tensor.linear(dense, x)
+            direct = tensor.linear(dense.reshape(spec.cout, spec.cin), x)
             pooled = structured.forward_decomposed_linear(x, layer)
-            err = np.max(np.abs(direct - pooled)) / max(1.0, np.max(np.abs(direct)))
         else:
             h = w = _verify_input_hw(spec)
+            depthwise = spec.kind == "dwconv"
+            x = tensor.random_tensor(s + 500009, (spec.cout if depthwise else spec.cin, h, w))
             geom = tensor.ConvGeometry(
-                stride=spec.stride, padding=spec.pad, dilation=spec.dilation
+                stride=spec.stride,
+                padding=spec.pad,
+                dilation=spec.dilation,
+                groups=spec.cout if depthwise else 1,
             )
-            if spec.kind == "dwconv":
-                cfg = structured.StructuredConfig(C=1, N=spec.k, c=1, n=spec.n)
-                alphas = np.array(tensor.random_tensor(s, (spec.cout, 1, spec.n, spec.n)))
-                dense = structured._reconstruct_stack(alphas, cfg)
-                x = tensor.random_tensor(s + 500009, (spec.cout, h, w))
-                grouped = tensor.ConvGeometry(
-                    stride=spec.stride,
-                    padding=spec.pad,
-                    dilation=spec.dilation,
-                    groups=spec.cout,
-                )
-                direct = tensor.conv(x, dense, grouped)
-                if corrupt and t == 0:
-                    alphas = alphas.copy()
-                    alphas[0, 0, 0, 0] += 1e-3
-                layer = structured.DecomposedDepthwiseLayer(
-                    cfg=cfg,
-                    channels=spec.cout,
-                    pool_dims=(1, spec.k - spec.n + 1, spec.k - spec.n + 1),
-                    pool_geom=tensor.ConvGeometry(
-                        stride=1, padding=spec.pad, dilation=spec.dilation
-                    ),
-                    alpha=alphas,
-                    small_geom=tensor.ConvGeometry(
-                        stride=spec.stride, padding=0, dilation=spec.dilation
-                    ),
-                )
+            direct = tensor.conv(x, dense, geom)
+            common = dict(
+                cfg=cfg,
+                pool_dims=cfg.pool_dims,
+                pool_geom=tensor.ConvGeometry(padding=spec.pad, dilation=spec.dilation),
+                alpha=alphas,
+                small_geom=tensor.ConvGeometry(stride=spec.stride, dilation=spec.dilation),
+            )
+            if depthwise:
+                layer = structured.DecomposedDepthwiseLayer(channels=spec.cout, **common)
                 pooled = structured.forward_decomposed_depthwise(x, layer)
             else:
-                cfg = structured.StructuredConfig(C=spec.cin, N=spec.k, c=spec.c, n=spec.n)
-                alphas = np.array(
-                    tensor.random_tensor(s, (spec.cout, spec.c, spec.n, spec.n))
-                )
-                dense = structured._reconstruct_stack(alphas, cfg)
-                x = tensor.random_tensor(s + 500009, (spec.cin, h, w))
-                direct = tensor.conv(x, dense, geom)
-                if corrupt and t == 0:
-                    alphas = alphas.copy()
-                    alphas[0, 0, 0, 0] += 1e-3
-                layer = structured.DecomposedConvLayer(
-                    cfg=cfg,
-                    pool_dims=cfg.pool_dims,
-                    pool_geom=tensor.ConvGeometry(
-                        stride=1, padding=spec.pad, dilation=spec.dilation
-                    ),
-                    alpha=alphas,
-                    small_geom=tensor.ConvGeometry(
-                        stride=spec.stride, padding=0, dilation=spec.dilation
-                    ),
-                )
+                layer = structured.DecomposedConvLayer(**common)
                 pooled = structured.forward_decomposed(x, layer)
-            err = np.max(np.abs(direct - pooled)) / max(1.0, np.max(np.abs(direct)))
+        err = np.max(np.abs(direct - pooled)) / max(1.0, np.max(np.abs(direct)))
         worst = max(worst, float(err))
     return worst
 
 
 def cmd_verify(args) -> int:
     layers = analyzer.parse_network_spec(args.config)
-    workers = _thread_count(len(layers))
-    corrupt = bool(args.corrupt_alpha)
-
-    def job(spec):
-        return _verify_layer(spec, args.seed, args.trials, corrupt and spec.index == 1)
-
-    if workers == 1:
-        errors = [job(spec) for spec in layers]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            errors = list(pool.map(job, layers))
+    errors = [
+        _verify_layer(spec, args.seed, args.trials, args.corrupt_alpha and spec.index == 1)
+        for spec in layers
+    ]
     rows = [
         {"index": spec.index, "kind": spec.kind, "max_rel_error": err, "pass": err <= _VERIFY_TOL}
         for spec, err in zip(layers, errors)
@@ -254,14 +194,6 @@ def _load_layer_weights(path, layers):
     return [tensor.read_tensor(path)]
 
 
-def _layer_cfg(spec):
-    if spec.kind == "linear":
-        return structured.StructuredConfig(C=spec.cin, N=1, c=spec.c, n=1)
-    if spec.kind == "dwconv":
-        return structured.StructuredConfig(C=1, N=spec.k, c=1, n=spec.n)
-    return structured.StructuredConfig(C=spec.cin, N=spec.k, c=spec.c, n=spec.n)
-
-
 def _expected_weight_shape(spec):
     if spec.kind == "linear":
         return (spec.cout, spec.cin)
@@ -281,7 +213,7 @@ def cmd_decompose(args) -> int:
             raise tensor.ShapeError(
                 f"layer {spec.index}: weights shape {w.shape}, config says {expect}"
             )
-        residual = structured.worst_kernel_residual(w, _layer_cfg(spec))
+        residual = structured.worst_kernel_residual(w, spec.cfg)
         results.append({"index": spec.index, "kind": spec.kind, "residual": residual})
         if residual > worst[1]:
             worst = (spec.index, residual)
@@ -300,7 +232,7 @@ def cmd_decompose(args) -> int:
                 )
             else:
                 layer = structured.decompose_conv_layer(
-                    w, _layer_cfg(spec), geom, residual_tol=args.tol
+                    w, spec.cfg, geom, residual_tol=args.tol
                 )
             structured.save_decomposed_layer(args.out, name, layer)
     payload = {

@@ -35,9 +35,6 @@ from .tensor import (
     write_tensor,
 )
 
-_SV_CUTOFF = 1e-12  # singular values below cutoff*sigma_max count as zero
-
-
 class ConfigError(ValueError):
     """Structured config violates 1 <= c <= C, 1 <= n <= N."""
 
@@ -80,18 +77,28 @@ class StructuredConfig:
         return Fraction(self.C * self.N * self.N, self.basis_size)
 
 
+def _band(L: int, l: int) -> np.ndarray:
+    """L x l matrix whose column i is the 1D all-ones window of length L-l+1
+    starting at row i. A cuboid basis element is the outer product of three
+    such windows, so every structured object below is a Kronecker product of
+    one channel band and two spatial bands."""
+    rows = np.arange(L)[:, None]
+    cols = np.arange(l)[None, :]
+    return ((rows >= cols) & (rows <= cols + L - l)).astype(np.float64)
+
+
+def _kron3(channel, spatial):
+    # kron(kron(channel, spatial), spatial) in one allocation; its rows and
+    # columns follow the (channel, row, column) row-major vectorization.
+    (C, c), (N, n) = channel.shape, spatial.shape
+    out = np.einsum("ai,bj,dk->abdijk", channel, spatial, spatial)
+    return out.reshape(C * N * N, c * n * n)
+
+
 def generate_structured_basis(cfg: StructuredConfig) -> CompositeBasis:
     """The c*n*n shifted all-ones cuboids, in lexicographic (i, j, k) order."""
-    C, N, c, n = cfg.C, cfg.N, cfg.c, cfg.n
-    wc, wn = C - c + 1, N - n + 1
-    elements = np.zeros((cfg.basis_size, C, N, N))
-    m = 0
-    for i in range(c):
-        for j in range(n):
-            for k in range(n):
-                elements[m, i : i + wc, j : j + wn, k : k + wn] = 1.0
-                m += 1
-    return CompositeBasis(elements)
+    A = _kron3(_band(cfg.C, cfg.c), _band(cfg.N, cfg.n))
+    return CompositeBasis(A.T.reshape(cfg.basis_size, cfg.C, cfg.N, cfg.N))
 
 
 @dataclass(frozen=True)
@@ -106,26 +113,14 @@ class StructureMatrix:
 
 
 def _build_structure_matrix(cfg: StructuredConfig) -> StructureMatrix:
-    C, N, c, n = cfg.C, cfg.N, cfg.c, cfg.n
-    wc, wn = C - c + 1, N - n + 1
-    m_total = cfg.basis_size
-    A = np.zeros((C * N * N, m_total))
-    view = A.reshape(C, N, N, m_total)
-    m = 0
-    for i in range(c):
-        for j in range(n):
-            for k in range(n):
-                view[i : i + wc, j : j + wn, k : k + wn, m] = 1.0
-                m += 1
-    s = np.linalg.svd(A, compute_uv=False)
-    rank = int(np.sum(s > _SV_CUTOFF * s[0]))
-    if rank != m_total:
-        raise RuntimeError(
-            f"structured basis for {cfg} is rank deficient ({rank} < {m_total}); "
-            "this indicates an internal bug"
-        )
-    pinv = np.linalg.pinv(A, rcond=_SV_CUTOFF)
-    proj = A @ pinv
+    # A banded all-ones matrix has full column rank, and pinv(X kron Y) =
+    # pinv(X) kron pinv(Y), so only the small 1D bands are ever inverted.
+    # The projector goes first, while the band-sized temporaries are few.
+    bc, bn = _band(cfg.C, cfg.c), _band(cfg.N, cfg.n)
+    pc, pn = np.linalg.pinv(bc), np.linalg.pinv(bn)
+    proj = _kron3(bc @ pc, bn @ pn)
+    A = _kron3(bc, bn)
+    pinv = _kron3(pc, pn)
     for arr in (A, pinv, proj):
         arr.flags.writeable = False
     return StructureMatrix(cfg=cfg, A=A, pinv=pinv, projector=proj)
@@ -169,16 +164,17 @@ def extract_alpha(w, cfg: StructuredConfig) -> np.ndarray:
 
 
 def _reconstruct_stack(alphas, cfg: StructuredConfig):
-    # alphas (..., c, n, n) -> kernels (..., C, N, N): each output entry is the
-    # sum of coefficients whose cuboid covers it, i.e. a sliding-window sum of
-    # the zero-padded coefficient block.
-    wc, wn = cfg.C - cfg.c + 1, cfg.N - cfg.n + 1
-    pad = [(0, 0)] * (alphas.ndim - 3) + [(wc - 1, wc - 1), (wn - 1, wn - 1), (wn - 1, wn - 1)]
-    padded = np.pad(alphas, pad)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        padded, (wc, wn, wn), axis=(-3, -2, -1)
-    )
-    return windows.sum(axis=(-3, -2, -1))
+    # alphas (..., c, n, n) -> kernels (..., C, N, N): one mode product per
+    # kernel axis, last axis first. Each product is a single 2D matmul whose
+    # output axis is rotated to the front of the three, so after three of
+    # them the axes are back in (channel, row, column) order.
+    spatial = _band(cfg.N, cfg.n)
+    out = np.asarray(alphas)
+    for band in (spatial, spatial, _band(cfg.C, cfg.c)):
+        L, l = band.shape
+        out = (out.reshape(-1, l) @ band.T).reshape(out.shape[:-1] + (L,))
+        out = np.moveaxis(out, -1, -3)
+    return out
 
 
 def reconstruct(alpha, cfg: StructuredConfig) -> np.ndarray:
@@ -192,15 +188,14 @@ def reconstruct(alpha, cfg: StructuredConfig) -> np.ndarray:
 
 def _worst_block_residual(flat, sm: StructureMatrix):
     # flat: one kernel per row. Zero rows are exactly structured.
-    worst_idx, worst_res = -1, 0.0
-    for b in range(flat.shape[0]):
-        norm = np.linalg.norm(flat[b])
-        if norm == 0.0:
-            continue
-        res = float(np.linalg.norm(flat[b] - sm.projector @ flat[b]) / norm)
-        if res > worst_res:
-            worst_idx, worst_res = b, res
-    return worst_idx, worst_res
+    norms = np.linalg.norm(flat, axis=1)
+    resid = flat @ sm.projector.T
+    np.subtract(flat, resid, out=resid)
+    res = np.linalg.norm(resid, axis=1) / np.where(norms > 0.0, norms, 1.0)
+    worst = int(np.argmax(res)) if res.size else -1
+    if worst < 0 or res[worst] == 0.0:
+        return -1, 0.0
+    return worst, float(res[worst])
 
 
 def worst_kernel_residual(weights, cfg: StructuredConfig) -> float:
@@ -340,7 +335,7 @@ def decompose_depthwise_layer(
     return DecomposedDepthwiseLayer(
         cfg=cfg,
         channels=channels,
-        pool_dims=(1, kN - n + 1, kN - n + 1),
+        pool_dims=cfg.pool_dims,
         pool_geom=ConvGeometry(stride=1, padding=geom.padding, dilation=geom.dilation),
         alpha=alphas,
         small_geom=ConvGeometry(stride=geom.stride, padding=0, dilation=geom.dilation),
@@ -468,31 +463,57 @@ def save_decomposed_layer(out_dir, name: str, layer) -> dict:
     return sidecar
 
 
+def _sidecar_file(base, name):
+    # A sidecar names its tensor files relative to its own directory, and
+    # they may not resolve outside it.
+    root = os.path.realpath(base)
+    if not isinstance(name, str):
+        raise ValueError(f"layer file name must be a string, got {name!r}")
+    path = os.path.realpath(os.path.join(root, name))
+    if os.path.commonpath([root, path]) != root:
+        raise ValueError(f"layer file {name!r} resolves outside the sidecar directory {root}")
+    return path
+
+
 def load_decomposed_layer(sidecar_path):
-    """Inverse of save_decomposed_layer."""
+    """Inverse of save_decomposed_layer. The tensors are checked against the
+    sidecar's config before use."""
     base = os.path.dirname(sidecar_path)
     with open(sidecar_path, encoding="utf-8") as f:
         sidecar = json.load(f)
-    alpha = read_tensor(os.path.join(base, sidecar["alpha_file"]))
+    alpha = read_tensor(_sidecar_file(base, sidecar["alpha_file"]))
     bias = None
     if sidecar.get("bias_file"):
-        bias = read_tensor(os.path.join(base, sidecar["bias_file"]))
-    if sidecar["kind"] in ("conv", "dwconv"):
+        bias = read_tensor(_sidecar_file(base, sidecar["bias_file"]))
+    kind = sidecar["kind"]
+    if kind in ("conv", "dwconv"):
         cd = sidecar["config"]
         cfg = StructuredConfig(C=cd["C"], N=cd["N"], c=cd["c"], n=cd["n"])
-        common = dict(
-            cfg=cfg,
-            pool_dims=tuple(sidecar["pool_dims"]),
-            pool_geom=_geom_from_json(sidecar["pool_geom"]),
-            alpha=alpha,
-            small_geom=_geom_from_json(sidecar["small_geom"]),
-            bias=bias,
-        )
-        if sidecar["kind"] == "dwconv":
-            return DecomposedDepthwiseLayer(channels=sidecar["channels"], **common)
-        return DecomposedConvLayer(**common)
-    if sidecar["kind"] == "linear":
-        return DecomposedLinearLayer(
-            in_features=sidecar["in_features"], R=sidecar["R"], small=alpha, bias=bias
-        )
-    raise ValueError(f"unknown layer kind {sidecar['kind']!r}")
+        pool_dims = tuple(sidecar["pool_dims"])
+        if pool_dims != cfg.pool_dims:
+            raise ShapeError(f"pool_dims {pool_dims} do not match the config's {cfg.pool_dims}")
+        outputs = sidecar["channels"] if kind == "dwconv" else alpha.shape[0]
+        expect = (outputs, cfg.c, cfg.n, cfg.n)
+    elif kind == "linear":
+        cfg = StructuredConfig(C=sidecar["in_features"], N=1, c=sidecar["R"], n=1)
+        outputs = alpha.shape[0]
+        expect = (outputs, cfg.c)
+    else:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    if alpha.shape != expect:
+        raise ShapeError(f"alpha shape {alpha.shape} does not match {expect}")
+    if bias is not None and bias.shape != (outputs,):
+        raise ShapeError(f"bias shape {bias.shape} does not match {outputs} outputs")
+    if kind == "linear":
+        return DecomposedLinearLayer(in_features=cfg.C, R=cfg.c, small=alpha, bias=bias)
+    common = dict(
+        cfg=cfg,
+        pool_dims=pool_dims,
+        pool_geom=_geom_from_json(sidecar["pool_geom"]),
+        alpha=alpha,
+        small_geom=_geom_from_json(sidecar["small_geom"]),
+        bias=bias,
+    )
+    if kind == "dwconv":
+        return DecomposedDepthwiseLayer(channels=outputs, **common)
+    return DecomposedConvLayer(**common)

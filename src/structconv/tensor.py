@@ -126,30 +126,35 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
 
 
 def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
-    """Sliding-window sum over (channel, height, width).
+    """Sliding-window sum over (channel, height, width) of x (C x H x W), or
+    of each sample of a batch x (B x C x H x W).
 
     The channel window slides with stride 1 and no padding or dilation; the
     spatial axes use geom's stride, zero padding, and dilation. Equivalent to
     convolving with an all-ones kernel of shape pool_dims slid over channels
     and space.
     """
-    x = _check_3d(x, "input")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (3, 4):
+        raise ShapeError(
+            f"input must be rank 3 (C x H x W) or 4 (B x C x H x W), got rank {x.ndim}"
+        )
     kc, kh, kw = (int(d) for d in pool_dims)
     if min(kc, kh, kw) < 1:
         raise ShapeError(f"pool dims must be >= 1, got {pool_dims}")
-    c_in, h, w = x.shape
+    c_in, h, w = x.shape[-3:]
     if kc > c_in:
         raise ShapeError(f"channel window {kc} exceeds {c_in} input channels")
     ho = out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
     wo = out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
     ph, pw = geom.padding
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)])
     patches = _gather_patches(xp, (ho, wo), (kh, kw), geom.stride, geom.dilation)
     spatial = patches.sum(axis=(-2, -1))
     if kc == 1:
         return spatial
-    windows = np.lib.stride_tricks.sliding_window_view(spatial, kc, axis=0)
-    return np.moveaxis(windows, -1, 1).sum(axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(spatial, kc, axis=-3)
+    return np.moveaxis(windows, -1, -3).sum(axis=-3)
 
 
 def linear(weight, x):

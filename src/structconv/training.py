@@ -27,8 +27,7 @@ from .structured import (
     StructuredConfig,
     structure_matrix,
 )
-from .tensor import random_tensor
-from .tensor import _gather_patches
+from .tensor import ConvGeometry, _gather_patches, random_tensor, sum_pool3d
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
 
@@ -158,21 +157,6 @@ def _he_init(seed, shape, fan_in):
     return np.array(random_tensor(seed, shape)) * np.sqrt(6.0 / fan_in)
 
 
-def _pool3d_forward(x, dims, padding, dilation=(1, 1)):
-    kc, kh, kw = dims
-    ph, pw = padding
-    dh, dw = dilation
-    h1 = x.shape[2] + 2 * ph - dh * (kh - 1)
-    w1 = x.shape[3] + 2 * pw - dw * (kw - 1)
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    patches = _gather_patches(xp, (h1, w1), (kh, kw), (1, 1), (dh, dw))
-    spatial = patches.sum(axis=(-2, -1))
-    if kc == 1:
-        return spatial
-    win = np.lib.stride_tricks.sliding_window_view(spatial, kc, axis=1)
-    return win.sum(axis=-1)
-
-
 def _pool3d_backward(g, x_shape, dims, padding, dilation=(1, 1)):
     kc, kh, kw = dims
     ph, pw = padding
@@ -236,7 +220,7 @@ class _Conv2D(_Layer):
         self.x_shape = x.shape
         s, p = self.spec.stride, self.spec.padding
         if self.direct:
-            pooled = _pool3d_forward(x, self.cfg.pool_dims, (p, p))
+            pooled = sum_pool3d(x, self.cfg.pool_dims, ConvGeometry(padding=p))
             self.pooled_shape = pooled.shape
             self.patches = _conv_patches(pooled, self.w.shape[-1], s, 0)
         else:
@@ -287,8 +271,7 @@ class _DepthwiseConv2D(_Layer):
         self.x_shape = x.shape
         s, p = self.spec.stride, self.spec.padding
         if self.direct:
-            wn = self.spec.kernel - self.spec.n + 1
-            pooled = _pool3d_forward(x, (1, wn, wn), (p, p))
+            pooled = sum_pool3d(x, self.cfg.pool_dims, ConvGeometry(padding=p))
             self.pooled_shape = pooled.shape
             self.patches = _conv_patches(pooled, self.w.shape[-1], s, 0)
         else:
@@ -303,11 +286,10 @@ class _DepthwiseConv2D(_Layer):
         w = self.w
         scatter = lambda u, v: g * w[None, :, u, v, None, None]
         if self.direct:
-            wn = self.spec.kernel - self.spec.n + 1
             g_pooled = _scatter_conv_input_grad(
                 g, scatter, self.pooled_shape, self.w.shape[-1], s, 0
             )
-            return _pool3d_backward(g_pooled, self.x_shape, (1, wn, wn), (p, p))
+            return _pool3d_backward(g_pooled, self.x_shape, self.cfg.pool_dims, (p, p))
         return _scatter_conv_input_grad(g, scatter, self.x_shape, self.w.shape[-1], s, p)
 
     def params(self):

@@ -16,6 +16,7 @@ from structconv.analyzer import (
     layer_costs,
     parse_network_spec,
 )
+from structconv.structured import StructuredConfig
 
 
 def fixture_path(name):
@@ -312,6 +313,32 @@ def test_parse_rejects_bad_layer_objects(tmp_path):
         parse_network_spec(write_net(tmp_path, [dict(row, c=5)]))
     with pytest.raises(NetworkSpecError, match="expected an object"):
         parse_network_spec(write_net(tmp_path, [row, 7]))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("k", 3.9), ("k", 3.0), ("cout", True), ("stride", "2"), ("pad", None), ("n", [2])],
+)
+def test_parse_rejects_non_integer_fields(tmp_path, field, value):
+    row = {"kind": "conv", "cout": 4, "cin": 3, "k": 3, "c": 2, "n": 2, "pad": 1}
+    with pytest.raises(NetworkSpecError, match=f"layer 1: {field} must be an integer"):
+        parse_network_spec(write_net(tmp_path, [dict(row, **{field: value})]))
+
+
+@pytest.mark.parametrize(
+    "kind, dims, want",
+    [
+        ("conv", dict(cout=4, cin=6, k=3, c=2, n=2), StructuredConfig(6, 3, 2, 2)),
+        ("pwconv", dict(cout=4, cin=6, k=1, c=3, n=1), StructuredConfig(6, 1, 3, 1)),
+        ("dwconv", dict(cout=6, cin=1, k=5, c=1, n=2), StructuredConfig(1, 5, 1, 2)),
+        ("linear", dict(cout=4, cin=8, k=1, c=3, n=1), StructuredConfig(8, 1, 3, 1)),
+    ],
+)
+def test_layer_spec_cfg_per_kind(kind, dims, want):
+    spec = LayerSpec(index=1, kind=kind, in_h=8, in_w=8, **dims)
+    assert spec.cfg == want
+    if kind == "dwconv":
+        assert spec.cfg.pool_dims == (1, 4, 4)
 
 
 def test_parse_checks_channel_chaining(tmp_path):

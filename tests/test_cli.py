@@ -25,12 +25,9 @@ TINY_NET = [
 ]
 
 
-def run_cli(*argv, env_extra=None):
-    env = dict(os.environ)
-    env.update(env_extra or {})
+def run_cli(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "structconv", *argv],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "structconv", *argv], capture_output=True, text=True
     )
 
 
@@ -105,26 +102,6 @@ def test_verify_missing_config_exits_2(tmp_path):
     r = run_cli("verify", "--config", str(tmp_path / "nope.json"), "--seed", "7")
     assert r.returncode == 2
     assert "error:" in r.stderr
-
-
-def test_verify_output_independent_of_threads(tmp_path):
-    cfg = write_config(tmp_path)
-    outs = set()
-    for threads in ("1", "4"):
-        r = run_cli("verify", "--config", cfg, "--seed", "3", "--trials", "4",
-                    "--format", "json", env_extra={"STRUCTCONV_THREADS": threads})
-        assert r.returncode == 0
-        outs.add(r.stdout)
-    assert len(outs) == 1
-
-
-def test_verify_rejects_bad_thread_env(tmp_path):
-    cfg = write_config(tmp_path)
-    for value in ("zero", "0"):
-        r = run_cli("verify", "--config", cfg, "--seed", "3",
-                    env_extra={"STRUCTCONV_THREADS": value})
-        assert r.returncode == 2
-        assert "STRUCTCONV_THREADS" in r.stderr
 
 
 def test_verify_json_deterministic(tmp_path):

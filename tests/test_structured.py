@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +27,8 @@ from structconv.structured import (
     structure_matrix,
     worst_kernel_residual,
 )
-from structconv.structured import _reconstruct_stack
-from structconv.tensor import ConvGeometry, ShapeError, conv, linear, random_tensor
+from structconv.structured import _reconstruct_stack, _worst_block_residual
+from structconv.tensor import ConvGeometry, ShapeError, conv, linear, random_tensor, write_tensor
 
 
 def svd_pinv(a):
@@ -85,6 +88,34 @@ def test_projector_algebra(cfg):
     np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(cfg.basis_size), atol=1e-10)
     np.testing.assert_allclose(p, p.T, atol=1e-10)
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
+
+
+def loop_structure_matrix(cfg):
+    # Reference A built cuboid by cuboid: column (i, j, k) is the all-ones
+    # block with low corner (i, j, k), flattened channel-major.
+    wc, wn = cfg.C - cfg.c + 1, cfg.N - cfg.n + 1
+    A = np.zeros((cfg.C, cfg.N, cfg.N, cfg.basis_size))
+    m = 0
+    for i in range(cfg.c):
+        for j in range(cfg.n):
+            for k in range(cfg.n):
+                A[i : i + wc, j : j + wn, k : k + wn, m] = 1.0
+                m += 1
+    return A.reshape(-1, cfg.basis_size)
+
+
+def test_kronecker_structure_matrix_matches_loop_reference():
+    for C in range(1, 9):
+        for N in range(1, 6):
+            for c in range(1, C + 1):
+                for n in range(1, N + 1):
+                    cfg = StructuredConfig(C, N, c, n)
+                    sm = structure_matrix(cfg)
+                    want = loop_structure_matrix(cfg)
+                    np.testing.assert_array_equal(sm.A, want)
+                    pinv = np.linalg.pinv(want)
+                    np.testing.assert_allclose(sm.pinv, pinv, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(sm.projector, want @ pinv, rtol=0, atol=1e-12)
 
 
 def test_structure_matrix_is_cached():
@@ -306,6 +337,21 @@ def test_decompose_rejects_grouped_geometry():
         decompose_conv_layer(w, cfg, ConvGeometry(groups=2))
 
 
+def test_worst_block_residual_matches_per_kernel_loop():
+    cfg = StructuredConfig(4, 3, 2, 2)
+    sm = structure_matrix(cfg)
+    flat = _reconstruct_stack(random_tensor(25, (6, 2, 2, 2)), cfg).reshape(6, -1)
+    assert _worst_block_residual(flat, sm)[1] < 1e-14
+    flat[1] += np.array(random_tensor(26, (36,))) * 1e-3
+    flat[4] += np.array(random_tensor(27, (36,))) * 1e-2
+    flat[2] = 0.0
+    want = [np.linalg.norm(v - sm.projector @ v) / np.linalg.norm(v) if v.any() else 0.0 for v in flat]
+    idx, res = _worst_block_residual(flat, sm)
+    assert idx == 4 == int(np.argmax(want))
+    assert abs(res - want[4]) <= 1e-12 * want[4]
+    assert _worst_block_residual(np.zeros((3, 36)), sm) == (-1, 0.0)
+
+
 def test_worst_kernel_residual_reports_max():
     cfg = StructuredConfig(4, 3, 2, 2)
     good = _reconstruct_stack(random_tensor(21, (3, 2, 2, 2)), cfg)
@@ -418,6 +464,66 @@ def test_sidecar_round_trip(tmp_path, kind):
     save_decomposed_layer(tmp_path, "layer", layer)
     back = load_decomposed_layer(tmp_path / "layer.json")
     np.testing.assert_array_equal(fwd(x, back), fwd(x, layer))
+
+
+def _saved_layer(tmp_path, kind):
+    if kind == "linear":
+        w = _reconstruct_stack(random_tensor(60, (3, 4, 1, 1)), StructuredConfig(8, 1, 4, 1))
+        layer = decompose_linear(w.reshape(3, 8), 4, bias=random_tensor(61, (3,)))
+    else:
+        cfg = StructuredConfig(3, 3, 2, 2)
+        w = _reconstruct_stack(random_tensor(62, (4, 2, 2, 2)), cfg)
+        layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1), bias=random_tensor(63, (4,)))
+    sidecar = save_decomposed_layer(tmp_path, "layer", layer)
+    return tmp_path / "layer.json", sidecar
+
+
+def _rewrite(path, sidecar, **changes):
+    path.write_text(json.dumps(dict(sidecar, **changes)), encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+def test_load_rejects_alpha_shape_mismatch(tmp_path, kind):
+    path, sidecar = _saved_layer(tmp_path, kind)
+    write_tensor(tmp_path / sidecar["alpha_file"], np.zeros((3, 5) if kind == "linear" else (4, 2, 2, 1)))
+    with pytest.raises(ShapeError, match="alpha shape"):
+        load_decomposed_layer(path)
+
+
+def test_load_rejects_depthwise_channel_mismatch(tmp_path):
+    w = _reconstruct_stack(random_tensor(64, (5, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
+    sidecar = save_decomposed_layer(tmp_path, "layer", decompose_depthwise_layer(w, 2))
+    _rewrite(tmp_path / "layer.json", sidecar, channels=6)
+    with pytest.raises(ShapeError, match="alpha shape"):
+        load_decomposed_layer(tmp_path / "layer.json")
+
+
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+def test_load_rejects_bias_shape_mismatch(tmp_path, kind):
+    path, sidecar = _saved_layer(tmp_path, kind)
+    write_tensor(tmp_path / sidecar["bias_file"], np.zeros(7))
+    with pytest.raises(ShapeError, match="bias shape"):
+        load_decomposed_layer(path)
+
+
+def test_load_rejects_pool_dims_mismatch(tmp_path):
+    path, sidecar = _saved_layer(tmp_path, "conv")
+    _rewrite(path, sidecar, pool_dims=[1, 2, 2])
+    with pytest.raises(ShapeError, match="pool_dims"):
+        load_decomposed_layer(path)
+
+
+@pytest.mark.parametrize("field", ["alpha_file", "bias_file"])
+def test_load_rejects_files_outside_sidecar_directory(tmp_path, field):
+    inner = tmp_path / "inner"
+    path, sidecar = _saved_layer(inner, "conv")
+    os.replace(inner / sidecar[field], tmp_path / sidecar[field])
+    _rewrite(path, sidecar, **{field: os.path.join("..", sidecar[field])})
+    with pytest.raises(ValueError, match="outside the sidecar directory"):
+        load_decomposed_layer(path)
+    _rewrite(path, sidecar, **{field: str(tmp_path / sidecar[field])})
+    with pytest.raises(ValueError, match="outside the sidecar directory"):
+        load_decomposed_layer(path)
 
 
 @settings(max_examples=40, deadline=None)

@@ -216,6 +216,20 @@ def test_sum_pool3d_rejects_bad_windows():
         sum_pool3d(x, (0, 1, 1))
 
 
+@pytest.mark.parametrize("pool_dims", [(1, 2, 2), (3, 2, 1), (5, 3, 3)])
+def test_sum_pool3d_batch_equals_stacked_samples(pool_dims):
+    x = random_tensor(11, (4, 6, 7, 7))
+    geom = ConvGeometry(stride=(1, 2), padding=1, dilation=(2, 1))
+    want = np.stack([sum_pool3d(sample, pool_dims, geom) for sample in x])
+    np.testing.assert_array_equal(sum_pool3d(x, pool_dims, geom), want)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (1, 2, 3, 4, 4)])
+def test_sum_pool3d_rejects_other_ranks(shape):
+    with pytest.raises(ShapeError, match="rank"):
+        sum_pool3d(np.zeros(shape), (1, 1, 1))
+
+
 def test_linear_identity_and_hand_values():
     x = random_tensor(10, (3,))
     np.testing.assert_array_equal(linear(np.eye(3), x), x)
