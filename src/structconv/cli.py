@@ -83,6 +83,8 @@ def _verify_layer(spec, seed, trials, corrupt):
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     layers = analyzer.parse_network_spec(args.config)
     errors = [
         _verify_layer(spec, args.seed, args.trials, args.corrupt_alpha and spec.index == 1)
@@ -213,6 +215,8 @@ def cmd_decompose(args) -> int:
             raise tensor.ShapeError(
                 f"layer {spec.index}: weights shape {w.shape}, config says {expect}"
             )
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"layer {spec.index}: weights contain NaN or infinite values")
         residual = structured.worst_kernel_residual(w, spec.cfg)
         results.append({"index": spec.index, "kind": spec.kind, "residual": residual})
         if residual > worst[1]:

@@ -87,6 +87,29 @@ def _band(L: int, l: int) -> np.ndarray:
     return ((rows >= cols) & (rows <= cols + L - l)).astype(np.float64)
 
 
+def _apply_band(M, L: int) -> np.ndarray:
+    """_band(L, len(M)) @ M without the matmul: row r of the product is the
+    sum of rows max(0, r-L+l) .. min(r, l-1) of M, a difference of two
+    running sums."""
+    l = M.shape[0]
+    sums = np.cumsum(M, axis=0)
+    out = np.empty((L,) + M.shape[1:])
+    out[:l] = sums
+    out[l:] = sums[-1]
+    out[L - l + 1 :] -= sums[: l - 1]
+    return out
+
+
+def _band_pinv(L: int, l: int) -> np.ndarray:
+    """pinv(_band(L, l)) = G^-1 B^T, with no SVD: the band has full column
+    rank, and its Gram matrix B^T B is the Toeplitz tent
+    G[i, j] = max(0, (L-l+1) - |i-j|), the overlap of windows i and j. G^-1
+    is symmetric, so G^-1 B^T is the transpose of B G^-1."""
+    idx = np.arange(l)
+    gram = np.maximum(L - l + 1 - np.abs(idx[:, None] - idx[None, :]), 0).astype(np.float64)
+    return _apply_band(np.linalg.inv(gram), L).T
+
+
 def _kron3(channel, spatial):
     # kron(kron(channel, spatial), spatial) in one allocation; its rows and
     # columns follow the (channel, row, column) row-major vectorization.
@@ -113,13 +136,12 @@ class StructureMatrix:
 
 
 def _build_structure_matrix(cfg: StructuredConfig) -> StructureMatrix:
-    # A banded all-ones matrix has full column rank, and pinv(X kron Y) =
-    # pinv(X) kron pinv(Y), so only the small 1D bands are ever inverted.
-    # The projector goes first, while the band-sized temporaries are few.
-    bc, bn = _band(cfg.C, cfg.c), _band(cfg.N, cfg.n)
-    pc, pn = np.linalg.pinv(bc), np.linalg.pinv(bn)
-    proj = _kron3(bc @ pc, bn @ pn)
-    A = _kron3(bc, bn)
+    # pinv(X kron Y) = pinv(X) kron pinv(Y), so only the small 1D bands are
+    # ever inverted. The projector goes first, while the band-sized
+    # temporaries are few.
+    pc, pn = _band_pinv(cfg.C, cfg.c), _band_pinv(cfg.N, cfg.n)
+    proj = _kron3(_apply_band(pc, cfg.C), _apply_band(pn, cfg.N))
+    A = _kron3(_band(cfg.C, cfg.c), _band(cfg.N, cfg.n))
     pinv = _kron3(pc, pn)
     for arr in (A, pinv, proj):
         arr.flags.writeable = False
@@ -161,6 +183,12 @@ def extract_alpha(w, cfg: StructuredConfig) -> np.ndarray:
     w = _check_kernel(w, cfg)
     sm = structure_matrix(cfg)
     return (sm.pinv @ w.reshape(-1)).reshape(cfg.c, cfg.n, cfg.n)
+
+
+def block_alphas(flat, sm: StructureMatrix) -> np.ndarray:
+    """Least-squares coefficients of many kernels at once: flat holds one
+    vectorized kernel per row, the result one coefficient row per kernel."""
+    return np.ascontiguousarray((sm.pinv @ flat.T).T)
 
 
 def _reconstruct_stack(alphas, cfg: StructuredConfig):
@@ -247,12 +275,12 @@ def decompose_conv_layer(
     sm = structure_matrix(cfg)
     flat = weights.reshape(c_out, -1)
     worst_idx, worst_res = _worst_block_residual(flat, sm)
-    if worst_res > residual_tol:
+    if not worst_res <= residual_tol:
         raise ResidualError(
             f"output channel {worst_idx} has residual {worst_res:.3e} "
             f"> tolerance {residual_tol:.3e}"
         )
-    alphas = np.ascontiguousarray((sm.pinv @ flat.T).T.reshape(c_out, cfg.c, cfg.n, cfg.n))
+    alphas = block_alphas(flat, sm).reshape(c_out, cfg.c, cfg.n, cfg.n)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (c_out,):
@@ -323,11 +351,11 @@ def decompose_depthwise_layer(
     sm = structure_matrix(cfg)
     flat = weights.reshape(channels, -1)
     worst_idx, worst_res = _worst_block_residual(flat, sm)
-    if worst_res > residual_tol:
+    if not worst_res <= residual_tol:
         raise ResidualError(
             f"channel {worst_idx} has residual {worst_res:.3e} > tolerance {residual_tol:.3e}"
         )
-    alphas = np.ascontiguousarray((sm.pinv @ flat.T).T.reshape(channels, 1, n, n))
+    alphas = block_alphas(flat, sm).reshape(channels, 1, n, n)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (channels,):
@@ -389,11 +417,11 @@ def decompose_linear(weights, R: int, bias=None, residual_tol: float = 1e-6) -> 
     cfg = StructuredConfig(C=q_in, N=1, c=R, n=1)
     sm = structure_matrix(cfg)
     worst_idx, worst_res = _worst_block_residual(weights, sm)
-    if worst_res > residual_tol:
+    if not worst_res <= residual_tol:
         raise ResidualError(
             f"row {worst_idx} has residual {worst_res:.3e} > tolerance {residual_tol:.3e}"
         )
-    small = np.ascontiguousarray((sm.pinv @ weights.T).T)
+    small = block_alphas(weights, sm)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (p_out,):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .structured import (
     StructuredConfig,
+    block_alphas,
     structure_matrix,
 )
 from .tensor import ConvGeometry, _gather_patches, random_tensor, sum_pool3d
@@ -594,11 +595,9 @@ def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
             dst.b = src.b.copy()
         else:
             r = src.residual()
-            if r > residual_tol:
+            if not r <= residual_tol:
                 raise _residual_error(i, src, r, residual_tol)
-            sm = structure_matrix(src.cfg)
-            flat = _blocks(src.w, src.cfg)
-            alphas = (sm.pinv @ flat.T).T
+            alphas = block_alphas(_blocks(src.w, src.cfg), structure_matrix(src.cfg))
             dst.w = alphas.reshape(dst.w.shape)
             dst.b = src.b.copy()
         dst.gw = np.zeros_like(dst.w)

@@ -98,6 +98,16 @@ def test_verify_constraint_violation_exits_2(tmp_path):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(tmp_path, trials):
+    cfg = write_config(tmp_path)
+    r = run_cli("verify", "--config", cfg, "--seed", "7", "--trials", trials,
+                "--format", "json")
+    assert r.returncode == 2
+    assert "--trials" in r.stderr
+    assert r.stdout == ""
+
+
 def test_verify_missing_config_exits_2(tmp_path):
     r = run_cli("verify", "--config", str(tmp_path / "nope.json"), "--seed", "7")
     assert r.returncode == 2
@@ -227,6 +237,21 @@ def test_decompose_unstructured_weights_fail(tmp_path):
     assert payload["pass"] is False
     assert payload["worst_layer"] == 1
     assert not out.exists() or not any(out.iterdir())  # nothing written
+
+
+def test_decompose_non_finite_weights_exit_2(tmp_path):
+    cfg = write_config(tmp_path)
+    wdir = write_weight_dir(tmp_path)
+    w = structured_weights(TINY_NET[2], 8)
+    w[4, 1, 0, 0] = np.nan
+    write_tensor(os.path.join(wdir, "layer_003.stcv"), w)
+    out = tmp_path / "out"
+    r = run_cli("decompose", "--weights", wdir, "--config", cfg,
+                "--out", str(out), "--format", "json")
+    assert r.returncode == 2
+    assert "layer 3" in r.stderr
+    assert r.stdout == ""
+    assert not out.exists()
 
 
 def test_decompose_shape_mismatch_exits_2(tmp_path):

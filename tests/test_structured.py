@@ -12,6 +12,7 @@ from structconv.structured import (
     DecomposedConvLayer,
     ResidualError,
     StructuredConfig,
+    block_alphas,
     decompose_conv_layer,
     decompose_depthwise_layer,
     decompose_linear,
@@ -116,6 +117,19 @@ def test_kronecker_structure_matrix_matches_loop_reference():
                     pinv = np.linalg.pinv(want)
                     np.testing.assert_allclose(sm.pinv, pinv, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(sm.projector, want @ pinv, rtol=0, atol=1e-12)
+
+
+def test_band_pinv_at_fixture_scale():
+    # struct_effnet's largest band, 1920 x 960, against the SVD pseudoinverse.
+    cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
+    sm = structure_matrix(cfg)
+    want = np.linalg.pinv(sm.A)
+    assert np.abs(sm.pinv - want).max() <= 1e-10 * np.abs(want).max()
+    np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(cfg.basis_size), rtol=0, atol=1e-10)
+    alphas = np.array(random_tensor(29, (8, cfg.c, 1, 1)))
+    dense = _reconstruct_stack(alphas, cfg)
+    got = _reconstruct_stack(block_alphas(dense.reshape(8, -1), sm).reshape(alphas.shape), cfg)
+    assert rel_err(got, dense) <= 1e-10
 
 
 def test_structure_matrix_is_cached():
@@ -328,6 +342,26 @@ def test_decompose_rejects_unstructured_weights():
     w = np.array(random_tensor(19, (3, 4, 3, 3)))  # generic, not structured
     with pytest.raises(ResidualError, match="channel"):
         decompose_conv_layer(w, cfg, residual_tol=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["conv", "dwconv", "linear"])
+def test_decompose_rejects_non_finite_weights(kind):
+    if kind == "conv":
+        w = _reconstruct_stack(random_tensor(30, (3, 2, 2, 2)), StructuredConfig(4, 3, 2, 2))
+        w[1, 0, 0, 0] = np.nan
+        call = lambda: decompose_conv_layer(w, StructuredConfig(4, 3, 2, 2))
+    elif kind == "dwconv":
+        w = _reconstruct_stack(random_tensor(31, (3, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
+        w[1, 0, 1, 1] = np.inf
+        call = lambda: decompose_depthwise_layer(w, 2)
+    else:
+        w = _reconstruct_stack(random_tensor(32, (3, 2, 1, 1)), StructuredConfig(5, 1, 2, 1))
+        w = w.reshape(3, 5)
+        w[1, 2] = np.nan
+        call = lambda: decompose_linear(w, 2)
+    with pytest.raises(ResidualError, match="1 has residual nan"):
+        call()
 
 
 def test_decompose_rejects_grouped_geometry():
