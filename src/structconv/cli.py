@@ -205,6 +205,8 @@ def _expected_weight_shape(spec):
 
 
 def cmd_decompose(args) -> int:
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     layers = analyzer.parse_network_spec(args.config)
     weights = _load_layer_weights(args.weights, layers)
     results = []

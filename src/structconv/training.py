@@ -2,7 +2,9 @@
 
 Small stack of hand-differentiated layers (conv, depthwise conv, relu, global
 average pool, linear) trained with plain mini-batch SGD on softmax cross
-entropy. Three modes:
+entropy. The conv, depthwise and linear layers are one structured layer type:
+a grouped conv over patches, where a depthwise conv has one channel per group
+and a linear layer is a 1x1 conv on a 1x1 map. Three modes:
 
   regularized  adds lam * sum of per-layer structural residuals to the loss,
                pulling dense weights toward the structured subspace
@@ -24,7 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .structured import (
+    ResidualError,
     StructuredConfig,
+    _reconstruct_stack,
     block_alphas,
     structure_matrix,
 )
@@ -48,14 +52,19 @@ def _blocks(w, cfg: StructuredConfig):
     return flat
 
 
-def layer_residual(w, cfg: StructuredConfig) -> float:
-    """||(I - P) W||_F / ||W||_F over the whole layer tensor."""
+def _residual_rows(w, cfg: StructuredConfig):
+    # The kernel rows, their joint norm and (I - P) applied to each row.
     flat = _blocks(w, cfg)
     norm = float(np.linalg.norm(flat))
     if norm == 0.0:
         raise DegenerateWeightError("zero-norm weight tensor has no residual")
     proj = structure_matrix(cfg).projector
-    resid = flat - flat @ proj.T
+    return flat, norm, flat - flat @ proj.T
+
+
+def layer_residual(w, cfg: StructuredConfig) -> float:
+    """||(I - P) W||_F / ||W||_F over the whole layer tensor."""
+    _, norm, resid = _residual_rows(w, cfg)
     return float(np.linalg.norm(resid) / norm)
 
 
@@ -74,12 +83,7 @@ def sr_grad(w, cfg: StructuredConfig) -> np.ndarray:
     already (nearly) structured.
     """
     w = np.asarray(w, dtype=np.float64)
-    flat = _blocks(w, cfg)
-    nw = float(np.linalg.norm(flat))
-    if nw == 0.0:
-        raise DegenerateWeightError("zero-norm weight tensor has no residual")
-    proj = structure_matrix(cfg).projector
-    resid = flat - flat @ proj.T
+    flat, nw, resid = _residual_rows(w, cfg)
     nr = float(np.sqrt(np.sum(resid * resid) + _SR_EPS))
     grad = resid / (nr * nw) - (nr / nw**3) * flat
     return grad.reshape(w.shape)
@@ -146,51 +150,57 @@ class TrainingConfig:
             raise ValueError("mode 'plain' requires lam = 0")
         if self.mode == "direct" and self.lam != 0.0:
             raise ValueError("mode 'direct' takes no residual term; pass lam = 0")
-        if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
+        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
 
-def _he_init(seed, shape, fan_in):
-    return np.array(random_tensor(seed, shape)) * np.sqrt(6.0 / fan_in)
+def _he_init(seed, shape):
+    # Uniform He init; the fan-in is one output's kernel, all trailing axes.
+    return np.array(random_tensor(seed, shape)) * np.sqrt(6.0 / np.prod(shape[1:]))
 
 
-def _pool3d_backward(g, x_shape, dims, padding, dilation=(1, 1)):
+def _pool3d_backward(g, x_shape, dims, padding):
+    # Adjoint of the stride-1 sum_pool3d: each window adds g back to its inputs.
     kc, kh, kw = dims
-    ph, pw = padding
-    dh, dw = dilation
     b, cin, h, w = x_shape
-    h1, w1 = g.shape[2], g.shape[3]
-    dxp = np.zeros((b, cin, h + 2 * ph, w + 2 * pw))
-    cout = g.shape[1]
+    cout, ho, wo = g.shape[1:]
+    dxp = np.zeros((b, cin, h + 2 * padding, w + 2 * padding))
     for dc in range(kc):
         for u in range(kh):
             for v in range(kw):
-                dxp[:, dc : dc + cout, u * dh : u * dh + h1, v * dw : v * dw + w1] += g
-    return dxp[:, :, ph : ph + h, pw : pw + w]
+                dxp[:, dc : dc + cout, u : u + ho, v : v + wo] += g
+    return dxp[:, :, padding : padding + h, padding : padding + w]
 
 
 def _conv_patches(x, kernel, stride, padding):
-    kh = kw = kernel
-    ho = (x.shape[2] + 2 * padding - kh) // stride + 1
-    wo = (x.shape[3] + 2 * padding - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    return _gather_patches(xp, (ho, wo), (kh, kw), (stride, stride), (1, 1))
+    ho = (x.shape[2] + 2 * padding - kernel) // stride + 1
+    wo = (x.shape[3] + 2 * padding - kernel) // stride + 1
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    return _gather_patches(x, (ho, wo), (kernel, kernel), (stride, stride), (1, 1))
 
 
-def _scatter_conv_input_grad(g, w_uv_fn, x_shape, kernel, stride, padding):
-    # Shared scatter for conv/depthwise input gradients: for each kernel tap
-    # (u, v), w_uv_fn maps g to that tap's contribution in input layout.
-    b, cin, h, w = x_shape
-    ho, wo = g.shape[2], g.shape[3]
-    dxp = np.zeros((b, cin, h + 2 * padding, w + 2 * padding))
-    for u in range(kernel):
-        for v in range(kernel):
-            dxp[:, :, u : u + stride * ho : stride, v : v + stride * wo : stride] += w_uv_fn(u, v)
-    return dxp[:, :, padding : padding + h, padding : padding + w]
+def _einsum(subscripts, *operands):
+    # einsum over the axes longer than 1. With one group this is the plain
+    # conv contraction (one BLAS product), and with one channel per group the
+    # depthwise one (an elementwise product), as tensor.conv does unbatched.
+    inputs, output = subscripts.split("->")
+    inputs = inputs.split(",")
+    size = {a: n for sub, op in zip(inputs, operands) for a, n in zip(sub, op.shape)}
+    keep = lambda sub: "".join(a for a in sub if size[a] != 1)
+    squeezed = [op.reshape([size[a] for a in keep(sub)]) for sub, op in zip(inputs, operands)]
+    spec = ",".join(map(keep, inputs)) + "->" + keep(output)
+    out = np.einsum(spec, *squeezed, optimize=True)
+    return out.reshape([size[a] for a in output])
+
+
+def _as_map(x):
+    # A (B, Q) feature vector is a (B, Q, 1, 1) feature map.
+    return x.reshape(x.shape[:2] + (x.shape[2:] or (1, 1)))
 
 
 class _Layer:
@@ -199,109 +209,72 @@ class _Layer:
     def params(self):
         return []
 
-    def residual(self):
-        return None
 
+class _Structured(_Layer):
+    """A structured conv, depthwise conv or linear layer.
 
-class _Conv2D(_Layer):
-    def __init__(self, in_channels, spec: Conv, seed, direct):
-        self.spec = spec
-        self.cfg = StructuredConfig(C=in_channels, N=spec.kernel, c=spec.c, n=spec.n)
+    One weight per output, laid out (out, C, N, N) when dense and
+    (out, c, n, n) when direct, where direct mode sum-pools the input with
+    cfg.pool_dims before the small kernel. Input channels split into `groups`
+    blocks as in tensor.conv: a depthwise conv has groups = channels and
+    C = c = 1. A linear layer has N = n = 1 and takes (B, Q) inputs.
+    """
+
+    def __init__(self, name, cfg, out_channels, groups, stride, padding, seed, direct):
+        self.name = name
+        self.cfg = cfg
+        self.groups = groups
+        self.stride = stride
+        self.padding = padding
         self.direct = direct
-        fan_in = in_channels * spec.kernel**2
-        if direct:
-            self.w = _he_init(seed, (spec.out_channels, spec.c, spec.n, spec.n), spec.c * spec.n**2)
-        else:
-            self.w = _he_init(seed, (spec.out_channels, in_channels, spec.kernel, spec.kernel), fan_in)
-        self.b = np.zeros(spec.out_channels)
+        dims = (cfg.c, cfg.n) if direct else (cfg.C, cfg.N)
+        self.w = _he_init(seed, (out_channels, dims[0], dims[1], dims[1]))
+        self.b = np.zeros(out_channels)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
 
+    def _grouped(self, a, axis):
+        # Split axis into (groups, size / groups).
+        return a.reshape(a.shape[:axis] + (self.groups, -1) + a.shape[axis + 1 :])
+
     def forward(self, x):
         self.x_shape = x.shape
-        s, p = self.spec.stride, self.spec.padding
+        x = _as_map(x)
+        self.map_shape = x.shape
+        p = self.padding
         if self.direct:
-            pooled = sum_pool3d(x, self.cfg.pool_dims, ConvGeometry(padding=p))
-            self.pooled_shape = pooled.shape
-            self.patches = _conv_patches(pooled, self.w.shape[-1], s, 0)
-        else:
-            self.patches = _conv_patches(x, self.w.shape[-1], s, p)
-        out = np.einsum("bchwuv,ocuv->bohw", self.patches, self.w, optimize=True)
-        return out + self.b[None, :, None, None]
+            x, p = sum_pool3d(x, self.cfg.pool_dims, ConvGeometry(padding=p)), 0
+        self.conv_in = (x.shape, p)
+        self.patches = self._grouped(_conv_patches(x, self.w.shape[-1], self.stride, p), 1)
+        out = _einsum("bgchwuv,gocuv->bgohw", self.patches, self._grouped(self.w, 0))
+        out = out.reshape(len(x), -1, *out.shape[3:]) + self.b[:, None, None]
+        return out.reshape(out.shape[: len(self.x_shape)])
 
     def backward(self, g):
-        s, p = self.spec.stride, self.spec.padding
-        self.gw += np.einsum("bohw,bchwuv->ocuv", g, self.patches, optimize=True)
+        g = _as_map(g)
+        gg = self._grouped(g, 1)
+        self.gw += _einsum("bgohw,bgchwuv->gocuv", gg, self.patches).reshape(self.w.shape)
         self.gb += g.sum(axis=(0, 2, 3))
-        w = self.w
-        scatter = lambda u, v: np.einsum("bohw,oc->bchw", g, w[:, :, u, v], optimize=True)
+        # Scatter every kernel tap's share of the input gradient.
+        (b, cin, h, w), p = self.conv_in
+        ho, wo = g.shape[2:]
+        s, k = self.stride, self.w.shape[-1]
+        taps = _einsum("bgohw,gocuv->bgchwuv", gg, self._grouped(self.w, 0))
+        taps = taps.reshape(b, cin, ho, wo, k, k)
+        dxp = np.zeros((b, cin, h + 2 * p, w + 2 * p))
+        for u in range(k):
+            for v in range(k):
+                dxp[:, :, u : u + s * ho : s, v : v + s * wo : s] += taps[..., u, v]
+        dx = dxp[:, :, p : p + h, p : p + w]
         if self.direct:
-            g_pooled = _scatter_conv_input_grad(
-                g, scatter, self.pooled_shape, self.w.shape[-1], s, 0
-            )
-            return _pool3d_backward(g_pooled, self.x_shape, self.cfg.pool_dims, (p, p))
-        return _scatter_conv_input_grad(g, scatter, self.x_shape, self.w.shape[-1], s, p)
+            dx = _pool3d_backward(dx, self.map_shape, self.cfg.pool_dims, self.padding)
+        return dx.reshape(self.x_shape)
 
     def params(self):
         return [(self.w, self.gw), (self.b, self.gb)]
 
     def effective_weight(self):
-        from .structured import _reconstruct_stack
-
         return _reconstruct_stack(self.w, self.cfg) if self.direct else self.w
-
-    def residual(self):
-        return layer_residual(self.effective_weight(), self.cfg)
-
-
-class _DepthwiseConv2D(_Layer):
-    def __init__(self, channels, spec: DepthwiseConv, seed, direct):
-        self.spec = spec
-        self.channels = channels
-        self.cfg = StructuredConfig(C=1, N=spec.kernel, c=1, n=spec.n)
-        self.direct = direct
-        if direct:
-            self.w = _he_init(seed, (channels, spec.n, spec.n), spec.n**2)
-        else:
-            self.w = _he_init(seed, (channels, spec.kernel, spec.kernel), spec.kernel**2)
-        self.b = np.zeros(channels)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-
-    def forward(self, x):
-        self.x_shape = x.shape
-        s, p = self.spec.stride, self.spec.padding
-        if self.direct:
-            pooled = sum_pool3d(x, self.cfg.pool_dims, ConvGeometry(padding=p))
-            self.pooled_shape = pooled.shape
-            self.patches = _conv_patches(pooled, self.w.shape[-1], s, 0)
-        else:
-            self.patches = _conv_patches(x, self.w.shape[-1], s, p)
-        out = np.einsum("bchwuv,cuv->bchw", self.patches, self.w, optimize=True)
-        return out + self.b[None, :, None, None]
-
-    def backward(self, g):
-        s, p = self.spec.stride, self.spec.padding
-        self.gw += np.einsum("bchw,bchwuv->cuv", g, self.patches, optimize=True)
-        self.gb += g.sum(axis=(0, 2, 3))
-        w = self.w
-        scatter = lambda u, v: g * w[None, :, u, v, None, None]
-        if self.direct:
-            g_pooled = _scatter_conv_input_grad(
-                g, scatter, self.pooled_shape, self.w.shape[-1], s, 0
-            )
-            return _pool3d_backward(g_pooled, self.x_shape, self.cfg.pool_dims, (p, p))
-        return _scatter_conv_input_grad(g, scatter, self.x_shape, self.w.shape[-1], s, p)
-
-    def params(self):
-        return [(self.w, self.gw), (self.b, self.gb)]
-
-    def effective_weight(self):
-        from .structured import _reconstruct_stack
-
-        if self.direct:
-            return _reconstruct_stack(self.w[:, None], self.cfg)
-        return self.w[:, None]
 
     def residual(self):
         return layer_residual(self.effective_weight(), self.cfg)
@@ -326,84 +299,35 @@ class _GlobalAvgPool(_Layer):
         return np.broadcast_to(g[:, :, None, None], self.x_shape) / (h * w)
 
 
-class _Linear(_Layer):
-    def __init__(self, in_features, spec: Linear, seed, direct):
-        self.spec = spec
-        self.in_features = in_features
-        self.cfg = StructuredConfig(C=in_features, N=1, c=spec.R, n=1)
-        self.direct = direct
-        if direct:
-            self.w = _he_init(seed, (spec.out_features, spec.R), spec.R)
-        else:
-            self.w = _he_init(seed, (spec.out_features, in_features), in_features)
-        self.b = np.zeros(spec.out_features)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-
-    def forward(self, x):
-        if self.direct:
-            window = self.in_features - self.spec.R + 1
-            self.x_in = x
-            pooled = np.lib.stride_tricks.sliding_window_view(x, window, axis=1).sum(axis=-1)
-            self.pooled = pooled
-            return pooled @ self.w.T + self.b
-        self.x_in = x
-        return x @ self.w.T + self.b
-
-    def backward(self, g):
-        self.gb += g.sum(axis=0)
-        if self.direct:
-            self.gw += g.T @ self.pooled
-            g_pooled = g @ self.w
-            window = self.in_features - self.spec.R + 1
-            dx = np.zeros((g.shape[0], self.in_features))
-            for d in range(window):
-                dx[:, d : d + self.spec.R] += g_pooled
-            return dx
-        self.gw += g.T @ self.x_in
-        return g @ self.w
-
-    def params(self):
-        return [(self.w, self.gw), (self.b, self.gb)]
-
-    def effective_weight(self):
-        if not self.direct:
-            return self.w
-        from .structured import _reconstruct_stack
-
-        stacked = self.w[:, :, None, None]
-        return _reconstruct_stack(stacked, self.cfg).reshape(self.spec.out_features, self.in_features)
-
-    def residual(self):
-        return layer_residual(self.effective_weight(), self.cfg)
-
-
 class ToyModel:
     """Ordered layer stack built from a ToyModelSpec."""
 
     def __init__(self, spec: ToyModelSpec, seed: int, direct: bool = False):
         self.spec = spec
         self.direct = direct
-        channels, h, w = spec.input_shape
+        channels = spec.input_shape[0]
         layers = []
         for i, desc in enumerate(spec.layers):
             lseed = seed + 101 * i + 1
             if isinstance(desc, Conv):
-                layer = _Conv2D(channels, desc, lseed, direct)
+                cfg = StructuredConfig(C=channels, N=desc.kernel, c=desc.c, n=desc.n)
+                layer = _Structured(
+                    "conv2d", cfg, desc.out_channels, 1, desc.stride, desc.padding, lseed, direct
+                )
                 channels = desc.out_channels
-                h = (h + 2 * desc.padding - desc.kernel) // desc.stride + 1
-                w = (w + 2 * desc.padding - desc.kernel) // desc.stride + 1
             elif isinstance(desc, DepthwiseConv):
-                layer = _DepthwiseConv2D(channels, desc, lseed, direct)
-                h = (h + 2 * desc.padding - desc.kernel) // desc.stride + 1
-                w = (w + 2 * desc.padding - desc.kernel) // desc.stride + 1
+                cfg = StructuredConfig(C=1, N=desc.kernel, c=1, n=desc.n)
+                layer = _Structured(
+                    "depthwiseconv2d", cfg, channels, channels, desc.stride, desc.padding,
+                    lseed, direct,
+                )
             elif isinstance(desc, Relu):
                 layer = _Relu()
             elif isinstance(desc, GlobalAvgPool):
                 layer = _GlobalAvgPool()
-                h = w = 1
             elif isinstance(desc, Linear):
-                layer = _Linear(channels, desc, lseed, direct)
+                cfg = StructuredConfig(C=channels, N=1, c=desc.R, n=1)
+                layer = _Structured("linear", cfg, desc.out_features, 1, 1, 0, lseed, direct)
                 channels = desc.out_features
             else:
                 raise TypeError(f"unknown layer descriptor {desc!r}")
@@ -434,12 +358,11 @@ class ToyModel:
         return [l for l in self.layers if l.cfg is not None]
 
     def residuals(self) -> dict[str, float]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            r = layer.residual()
-            if r is not None:
-                out[f"layer_{i}_{type(layer).__name__.lstrip('_').lower()}"] = r
-        return out
+        return {
+            f"layer_{i}_{layer.name}": layer.residual()
+            for i, layer in enumerate(self.layers)
+            if layer.cfg is not None
+        }
 
 
 def _softmax_ce(logits, labels):
@@ -596,22 +519,15 @@ def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
         else:
             r = src.residual()
             if not r <= residual_tol:
-                raise _residual_error(i, src, r, residual_tol)
+                raise ResidualError(
+                    f"layer {i} ({src.name}) has residual {r:.3e} > tolerance {residual_tol:.3e}"
+                )
             alphas = block_alphas(_blocks(src.w, src.cfg), structure_matrix(src.cfg))
             dst.w = alphas.reshape(dst.w.shape)
             dst.b = src.b.copy()
         dst.gw = np.zeros_like(dst.w)
         dst.gb = np.zeros_like(dst.b)
     return out
-
-
-def _residual_error(i, layer, r, tol):
-    from .structured import ResidualError
-
-    name = type(layer).__name__.lstrip("_").lower()
-    return ResidualError(
-        f"layer {i} ({name}) has residual {r:.3e} > tolerance {tol:.3e}"
-    )
 
 
 def train(spec: ToyModelSpec, dataset: ToyDataset, config: TrainingConfig):

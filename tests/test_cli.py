@@ -254,6 +254,19 @@ def test_decompose_non_finite_weights_exit_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_decompose_rejects_bad_tolerance(tmp_path, tol):
+    cfg = write_config(tmp_path)
+    wdir = write_weight_dir(tmp_path)
+    out = tmp_path / "out"
+    r = run_cli("decompose", "--weights", wdir, "--config", cfg,
+                "--out", str(out), f"--tol={tol}", "--format", "json")
+    assert r.returncode == 2
+    assert "--tol" in r.stderr
+    assert r.stdout == ""
+    assert not out.exists()
+
+
 def test_decompose_shape_mismatch_exits_2(tmp_path):
     cfg = write_config(tmp_path, [TINY_NET[0]])
     wfile = tmp_path / "w.stcv"
@@ -293,6 +306,10 @@ def test_train_toy_smoke(tmp_path):
     records = [json.loads(line) for line in lines]
     assert records[0]["epoch"] == 1
     assert "final" in records[-1]
+    for rec in records[:-1]:
+        assert sorted(rec["residuals"]) == [
+            "layer_0_conv2d", "layer_2_conv2d", "layer_4_depthwiseconv2d", "layer_7_linear",
+        ]
 
 
 def test_train_toy_rejects_lambda_in_plain_mode():
@@ -300,6 +317,12 @@ def test_train_toy_rejects_lambda_in_plain_mode():
                 "--seed", "0")
     assert r.returncode == 2
     assert "lam" in r.stderr
+
+
+def test_train_toy_rejects_non_finite_lr():
+    r = run_cli("train-toy", "--mode", "plain", "--epochs", "1", "--seed", "0", "--lr", "nan")
+    assert r.returncode == 2
+    assert "lr" in r.stderr
 
 
 def test_train_toy_divergence_exits_1():

@@ -5,7 +5,7 @@ import pytest
 
 from structconv.structured import StructuredConfig, structure_matrix
 from structconv.structured import _reconstruct_stack
-from structconv.tensor import random_tensor
+from structconv.tensor import ConvGeometry, conv, linear, random_tensor
 from structconv.training import (
     Conv,
     DegenerateWeightError,
@@ -325,6 +325,14 @@ def test_training_config_validation():
         TrainingConfig(mode="warp")
     with pytest.raises(ValueError):
         TrainingConfig(lr=0.0, mode="plain", lam=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrainingConfig(lam=bad, mode="regularized")
+        with pytest.raises(ValueError):
+            TrainingConfig(lr=bad, mode="plain", lam=0.0)
+    with pytest.raises(ValueError):
+        TrainingConfig(lr=-float("inf"), mode="plain", lam=0.0)
+    TrainingConfig(lr=1e200, mode="plain", lam=0.0)  # finite: diverges, but is a valid config
 
 
 def test_log_records_structure_and_serialization(tmp_path):
@@ -370,3 +378,36 @@ def test_decompose_model_projects_under_loose_tolerance():
     out = twin.forward(x)
     assert out.shape == (4, 4)
     assert np.all(np.isfinite(out))
+
+
+# One model per structured kind: (spec, index of the layer under test, input shape).
+REFERENCE_LAYERS = {
+    "conv": (ToyModelSpec(layers=(Conv(out_channels=5, kernel=3, c=2, n=2, stride=2, padding=1),),
+                          input_shape=(3, 7, 7)), 0, (3, 3, 7, 7)),
+    "depthwise": (ToyModelSpec(layers=(DepthwiseConv(kernel=3, n=2, stride=1, padding=1),),
+                               input_shape=(4, 5, 5)), 0, (3, 4, 5, 5)),
+    "linear": (ToyModelSpec(layers=(Linear(out_features=3, R=4),), input_shape=(6, 1, 1)),
+               0, (3, 6)),
+}
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["dense", "direct"])
+@pytest.mark.parametrize("kind", sorted(REFERENCE_LAYERS))
+def test_layer_forward_matches_reference_ops(kind, direct):
+    # The batched training forward equals tensor.conv / tensor.linear applied
+    # sample by sample to the layer's effective (dense) weight, plus bias.
+    spec, index, x_shape = REFERENCE_LAYERS[kind]
+    layer = ToyModel(spec, seed=21, direct=direct).layers[index]
+    layer.b = np.array(random_tensor(22, layer.b.shape))
+    x = np.array(random_tensor(23, x_shape))
+    got = layer.forward(x)
+    w = layer.effective_weight()
+    if kind == "linear":
+        want = np.stack([linear(w.reshape(w.shape[0], -1), xi) + layer.b for xi in x])
+    else:
+        desc = spec.layers[index]
+        geom = ConvGeometry(stride=desc.stride, padding=desc.padding,
+                            groups=x_shape[1] if kind == "depthwise" else 1)
+        want = np.stack([conv(xi, w, geom) + layer.b[:, None, None] for xi in x])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
