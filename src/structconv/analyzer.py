@@ -79,13 +79,17 @@ class LayerSpec:
             raise NetworkSpecError(f"layer {self.index}: n={self.n} exceeds kernel size {self.k}")
 
     @property
+    def in_hw(self) -> tuple[int, int]:
+        # A linear layer follows global pooling, so its map is 1x1.
+        return (1, 1) if self.kind == "linear" else (self.in_h, self.in_w)
+
+    @property
     def out_hw(self) -> tuple[int, int]:
-        if self.kind == "linear":
-            return (1, 1)
+        h, w = self.in_hw
         try:
             return (
-                out_extent(self.in_h, self.k, self.stride, self.pad, self.dilation),
-                out_extent(self.in_w, self.k, self.stride, self.pad, self.dilation),
+                out_extent(h, self.k, self.stride, self.pad, self.dilation),
+                out_extent(w, self.k, self.stride, self.pad, self.dilation),
             )
         except GeometryError as e:
             raise NetworkSpecError(f"layer {self.index}: {e}") from e
@@ -94,14 +98,6 @@ class LayerSpec:
     def cfg(self) -> StructuredConfig:
         # Valid for every kind: dwconv has cin = c = 1, linear has k = n = 1.
         return StructuredConfig(C=self.cin, N=self.k, c=self.c, n=self.n)
-
-    @property
-    def pooled_hw(self) -> tuple[int, int]:
-        # Extent after the stride-1 sum-pool stage, before the small conv.
-        return (
-            self.in_h + 2 * self.pad - self.dilation * (self.k - self.n),
-            self.in_w + 2 * self.pad - self.dilation * (self.k - self.n),
-        )
 
 
 @dataclass(frozen=True)
@@ -123,43 +119,29 @@ class CostReport:
 def layer_costs(spec: LayerSpec) -> CostReport:
     """Exact op/param counts for one layer, dense vs decomposed.
 
-    The decomposed add count has two parts: building the pooled map (window
-    size minus one adds per pooled element, and the pool is shared by every
-    output channel) and running the small kernel (c*n*n - 1 adds per output).
+    One formula serves every kind: a linear layer is a conv with k = n = 1 on
+    a 1x1 map. The decomposed add count has two parts: building the pooled
+    planes (window size minus one adds per pooled element) and running the
+    small kernel (c*n*n - 1 adds per output). A conv's c pooled planes are
+    shared by every output channel; a depthwise layer pools its cout planes
+    one by one.
     """
     ho, wo = spec.out_hw
-    out_elems = ho * wo
-    if spec.kind == "linear":
-        p_out, q_in, r = spec.cout, spec.cin, spec.c
-        params_b = p_out * q_in
-        params_a = p_out * r
-        mults_b = p_out * q_in
-        mults_a = p_out * r
-        adds_b = p_out * (q_in - 1)
-        adds_a = r * (q_in - r) + p_out * (r - 1)
-    elif spec.kind == "dwconv":
-        # One independent single-channel conv per channel; nothing shared.
-        h1, w1 = spec.pooled_hw
-        k2, n2 = spec.k * spec.k, spec.n * spec.n
-        pool_window = (spec.k - spec.n + 1) ** 2
-        ch = spec.cout
-        params_b = ch * k2
-        params_a = ch * n2
-        mults_b = ch * k2 * out_elems
-        mults_a = ch * n2 * out_elems
-        adds_b = ch * (k2 - 1) * out_elems
-        adds_a = ch * ((pool_window - 1) * h1 * w1 + (n2 - 1) * out_elems)
-    else:
-        h1, w1 = spec.pooled_hw
-        dense = spec.cin * spec.k * spec.k
-        small = spec.c * spec.n * spec.n
-        pool_window = (spec.cin - spec.c + 1) * (spec.k - spec.n + 1) ** 2
-        params_b = spec.cout * dense
-        params_a = spec.cout * small
-        mults_b = dense * spec.cout * out_elems
-        mults_a = small * spec.cout * out_elems
-        adds_b = (dense - 1) * spec.cout * out_elems
-        adds_a = (pool_window - 1) * spec.c * h1 * w1 + (small - 1) * spec.cout * out_elems
+    h, w = spec.in_hw
+    # Each padded side loses the stride-1 pool window's dilated extent, less 1.
+    shrink = spec.dilation * (spec.k - spec.n) - 2 * spec.pad
+    pooled = (h - shrink) * (w - shrink)
+    outputs = spec.cout * ho * wo
+    dense = spec.cin * spec.k * spec.k
+    small = spec.c * spec.n * spec.n
+    pool_window = (spec.cin - spec.c + 1) * (spec.k - spec.n + 1) ** 2
+    planes = spec.cout if spec.kind == "dwconv" else spec.c
+    params_b = spec.cout * dense
+    params_a = spec.cout * small
+    mults_b = dense * outputs
+    mults_a = small * outputs
+    adds_b = (dense - 1) * outputs
+    adds_a = (pool_window - 1) * planes * pooled + (small - 1) * outputs
     return CostReport(
         index=spec.index,
         kind=spec.kind,
@@ -261,7 +243,7 @@ def parse_network_spec(path, input_size=(224, 224)) -> list[LayerSpec]:
                 f"layer {i}: expects {in_ch} input channels but layer {i - 1} "
                 f"produces {channels}"
             )
-        h, w = spec.out_hw if spec.kind != "linear" else (1, 1)
+        h, w = spec.out_hw
         channels = spec.cout
         layers.append(spec)
     return layers

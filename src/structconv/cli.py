@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -197,11 +198,34 @@ def _load_layer_weights(path, layers):
 
 
 def _expected_weight_shape(spec):
+    # A depthwise layer has cin = 1, so it shares the conv layout.
     if spec.kind == "linear":
         return (spec.cout, spec.cin)
-    if spec.kind == "dwconv":
-        return (spec.cout, 1, spec.k, spec.k)
     return (spec.cout, spec.cin, spec.k, spec.k)
+
+
+def _write_decomposed(out_dir, layers, weights, tol):
+    # The layers are written into a temporary directory beside out_dir and
+    # move into out_dir only once all of them exist, so a failed command
+    # leaves no half-written output.
+    parent = os.path.dirname(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".decompose-", dir=parent) as tmp:
+        for spec, w in zip(layers, weights):
+            geom = tensor.ConvGeometry(
+                stride=spec.stride, padding=spec.pad, dilation=spec.dilation
+            )
+            name = f"layer_{spec.index:03d}"
+            if spec.kind == "linear":
+                layer = structured.decompose_linear(w, spec.c, residual_tol=tol)
+            elif spec.kind == "dwconv":
+                layer = structured.decompose_depthwise_layer(w, spec.n, geom, residual_tol=tol)
+            else:
+                layer = structured.decompose_conv_layer(w, spec.cfg, geom, residual_tol=tol)
+            structured.save_decomposed_layer(tmp, name, layer)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in sorted(os.listdir(tmp)):
+            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
 
 
 def cmd_decompose(args) -> int:
@@ -225,22 +249,7 @@ def cmd_decompose(args) -> int:
             worst = (spec.index, residual)
     ok = worst[1] <= args.tol
     if ok:
-        for spec, w in zip(layers, weights):
-            geom = tensor.ConvGeometry(
-                stride=spec.stride, padding=spec.pad, dilation=spec.dilation
-            )
-            name = f"layer_{spec.index:03d}"
-            if spec.kind == "linear":
-                layer = structured.decompose_linear(w, spec.c, residual_tol=args.tol)
-            elif spec.kind == "dwconv":
-                layer = structured.decompose_depthwise_layer(
-                    w, spec.n, geom, residual_tol=args.tol
-                )
-            else:
-                layer = structured.decompose_conv_layer(
-                    w, spec.cfg, geom, residual_tol=args.tol
-                )
-            structured.save_decomposed_layer(args.out, name, layer)
+        _write_decomposed(args.out, layers, weights, args.tol)
     payload = {
         "command": "decompose",
         "tolerance": args.tol,

@@ -32,6 +32,8 @@ from .tensor import (
     out_extent,
     read_tensor,
     sum_pool3d,
+    window_spread,
+    window_sum,
     write_tensor,
 )
 
@@ -77,37 +79,14 @@ class StructuredConfig:
         return Fraction(self.C * self.N * self.N, self.basis_size)
 
 
-def _band(L: int, l: int) -> np.ndarray:
-    """L x l matrix whose column i is the 1D all-ones window of length L-l+1
-    starting at row i. A cuboid basis element is the outer product of three
-    such windows, so every structured object below is a Kronecker product of
-    one channel band and two spatial bands."""
-    rows = np.arange(L)[:, None]
-    cols = np.arange(l)[None, :]
-    return ((rows >= cols) & (rows <= cols + L - l)).astype(np.float64)
-
-
-def _apply_band(M, L: int) -> np.ndarray:
-    """_band(L, len(M)) @ M without the matmul: row r of the product is the
-    sum of rows max(0, r-L+l) .. min(r, l-1) of M, a difference of two
-    running sums."""
-    l = M.shape[0]
-    sums = np.cumsum(M, axis=0)
-    out = np.empty((L,) + M.shape[1:])
-    out[:l] = sums
-    out[l:] = sums[-1]
-    out[L - l + 1 :] -= sums[: l - 1]
-    return out
-
-
 def _band_pinv(L: int, l: int) -> np.ndarray:
-    """pinv(_band(L, l)) = G^-1 B^T, with no SVD: the band has full column
-    rank, and its Gram matrix B^T B is the Toeplitz tent
+    """pinv(B) = G^-1 B^T for the L x l all-ones band B, with no SVD: B has
+    full column rank, and its Gram matrix B^T B is the Toeplitz tent
     G[i, j] = max(0, (L-l+1) - |i-j|), the overlap of windows i and j. G^-1
     is symmetric, so G^-1 B^T is the transpose of B G^-1."""
     idx = np.arange(l)
     gram = np.maximum(L - l + 1 - np.abs(idx[:, None] - idx[None, :]), 0).astype(np.float64)
-    return _apply_band(np.linalg.inv(gram), L).T
+    return window_spread(np.linalg.inv(gram), L - l + 1, 0).T
 
 
 def _kron3(channel, spatial):
@@ -116,12 +95,6 @@ def _kron3(channel, spatial):
     (C, c), (N, n) = channel.shape, spatial.shape
     out = np.einsum("ai,bj,dk->abdijk", channel, spatial, spatial)
     return out.reshape(C * N * N, c * n * n)
-
-
-def generate_structured_basis(cfg: StructuredConfig) -> CompositeBasis:
-    """The c*n*n shifted all-ones cuboids, in lexicographic (i, j, k) order."""
-    A = _kron3(_band(cfg.C, cfg.c), _band(cfg.N, cfg.n))
-    return CompositeBasis(A.T.reshape(cfg.basis_size, cfg.C, cfg.N, cfg.N))
 
 
 @dataclass(frozen=True)
@@ -136,12 +109,15 @@ class StructureMatrix:
 
 
 def _build_structure_matrix(cfg: StructuredConfig) -> StructureMatrix:
-    # pinv(X kron Y) = pinv(X) kron pinv(Y), so only the small 1D bands are
-    # ever inverted. The projector goes first, while the band-sized
-    # temporaries are few.
+    # A cuboid is the outer product of three 1D all-ones windows, so A is the
+    # Kronecker product of a channel band and two spatial bands, each the
+    # window_spread of an identity. pinv(X kron Y) = pinv(X) kron pinv(Y), so
+    # only the small bands are ever inverted. The projector goes first, while
+    # the band-sized temporaries are few.
+    kc, kn, _ = cfg.pool_dims
     pc, pn = _band_pinv(cfg.C, cfg.c), _band_pinv(cfg.N, cfg.n)
-    proj = _kron3(_apply_band(pc, cfg.C), _apply_band(pn, cfg.N))
-    A = _kron3(_band(cfg.C, cfg.c), _band(cfg.N, cfg.n))
+    proj = _kron3(window_spread(pc, kc, 0), window_spread(pn, kn, 0))
+    A = _kron3(window_spread(np.eye(cfg.c), kc, 0), window_spread(np.eye(cfg.n), kn, 0))
     pinv = _kron3(pc, pn)
     for arr in (A, pinv, proj):
         arr.flags.writeable = False
@@ -151,6 +127,12 @@ def _build_structure_matrix(cfg: StructuredConfig) -> StructureMatrix:
 @lru_cache(maxsize=128)
 def structure_matrix(cfg: StructuredConfig) -> StructureMatrix:
     return _build_structure_matrix(cfg)
+
+
+def generate_structured_basis(cfg: StructuredConfig) -> CompositeBasis:
+    """The c*n*n shifted all-ones cuboids, in lexicographic (i, j, k) order."""
+    A = structure_matrix(cfg).A
+    return CompositeBasis(A.T.reshape(cfg.basis_size, cfg.C, cfg.N, cfg.N))
 
 
 def _check_kernel(w, cfg: StructuredConfig, name="kernel"):
@@ -192,16 +174,12 @@ def block_alphas(flat, sm: StructureMatrix) -> np.ndarray:
 
 
 def _reconstruct_stack(alphas, cfg: StructuredConfig):
-    # alphas (..., c, n, n) -> kernels (..., C, N, N): one mode product per
-    # kernel axis, last axis first. Each product is a single 2D matmul whose
-    # output axis is rotated to the front of the three, so after three of
-    # them the axes are back in (channel, row, column) order.
-    spatial = _band(cfg.N, cfg.n)
-    out = np.asarray(alphas)
-    for band in (spatial, spatial, _band(cfg.C, cfg.c)):
-        L, l = band.shape
-        out = (out.reshape(-1, l) @ band.T).reshape(out.shape[:-1] + (L,))
-        out = np.moveaxis(out, -1, -3)
+    # alphas (..., c, n, n) -> kernels (..., C, N, N): each kernel axis is
+    # spread over its pool window, the channel axis last since it grows most.
+    # The copy keeps the result apart from alphas when every window is 1.
+    out = np.array(alphas, dtype=np.float64)
+    for axis, k in zip((-1, -2, -3), cfg.pool_dims[::-1]):
+        out = window_spread(out, k, axis)
     return out
 
 
@@ -433,7 +411,7 @@ def forward_decomposed_linear(x, layer: DecomposedLinearLayer) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (layer.in_features,):
         raise ShapeError(f"input shape {x.shape} does not match ({layer.in_features},)")
-    pooled = np.lib.stride_tricks.sliding_window_view(x, layer.window).sum(axis=-1)
+    pooled = window_sum(x, layer.window, 0)
     out = layer.small @ pooled
     if layer.bias is not None:
         out = out + layer.bias

@@ -1,10 +1,11 @@
 """Dense tensor substrate.
 
 Float64 tensors in channel-major, row-major layout (feature maps C x H x W,
-kernels C_out x C_in x K_h x K_w). Provides the two primitives everything else
-is built from (cross-correlation style convolution and 3D sum-pooling), plus
-linear maps, a counter-based seeded random generator, and a bit-exact binary
-file container.
+kernels C_out x C_in x K_h x K_w). Provides cross-correlation style
+convolution; the 1D all-ones window pair that 3D sum-pooling and every
+structured operation are built from, window_sum and its adjoint
+window_spread; linear maps; a counter-based seeded random generator; and a
+bit-exact binary file container.
 
 Convolution is cross-correlation: no kernel flip, zero padding only.
 """
@@ -115,7 +116,7 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     ho = out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
     wo = out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
     ph, pw = geom.padding
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x
     patches = _gather_patches(xp, (ho, wo), (kh, kw), geom.stride, geom.dilation)
     if g == 1:
         return np.einsum("chwuv,ocuv->ohw", patches, kernel, optimize=True)
@@ -123,6 +124,37 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     kg = kernel.reshape(g, c_out // g, c_k, kh, kw)
     out = np.einsum("gchwuv,gocuv->gohw", pg, kg, optimize=True)
     return out.reshape(c_out, ho, wo)
+
+
+def window_sum(x, k: int, axis: int, stride: int = 1, dilation: int = 1):
+    """out[i] = sum_{j<k} x[i*stride + j*dilation] along axis, for every window
+    that fits. Each sum is a difference of two running sums, so the cost does
+    not grow with k."""
+    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
+    if k > 1:
+        d = dilation
+        # Running sums with step d after d zeros: sums[i+d] = x[i] + x[i-d] + ...
+        sums = np.zeros_like(x, shape=(len(x) + d,) + x.shape[1:])
+        for r in range(d):
+            np.cumsum(x[r::d], axis=0, out=sums[d + r :: d])
+        x = sums[d * k :] - sums[: len(x) - d * (k - 1)]
+    return np.moveaxis(x[::stride], 0, axis)
+
+
+def window_spread(x, k: int, axis: int):
+    """Adjoint of window_sum at stride and dilation 1: B @ x along axis, for
+    the (l + k - 1) x l band B whose column i is the all-ones window of
+    length k starting at row i."""
+    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
+    if k > 1:
+        # Output r is the sum of x[max(0, r-k+1) .. min(r, l-1)].
+        l = len(x)
+        sums = np.cumsum(x, axis=0)
+        x = np.empty_like(x, shape=(l + k - 1,) + x.shape[1:])
+        x[:l] = sums
+        x[l:] = sums[-1]
+        x[k:] -= sums[: l - 1]
+    return np.moveaxis(x, 0, axis)
 
 
 def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
@@ -145,16 +177,16 @@ def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
     c_in, h, w = x.shape[-3:]
     if kc > c_in:
         raise ShapeError(f"channel window {kc} exceeds {c_in} input channels")
-    ho = out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
-    wo = out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
+    # out_extent raises when a spatial window does not fit the padded input.
+    out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
+    out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
+    # The channel window usually shrinks the map most, so it goes first.
+    out = window_sum(x, kc, -3)
     ph, pw = geom.padding
-    xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)])
-    patches = _gather_patches(xp, (ho, wo), (kh, kw), geom.stride, geom.dilation)
-    spatial = patches.sum(axis=(-2, -1))
-    if kc == 1:
-        return spatial
-    windows = np.lib.stride_tricks.sliding_window_view(spatial, kc, axis=-3)
-    return np.moveaxis(windows, -1, -3).sum(axis=-3)
+    if ph or pw:
+        out = np.pad(out, [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)])
+    out = window_sum(out, kh, -2, geom.stride[0], geom.dilation[0])
+    return window_sum(out, kw, -1, geom.stride[1], geom.dilation[1])
 
 
 def linear(weight, x):

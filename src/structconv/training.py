@@ -32,7 +32,7 @@ from .structured import (
     block_alphas,
     structure_matrix,
 )
-from .tensor import ConvGeometry, _gather_patches, random_tensor, sum_pool3d
+from .tensor import ConvGeometry, _gather_patches, random_tensor, sum_pool3d, window_spread
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
 
@@ -164,16 +164,12 @@ def _he_init(seed, shape):
 
 
 def _pool3d_backward(g, x_shape, dims, padding):
-    # Adjoint of the stride-1 sum_pool3d: each window adds g back to its inputs.
-    kc, kh, kw = dims
-    b, cin, h, w = x_shape
-    cout, ho, wo = g.shape[1:]
-    dxp = np.zeros((b, cin, h + 2 * padding, w + 2 * padding))
-    for dc in range(kc):
-        for u in range(kh):
-            for v in range(kw):
-                dxp[:, dc : dc + cout, u : u + ho, v : v + wo] += g
-    return dxp[:, :, padding : padding + h, padding : padding + w]
+    # Adjoint of the stride-1 sum_pool3d: spread g back over every window,
+    # then drop the padding.
+    for axis, k in zip((1, 2, 3), dims):
+        g = window_spread(g, k, axis)
+    h, w = x_shape[2:]
+    return g[:, :, padding : padding + h, padding : padding + w]
 
 
 def _conv_patches(x, kernel, stride, padding):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import structconv
+from structconv import cli, structured
 from structconv.structured import (
     StructuredConfig,
     forward_decomposed,
@@ -265,6 +266,28 @@ def test_decompose_rejects_bad_tolerance(tmp_path, tol):
     assert "--tol" in r.stderr
     assert r.stdout == ""
     assert not out.exists()
+
+
+def test_decompose_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    wdir = write_weight_dir(tmp_path)
+    save = structured.save_decomposed_layer
+    calls = []
+
+    def failing_save(out_dir, name, layer):
+        calls.append(name)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return save(out_dir, name, layer)
+
+    monkeypatch.setattr(structured, "save_decomposed_layer", failing_save)
+    out = tmp_path / "out"
+    rc = cli.main(["decompose", "--weights", wdir, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "disk full" in capsys.readouterr().err
+    assert len(calls) == 3
+    assert not out.exists() or not any(out.iterdir())
+    assert sorted(os.listdir(tmp_path)) == ["net.json", "weights"]
 
 
 def test_decompose_shape_mismatch_exits_2(tmp_path):

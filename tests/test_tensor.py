@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from structconv.tensor import (
+    _gather_patches,
     ContainerError,
     ConvGeometry,
     GeometryError,
@@ -14,6 +15,8 @@ from structconv.tensor import (
     random_tensor,
     read_tensor,
     sum_pool3d,
+    window_spread,
+    window_sum,
     write_tensor,
 )
 
@@ -106,6 +109,16 @@ def test_depthwise_is_groups_equal_channels():
     for ch in range(5):
         single = conv(x[ch : ch + 1], kernel[ch : ch + 1], ConvGeometry(padding=1))
         np.testing.assert_allclose(got[ch : ch + 1], single, rtol=0, atol=1e-12)
+
+
+def test_conv_without_padding_is_bit_identical_to_padded_path():
+    # Zero padding skips np.pad; the output must not change by a single bit.
+    x = random_tensor(14, (4, 7, 6, 2))[..., 0]  # a strided, non-contiguous view
+    kernel = random_tensor(15, (6, 4, 3, 2))
+    geom = ConvGeometry(stride=(2, 1), dilation=(1, 2))
+    patches = _gather_patches(np.pad(x, 0), (3, 4), (3, 2), (2, 1), (1, 2))
+    want = np.einsum("chwuv,ocuv->ohw", patches, kernel, optimize=True)
+    np.testing.assert_array_equal(conv(x, kernel, geom), want)
 
 
 def test_conv_identity_kernel():
@@ -228,6 +241,57 @@ def test_sum_pool3d_batch_equals_stacked_samples(pool_dims):
 def test_sum_pool3d_rejects_other_ranks(shape):
     with pytest.raises(ShapeError, match="rank"):
         sum_pool3d(np.zeros(shape), (1, 1, 1))
+
+
+def band_loops(L, l):
+    # Column i holds the all-ones window of length L-l+1 starting at row i.
+    band = np.zeros((L, l))
+    for i in range(l):
+        for r in range(i, i + L - l + 1):
+            band[r, i] = 1.0
+    return band
+
+
+def test_window_spread_of_identity_is_the_band():
+    for L in range(1, 9):
+        for l in range(1, L + 1):
+            np.testing.assert_array_equal(window_spread(np.eye(l), L - l + 1, 0), band_loops(L, l))
+
+
+@pytest.mark.parametrize("shape,axis", [((9,), 0), ((5, 8, 3), 1), ((4, 3, 7), -1), ((6, 2, 4), 0)])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_window_pair_is_adjoint(shape, axis, k):
+    # <window_sum(x), g> == <x, window_spread(g)>
+    if k > shape[axis]:
+        return
+    x = random_tensor(16, shape)
+    g_shape = list(shape)
+    g_shape[axis] -= k - 1
+    g = random_tensor(17, g_shape)
+    lhs = np.sum(window_sum(x, k, axis) * g)
+    rhs = np.sum(x * window_spread(g, k, axis))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("k,stride,dilation", [(1, 2, 1), (3, 1, 2), (2, 3, 3), (4, 2, 1)])
+def test_window_sum_matches_loop_reference(k, stride, dilation):
+    x = random_tensor(18, (3, 11, 2))
+    m = (11 - dilation * (k - 1) - 1) // stride + 1
+    want = np.zeros((3, m, 2))
+    for i in range(m):
+        for j in range(k):
+            want[:, i] += x[:, i * stride + j * dilation]
+    np.testing.assert_allclose(window_sum(x, k, 1, stride, dilation), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 961])
+def test_window_sum_running_sums_stay_accurate_at_fixture_scale(k):
+    # The widest channel axis in the fixtures has 1920 channels. Large, nearly
+    # equal inputs are the worst case for cancellation between running sums.
+    x = 1e4 + (np.array(random_tensor(19, (1920, 3))) + 1.0) / 2.0
+    want = np.lib.stride_tricks.sliding_window_view(x, k, axis=0).sum(axis=-1)
+    got = window_sum(x, k, 0)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
 def test_linear_identity_and_hand_values():
@@ -445,3 +509,44 @@ def test_container_round_trip_property(tmp_path_factory, shape, seed):
     x = random_tensor(seed, shape)
     write_tensor(p, x)
     assert read_tensor(p).tobytes() == x.tobytes()
+
+
+def valid_container(tmp_path, shape, seed):
+    p = tmp_path / "valid.stcv"
+    write_tensor(p, random_tensor(seed, shape))
+    return p.read_bytes()
+
+
+def read_or_container_error(path, raw):
+    path.write_bytes(raw)
+    try:
+        read_tensor(path)
+    except ContainerError:
+        pass
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    raw=st.binary(max_size=64),
+    header=st.one_of(
+        st.just(b""),
+        st.tuples(st.sampled_from([1, 2, 2**32 - 1]), st.integers(0, 40)).map(
+            lambda vr: b"STCV" + struct_pack_u32(*vr)
+        ),
+    ),
+)
+def test_read_tensor_fuzz_arbitrary_bytes(tmp_path, header, raw):
+    read_or_container_error(tmp_path / "fuzz.stcv", header + raw)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    cut=st.integers(0, 200),
+    flips=st.lists(st.tuples(st.integers(0, 200), st.integers(0, 7)), max_size=3),
+)
+def test_read_tensor_fuzz_damaged_containers(tmp_path, shape, cut, flips):
+    raw = bytearray(valid_container(tmp_path, shape, 20))
+    for pos, bit in flips:
+        raw[pos % len(raw)] ^= 1 << bit
+    read_or_container_error(tmp_path / "fuzz.stcv", bytes(raw[: len(raw) - cut % len(raw)]))

@@ -17,6 +17,7 @@ from structconv.training import (
     ToyModel,
     ToyModelSpec,
     TrainingConfig,
+    _pool3d_backward,
     _softmax_ce,
     decompose_model,
     evaluate,
@@ -229,6 +230,32 @@ def test_backward_matches_numeric_gradients(direct):
                 assert gflat[k] == pytest.approx(numeric, rel=1e-4, abs=1e-7)
                 checked += 1
     assert checked >= 20  # the skip path must stay the exception
+
+
+def pool3d_backward_loops(g, x_shape, dims, padding):
+    # Every pooled output adds its gradient back to each input of its window.
+    kc, kh, kw = dims
+    b, cin, h, w = x_shape
+    dxp = np.zeros((b, cin, h + 2 * padding, w + 2 * padding))
+    for t in range(g.shape[1]):
+        for i in range(g.shape[2]):
+            for j in range(g.shape[3]):
+                dxp[:, t : t + kc, i : i + kh, j : j + kw] += g[:, t, i, j][:, None, None, None]
+    return dxp[:, :, padding : padding + h, padding : padding + w]
+
+
+@pytest.mark.parametrize("dims,padding", [((2, 2, 2), 1), ((1, 3, 2), 2), ((4, 1, 1), 0), ((1, 1, 1), 1)])
+def test_pool3d_backward_matches_loop_reference(dims, padding):
+    x_shape = (2, 5, 4, 6)
+    b, cin, h, w = x_shape
+    g_shape = (b, cin - dims[0] + 1, h + 2 * padding - dims[1] + 1, w + 2 * padding - dims[2] + 1)
+    g = np.array(random_tensor(24, g_shape))
+    np.testing.assert_allclose(
+        _pool3d_backward(g, x_shape, dims, padding),
+        pool3d_backward_loops(g, x_shape, dims, padding),
+        rtol=0,
+        atol=1e-12,
+    )
 
 
 def test_input_gradient_matches_numeric():
