@@ -45,6 +45,10 @@ class ResidualError(ValueError):
     """Weights are farther from the structured subspace than the tolerance."""
 
 
+class SidecarError(ValueError):
+    """A decomposed-layer sidecar is missing a field or has one of the wrong type."""
+
+
 @dataclass(frozen=True)
 class StructuredConfig:
     """Grid dims (C, N) and structure dims (c, n); c = C and/or n = N degrade
@@ -422,10 +426,39 @@ def _geom_to_json(g: ConvGeometry) -> dict:
     return {"stride": list(g.stride), "padding": list(g.padding), "dilation": list(g.dilation)}
 
 
-def _geom_from_json(d) -> ConvGeometry:
-    return ConvGeometry(
-        stride=tuple(d["stride"]), padding=tuple(d["padding"]), dilation=tuple(d["dilation"])
-    )
+def _field(obj, key, where="sidecar"):
+    if key not in obj:
+        raise SidecarError(f"{where} is missing field {key!r}")
+    return obj[key]
+
+
+def _object_field(obj, key, where="sidecar"):
+    value = _field(obj, key, where)
+    if not isinstance(value, dict):
+        raise SidecarError(f"{where} field {key!r} must be an object, got {value!r}")
+    return value
+
+
+def _int_field(obj, key, where="sidecar"):
+    value = _field(obj, key, where)
+    if type(value) is not int or value < 1:  # bool is an int subclass and is rejected too
+        raise SidecarError(f"{where} field {key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _ints_field(obj, key, length, where="sidecar"):
+    value = _field(obj, key, where)
+    ints = isinstance(value, list) and all(type(v) is int for v in value)
+    if not ints or len(value) != length:
+        raise SidecarError(
+            f"{where} field {key!r} must be a list of {length} integers, got {value!r}"
+        )
+    return tuple(value)
+
+
+def _geom_from_json(sidecar, key) -> ConvGeometry:
+    d = _object_field(sidecar, key)
+    return ConvGeometry(*(_ints_field(d, f, 2, key) for f in ("stride", "padding", "dilation")))
 
 
 def save_decomposed_layer(out_dir, name: str, layer) -> dict:
@@ -469,43 +502,49 @@ def save_decomposed_layer(out_dir, name: str, layer) -> dict:
     return sidecar
 
 
-def _sidecar_file(base, name):
+def _sidecar_file(base, key, name):
     # A sidecar names its tensor files relative to its own directory, and
     # they may not resolve outside it.
     root = os.path.realpath(base)
     if not isinstance(name, str):
-        raise ValueError(f"layer file name must be a string, got {name!r}")
+        raise SidecarError(f"sidecar field {key!r} must be a file name, got {name!r}")
     path = os.path.realpath(os.path.join(root, name))
     if os.path.commonpath([root, path]) != root:
-        raise ValueError(f"layer file {name!r} resolves outside the sidecar directory {root}")
+        raise SidecarError(f"layer file {name!r} resolves outside the sidecar directory {root}")
+    if not os.path.isfile(path):
+        raise SidecarError(f"sidecar field {key!r} names {name!r}, which is not a file in {root}")
     return path
 
 
 def load_decomposed_layer(sidecar_path):
-    """Inverse of save_decomposed_layer. The tensors are checked against the
-    sidecar's config before use."""
+    """Inverse of save_decomposed_layer. Every sidecar field is checked before
+    any tensor is read, and the tensors are checked against the config."""
     base = os.path.dirname(sidecar_path)
     with open(sidecar_path, encoding="utf-8") as f:
         sidecar = json.load(f)
-    alpha = read_tensor(_sidecar_file(base, sidecar["alpha_file"]))
-    bias = None
-    if sidecar.get("bias_file"):
-        bias = read_tensor(_sidecar_file(base, sidecar["bias_file"]))
-    kind = sidecar["kind"]
+    if not isinstance(sidecar, dict):
+        raise SidecarError(f"sidecar must be a JSON object, got {type(sidecar).__name__}")
+    kind = _field(sidecar, "kind")
     if kind in ("conv", "dwconv"):
-        cd = sidecar["config"]
-        cfg = StructuredConfig(C=cd["C"], N=cd["N"], c=cd["c"], n=cd["n"])
-        pool_dims = tuple(sidecar["pool_dims"])
+        cd = _object_field(sidecar, "config")
+        cfg = StructuredConfig(**{k: _int_field(cd, k, "config") for k in ("C", "N", "c", "n")})
+        pool_dims = _ints_field(sidecar, "pool_dims", 3)
         if pool_dims != cfg.pool_dims:
             raise ShapeError(f"pool_dims {pool_dims} do not match the config's {cfg.pool_dims}")
-        outputs = sidecar["channels"] if kind == "dwconv" else alpha.shape[0]
-        expect = (outputs, cfg.c, cfg.n, cfg.n)
+        pool_geom = _geom_from_json(sidecar, "pool_geom")
+        small_geom = _geom_from_json(sidecar, "small_geom")
+        channels = _int_field(sidecar, "channels") if kind == "dwconv" else None
     elif kind == "linear":
-        cfg = StructuredConfig(C=sidecar["in_features"], N=1, c=sidecar["R"], n=1)
-        outputs = alpha.shape[0]
-        expect = (outputs, cfg.c)
+        q_in, R = _int_field(sidecar, "in_features"), _int_field(sidecar, "R")
+        cfg = StructuredConfig(C=q_in, N=1, c=R, n=1)
     else:
-        raise ValueError(f"unknown layer kind {kind!r}")
+        raise SidecarError(f"unknown layer kind {kind!r}")
+    alpha = read_tensor(_sidecar_file(base, "alpha_file", _field(sidecar, "alpha_file")))
+    bias = None
+    if sidecar.get("bias_file") is not None:
+        bias = read_tensor(_sidecar_file(base, "bias_file", sidecar["bias_file"]))
+    outputs = channels if kind == "dwconv" else alpha.shape[0]
+    expect = (outputs, cfg.c) if kind == "linear" else (outputs, cfg.c, cfg.n, cfg.n)
     if alpha.shape != expect:
         raise ShapeError(f"alpha shape {alpha.shape} does not match {expect}")
     if bias is not None and bias.shape != (outputs,):
@@ -515,9 +554,9 @@ def load_decomposed_layer(sidecar_path):
     common = dict(
         cfg=cfg,
         pool_dims=pool_dims,
-        pool_geom=_geom_from_json(sidecar["pool_geom"]),
+        pool_geom=pool_geom,
         alpha=alpha,
-        small_geom=_geom_from_json(sidecar["small_geom"]),
+        small_geom=small_geom,
         bias=bias,
     )
     if kind == "dwconv":

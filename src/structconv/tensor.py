@@ -7,7 +7,10 @@ structured operation are built from, window_sum and its adjoint
 window_spread; linear maps; a counter-based seeded random generator; and a
 bit-exact binary file container.
 
-Convolution is cross-correlation: no kernel flip, zero padding only.
+Convolution is cross-correlation: no kernel flip, zero padding only. It takes
+one of three paths, picked from the layer's shapes: one matrix product for a
+1x1 kernel with one group, shift-and-add over strided views for a depthwise
+layer, and a patch gather (im2col) with one contraction for every other layer.
 """
 
 from __future__ import annotations
@@ -93,12 +96,26 @@ def _gather_patches(xp, out_hw, k_hw, stride, dilation):
     return xp[lead + (rows[:, None, :, None], cols[None, :, None, :])]
 
 
+def _tap_view(xp, u, v, out_hw, stride, dilation):
+    # The (..., H', W') strided view of xp that kernel tap (u, v) multiplies:
+    # view[..., i, j] = xp[..., i*sh + u*dh, j*sw + v*dw]. No copy is made.
+    (ho, wo), (sh, sw), (dh, dw) = out_hw, stride, dilation
+    rows = slice(u * dh, u * dh + sh * (ho - 1) + 1, sh)
+    cols = slice(v * dw, v * dw + sw * (wo - 1) + 1, sw)
+    return xp[..., rows, cols]
+
+
 def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     """Convolve x (C x H x W) with kernel (C_out x C/g x K_h x K_w).
 
     Cross-correlation with zero padding; returns C_out x H' x W'. With
     groups=g, input and output channels are split into g contiguous blocks and
     block i of the output sees only block i of the input.
+
+    No patches are copied for a 1x1 kernel with g=1 (one matrix product over
+    a strided view of the input) or for a depthwise layer, g=C=C_out (a sum
+    of the K_h*K_w strided views, each times its per-channel tap). Every other
+    layer contracts the kernel with the gathered K_h x K_w patches.
     """
     x = _check_3d(x, "input")
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -117,6 +134,17 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     wo = out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
     ph, pw = geom.padding
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    if kh == kw == 1 and g == 1:
+        view = _tap_view(xp, 0, 0, (ho, wo), geom.stride, geom.dilation)
+        out = kernel.reshape(c_out, c_in) @ view.reshape(c_in, ho * wo)
+        return out.reshape(c_out, ho, wo)
+    if g == c_in == c_out:
+        out = np.zeros((c_out, ho, wo))
+        term = np.empty_like(out)
+        for u, v in np.ndindex(kh, kw):
+            view = _tap_view(xp, u, v, (ho, wo), geom.stride, geom.dilation)
+            out += np.multiply(view, kernel[:, 0, u, v, np.newaxis, np.newaxis], out=term)
+        return out
     patches = _gather_patches(xp, (ho, wo), (kh, kw), geom.stride, geom.dilation)
     if g == 1:
         return np.einsum("chwuv,ocuv->ohw", patches, kernel, optimize=True)

@@ -3,7 +3,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import structconv
@@ -313,6 +313,41 @@ def test_parse_rejects_bad_layer_objects(tmp_path):
         parse_network_spec(write_net(tmp_path, [dict(row, c=5)]))
     with pytest.raises(NetworkSpecError, match="expected an object"):
         parse_network_spec(write_net(tmp_path, [row, 7]))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+LAYER_KEYS = ("kind", "cout", "cin", "k", "c", "n", "stride", "pad", "dilation")
+# Well-typed layers with at most two fields dropped or replaced, so that the
+# fuzz reaches the range, geometry and channel-chain checks past the type checks.
+LAYER_OBJECTS = st.builds(
+    lambda layer, changes, dropped: {
+        k: v for k, v in dict(layer, **changes).items() if k not in dropped
+    },
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["conv", "pwconv", "dwconv", "linear"])}
+        | {key: st.integers(1, 9) for key in ("cout", "cin", "k", "c", "n")},
+        optional={key: st.integers(0, 3) for key in ("stride", "pad", "dilation")},
+    ),
+    st.dictionaries(st.sampled_from(LAYER_KEYS) | st.text(max_size=4), JSON_VALUES, max_size=2),
+    st.sets(st.sampled_from(LAYER_KEYS), max_size=2),
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(doc=st.lists(LAYER_OBJECTS, max_size=4) | JSON_VALUES)
+def test_parse_network_spec_fuzz(tmp_path, doc):
+    try:
+        parse_network_spec(write_net(tmp_path, doc), input_size=(8, 8))
+    except NetworkSpecError:
+        pass
 
 
 @pytest.mark.parametrize(

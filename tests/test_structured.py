@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from structconv.composite import CompositeKernel, check_linear_independence, compose_kernel
@@ -11,6 +11,7 @@ from structconv.structured import (
     ConfigError,
     DecomposedConvLayer,
     ResidualError,
+    SidecarError,
     StructuredConfig,
     block_alphas,
     decompose_conv_layer,
@@ -504,6 +505,9 @@ def _saved_layer(tmp_path, kind):
     if kind == "linear":
         w = _reconstruct_stack(random_tensor(60, (3, 4, 1, 1)), StructuredConfig(8, 1, 4, 1))
         layer = decompose_linear(w.reshape(3, 8), 4, bias=random_tensor(61, (3,)))
+    elif kind == "dwconv":
+        w = _reconstruct_stack(random_tensor(64, (5, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
+        layer = decompose_depthwise_layer(w, 2, bias=random_tensor(65, (5,)))
     else:
         cfg = StructuredConfig(3, 3, 2, 2)
         w = _reconstruct_stack(random_tensor(62, (4, 2, 2, 2)), cfg)
@@ -525,11 +529,10 @@ def test_load_rejects_alpha_shape_mismatch(tmp_path, kind):
 
 
 def test_load_rejects_depthwise_channel_mismatch(tmp_path):
-    w = _reconstruct_stack(random_tensor(64, (5, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
-    sidecar = save_decomposed_layer(tmp_path, "layer", decompose_depthwise_layer(w, 2))
-    _rewrite(tmp_path / "layer.json", sidecar, channels=6)
+    path, sidecar = _saved_layer(tmp_path, "dwconv")
+    _rewrite(path, sidecar, channels=6)
     with pytest.raises(ShapeError, match="alpha shape"):
-        load_decomposed_layer(tmp_path / "layer.json")
+        load_decomposed_layer(path)
 
 
 @pytest.mark.parametrize("kind", ["conv", "linear"])
@@ -558,6 +561,79 @@ def test_load_rejects_files_outside_sidecar_directory(tmp_path, field):
     _rewrite(path, sidecar, **{field: str(tmp_path / sidecar[field])})
     with pytest.raises(ValueError, match="outside the sidecar directory"):
         load_decomposed_layer(path)
+
+
+def _without(sidecar, field):
+    return {k: v for k, v in sidecar.items() if k != field}
+
+
+@pytest.mark.parametrize(
+    "kind, malform, field",
+    [
+        ("conv", lambda s: [s], "JSON object"),
+        ("conv", lambda s: {"kind": "conv"}, "missing field 'config'"),
+        ("conv", lambda s: _without(s, "config"), "missing field 'config'"),
+        ("conv", lambda s: _without(s, "pool_geom"), "missing field 'pool_geom'"),
+        ("conv", lambda s: dict(s, config=[1, 2]), "'config' must be an object"),
+        ("conv", lambda s: dict(s, pool_dims=5), "'pool_dims' must be a list"),
+        ("dwconv", lambda s: dict(s, channels="2"), "'channels' must be a positive integer"),
+        ("conv", lambda s: dict(s, alpha_file="gone.stcv"), "'alpha_file' names 'gone.stcv'"),
+    ],
+    ids=[
+        "json-array", "kind-only", "no-config", "no-pool-geom", "config-list",
+        "pool-dims-int", "channels-string", "alpha-file-missing",
+    ],
+)
+def test_load_rejects_malformed_sidecar(tmp_path, kind, malform, field):
+    path, sidecar = _saved_layer(tmp_path, kind)
+    path.write_text(json.dumps(malform(sidecar)), encoding="utf-8")
+    with pytest.raises(SidecarError, match=field):
+        load_decomposed_layer(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+SIDECAR_FIELDS = (
+    "kind", "config", "pool_dims", "pool_geom", "small_geom", "channels", "in_features", "R",
+    "alpha_file", "bias_file",
+)
+# Near-valid values reach the checks past the first malformed field.
+NEAR_VALID = (
+    st.integers(-1, 5)
+    | st.lists(st.integers(-1, 3), max_size=4)
+    | st.sampled_from(["conv", "dwconv", "linear", "layer_alpha.stcv", "layer_bias.stcv", ""])
+    | st.dictionaries(
+        st.sampled_from(["C", "N", "c", "n", "stride", "padding", "dilation"]),
+        st.integers(-1, 4) | st.lists(st.integers(-1, 3), max_size=3) | JSON_VALUES,
+        max_size=7,
+    )
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    kind=st.sampled_from(["conv", "dwconv", "linear"]),
+    changes=st.dictionaries(st.sampled_from(SIDECAR_FIELDS), NEAR_VALID | JSON_VALUES, max_size=3),
+    dropped=st.sets(st.sampled_from(SIDECAR_FIELDS), max_size=2),
+    whole=st.none() | JSON_VALUES,
+)
+def test_load_decomposed_layer_fuzz(tmp_path, kind, changes, dropped, whole):
+    # Only the ValueError family (SidecarError, ShapeError, ConfigError,
+    # ContainerError, ...) may escape; KeyError, TypeError and OSError may not.
+    path, sidecar = _saved_layer(tmp_path, kind)
+    doc = {k: v for k, v in dict(sidecar, **changes).items() if k not in dropped}
+    path.write_text(json.dumps(doc if whole is None else whole), encoding="utf-8")
+    try:
+        load_decomposed_layer(path)
+    except ValueError:
+        pass
 
 
 @settings(max_examples=40, deadline=None)

@@ -81,7 +81,7 @@ GEOMS = [
 
 
 @pytest.mark.parametrize("geom", GEOMS)
-@pytest.mark.parametrize("c_in,c_out,k", [(1, 1, 1), (3, 4, 3), (2, 5, 4)])
+@pytest.mark.parametrize("c_in,c_out,k", [(1, 1, 1), (3, 4, 1), (3, 4, 3), (2, 5, 4)])
 def test_conv_matches_loop_reference(geom, c_in, c_out, k):
     x = random_tensor(c_in * 100 + c_out, (c_in, 9, 8))
     kernel = random_tensor(k, (c_out, c_in, k, k))
@@ -109,6 +109,47 @@ def test_depthwise_is_groups_equal_channels():
     for ch in range(5):
         single = conv(x[ch : ch + 1], kernel[ch : ch + 1], ConvGeometry(padding=1))
         np.testing.assert_allclose(got[ch : ch + 1], single, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+@pytest.mark.parametrize("k_hw", [(3, 2), (1, 1)])
+def test_depthwise_matches_loop_reference(geom, k_hw):
+    geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=5)
+    x = random_tensor(31, (5, 9, 8))
+    kernel = random_tensor(32, (5, 1) + k_hw)
+    np.testing.assert_allclose(
+        conv(x, kernel, geom), conv_loops(x, kernel, geom), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "c_in,c_out,groups",
+    [(3, 6, 3), (4, 6, 2)],
+    ids=["channel-multiplier", "two-groups"],
+)
+@pytest.mark.parametrize("k", [1, 3])
+def test_grouped_conv_off_the_fast_paths_matches_loop_reference(c_in, c_out, groups, k):
+    # Neither 1x1 with one group nor one channel per group: the patch path.
+    geom = ConvGeometry(stride=(2, 1), padding=1, dilation=(1, 2), groups=groups)
+    x = random_tensor(33, (c_in, 9, 8))
+    kernel = random_tensor(34, (c_out, c_in // groups, k, k))
+    np.testing.assert_allclose(
+        conv(x, kernel, geom), conv_loops(x, kernel, geom), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel_shape,groups", [((5, 4, 1, 1), 1), ((4, 1, 3, 3), 4)], ids=["1x1", "depthwise"]
+)
+@pytest.mark.parametrize("geom", GEOMS[:2] + GEOMS[-1:])
+def test_fast_paths_accept_non_contiguous_input(kernel_shape, groups, geom):
+    geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=groups)
+    x = random_tensor(35, (9, 4, 8, 2))[..., 1].transpose(1, 0, 2)  # (4, 9, 8), strided
+    assert not x.flags.c_contiguous
+    kernel = random_tensor(36, kernel_shape)
+    np.testing.assert_allclose(
+        conv(x, kernel, geom), conv_loops(np.array(x), kernel, geom), rtol=0, atol=1e-12
+    )
 
 
 def test_conv_without_padding_is_bit_identical_to_padded_path():
