@@ -4,8 +4,10 @@ Float64 tensors in channel-major, row-major layout (feature maps C x H x W,
 kernels C_out x C_in x K_h x K_w). Provides cross-correlation style
 convolution; the 1D all-ones window pair that 3D sum-pooling and every
 structured operation are built from, window_sum and its adjoint
-window_spread; linear maps; a counter-based seeded random generator; and a
-bit-exact binary file container.
+window_spread, which add strided slices for windows of up to 4 entries and
+take differences of running sums for longer ones; linear maps; a
+counter-based seeded random generator; and a bit-exact binary file
+container.
 
 Convolution is cross-correlation: no kernel flip, zero padding only. It takes
 one of three paths, picked from the layer's shapes: one matrix product for a
@@ -154,13 +156,52 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     return out.reshape(c_out, ho, wo)
 
 
+# The longest window the window pair sums as slice-adds; window_sum's
+# docstring gives the measurements behind the value.
+_SLICE_ADD_MAX_K = 4
+
+
+def _check_window(n, k, stride, dilation):
+    if k < 1:
+        raise ShapeError(f"window length must be >= 1, got k={k}")
+    if stride < 1:
+        raise GeometryError(f"window stride must be >= 1, got stride={stride}")
+    if dilation < 1:
+        raise GeometryError(f"window dilation must be >= 1, got dilation={dilation}")
+    if dilation * (k - 1) + 1 > n:
+        raise ShapeError(
+            f"window of length k={k} at dilation {dilation} spans "
+            f"{dilation * (k - 1) + 1} entries, axis has {n}"
+        )
+
+
 def window_sum(x, k: int, axis: int, stride: int = 1, dilation: int = 1):
     """out[i] = sum_{j<k} x[i*stride + j*dilation] along axis, for every window
-    that fits. Each sum is a difference of two running sums, so the cost does
-    not grow with k."""
+    that fits; a window that does not fit, or k, stride or dilation below 1,
+    raises.
+
+    Two paths, split at _SLICE_ADD_MAX_K = 4. A window of 2 to 4 entries is
+    k - 1 adds of strided slices taken at the output stride, so only the kept
+    outputs are computed. A longer window is a difference of two running sums
+    (a summed-area table, Crow 1984), so its cost does not grow with k. On
+    2 shared cores (NumPy 2.4, min of 30 calls on a (96, 56, 56) map), k=2
+    took 0.32 ms as slice-adds against 3.02 ms as running sums along axis 0,
+    and 0.51 against 3.16 ms along axis 2; k=4 took 0.96 against 1.84 ms
+    along axis 2. The adjoint, window_spread, still wins at k=4 (1.69 against
+    2.77 ms along axis 2) but loses from k=5 (2.42 against 1.87 ms), which
+    sets the cutoff. For k > 1 the result never aliases x.
+    """
     x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
+    _check_window(len(x), k, stride, dilation)
+    d = dilation
+    if 1 < k <= _SLICE_ADD_MAX_K:
+        # Slice j holds x[i*stride + j*d] for every kept output i.
+        span = stride * ((len(x) - d * (k - 1) - 1) // stride) + 1
+        out = x[:span:stride] + x[d : d + span : stride]
+        for j in range(2, k):
+            out += x[j * d : j * d + span : stride]
+        return np.moveaxis(out, 0, axis)
     if k > 1:
-        d = dilation
         # Running sums with step d after d zeros: sums[i+d] = x[i] + x[i-d] + ...
         sums = np.zeros_like(x, shape=(len(x) + d,) + x.shape[1:])
         for r in range(d):
@@ -172,11 +213,28 @@ def window_sum(x, k: int, axis: int, stride: int = 1, dilation: int = 1):
 def window_spread(x, k: int, axis: int):
     """Adjoint of window_sum at stride and dilation 1: B @ x along axis, for
     the (l + k - 1) x l band B whose column i is the all-ones window of
-    length k starting at row i."""
+    length k starting at row i.
+
+    k below 1 raises. The two paths split where window_sum's do. For k <= 4
+    the result is x copied above k - 1 zero rows, plus k - 1 slice-adds of x
+    that give row r + j its x[r] for each 0 < j < k. A longer window takes
+    each output as a difference of two running sums of x. For k > 1 the
+    result never aliases x.
+    """
     x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
+    l = len(x)
+    # The windows tile the l + k - 1 output rows, so only k can be wrong.
+    _check_window(l + k - 1, k, 1, 1)
+    if 1 < k <= _SLICE_ADD_MAX_K:
+        # empty_like keeps x's memory order, so the result is laid out like x.
+        out = np.empty_like(x, shape=(l + k - 1,) + x.shape[1:])
+        out[:l] = x
+        out[l:] = 0.0
+        for j in range(1, k):
+            out[j : j + l] += x
+        return np.moveaxis(out, 0, axis)
     if k > 1:
         # Output r is the sum of x[max(0, r-k+1) .. min(r, l-1)].
-        l = len(x)
         sums = np.cumsum(x, axis=0)
         x = np.empty_like(x, shape=(l + k - 1,) + x.shape[1:])
         x[:l] = sums

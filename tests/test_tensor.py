@@ -300,7 +300,7 @@ def test_window_spread_of_identity_is_the_band():
 
 
 @pytest.mark.parametrize("shape,axis", [((9,), 0), ((5, 8, 3), 1), ((4, 3, 7), -1), ((6, 2, 4), 0)])
-@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_window_pair_is_adjoint(shape, axis, k):
     # <window_sum(x), g> == <x, window_spread(g)>
     if k > shape[axis]:
@@ -314,15 +314,73 @@ def test_window_pair_is_adjoint(shape, axis, k):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-@pytest.mark.parametrize("k,stride,dilation", [(1, 2, 1), (3, 1, 2), (2, 3, 3), (4, 2, 1)])
+def _index(ndim, axis, i):
+    # The index tuple selecting entry i along axis.
+    idx = [slice(None)] * ndim
+    idx[axis] = i
+    return tuple(idx)
+
+
+# Windows of up to 4 entries take the slice-add path, longer ones the running
+# sums, so k = 1..7 crosses the cutoff on both sides.
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_window_sum_matches_loop_reference(k, stride, dilation):
-    x = random_tensor(18, (3, 11, 2))
-    m = (11 - dilation * (k - 1) - 1) // stride + 1
-    want = np.zeros((3, m, 2))
-    for i in range(m):
+    cases = [((20, 3, 2), 0), ((3, 20, 2), 1), ((3, 2, 20), -1), ((2, 3, 20, 4), 2)]
+    for shape, axis in cases:
+        x = random_tensor(18, shape)
+        m = (20 - dilation * (k - 1) - 1) // stride + 1
+        want_shape = list(shape)
+        want_shape[axis] = m
+        want = np.zeros(want_shape)
+        for i in range(m):
+            for j in range(k):
+                want[_index(x.ndim, axis, i)] += x[_index(x.ndim, axis, i * stride + j * dilation)]
+        got = window_sum(x, k, axis, stride, dilation)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("axis", [1, -1])
+def test_window_spread_matches_loop_reference(k, axis):
+    # The transposed input makes the moved axis a non-contiguous view.
+    x = np.array(random_tensor(20, (4, 6, 3))).transpose(2, 1, 0)
+    l = x.shape[axis]
+    want_shape = list(x.shape)
+    want_shape[axis] = l + k - 1
+    want = np.zeros(want_shape)
+    for r in range(l):
         for j in range(k):
-            want[:, i] += x[:, i * stride + j * dilation]
-    np.testing.assert_allclose(window_sum(x, k, 1, stride, dilation), want, rtol=0, atol=1e-12)
+            want[_index(x.ndim, axis, r + j)] += x[_index(x.ndim, axis, r)]
+    got = window_spread(x, k, axis)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # A C-ordered input gives a C-ordered result, which later reshapes of a
+    # reconstructed kernel stack take without a copy.
+    assert window_spread(np.ascontiguousarray(x), k, axis).flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda x: window_sum(x, 0, 0), ShapeError, "k=0"),
+        (lambda x: window_sum(x, -2, 0), ShapeError, "k=-2"),
+        (lambda x: window_sum(x, 4, 0), ShapeError, "k=4"),
+        (lambda x: window_sum(x, 5, 0), ShapeError, "k=5"),
+        (lambda x: window_sum(x, 2, 0, dilation=3), ShapeError, "k=2"),
+        (lambda x: window_sum(x, 2, 0, stride=0), GeometryError, "stride=0"),
+        (lambda x: window_sum(x, 2, 0, dilation=0), GeometryError, "dilation=0"),
+        (lambda x: window_spread(x, 0, 0), ShapeError, "k=0"),
+        (lambda x: window_spread(x, -1, 0), ShapeError, "k=-1"),
+    ],
+    ids=[
+        "sum-k0", "sum-k-2", "sum-k-one-too-long", "sum-k-too-long",
+        "sum-dilated-too-long", "sum-stride0", "sum-dilation0", "spread-k0", "spread-k-1",
+    ],
+)
+def test_window_pair_rejects_bad_windows(call, error, match):
+    with pytest.raises(error, match=match):
+        call(np.ones(3))
 
 
 @pytest.mark.parametrize("k", [2, 961])
