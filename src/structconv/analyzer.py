@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .structured import StructuredConfig, _reconstruct_stack
-from .tensor import GeometryError, out_extent, random_tensor
+from .tensor import ConvGeometry, GeometryError, out_extent, random_tensor
 
 _KINDS = ("conv", "pwconv", "dwconv", "linear")
 
@@ -98,6 +98,13 @@ class LayerSpec:
     def cfg(self) -> StructuredConfig:
         # Valid for every kind: dwconv has cin = c = 1, linear has k = n = 1.
         return StructuredConfig(C=self.cin, N=self.k, c=self.c, n=self.n)
+
+    @property
+    def geom(self) -> ConvGeometry:
+        # A depthwise layer is the grouped case with one channel per group;
+        # a linear layer's geometry is the default.
+        groups = self.cout if self.kind == "dwconv" else 1
+        return ConvGeometry(self.stride, self.pad, self.dilation, groups)
 
 
 @dataclass(frozen=True)
@@ -358,38 +365,6 @@ def _pool_scalar(x, dims, pad, dilation, counts: OpCounts):
     return out
 
 
-def _matvec_scalar(w, x, counts: OpCounts):
-    p, q = w.shape
-    out = np.zeros(p)
-    for r in range(p):
-        acc = 0.0
-        first = True
-        for col in range(q):
-            term = w[r, col] * x[col]
-            counts.mults += 1
-            if first:
-                acc = term
-                first = False
-            else:
-                acc += term
-                counts.adds += 1
-        out[r] = acc
-    return out
-
-
-def _pool1d_scalar(x, window, counts: OpCounts):
-    q = x.shape[0]
-    r = q - window + 1
-    out = np.zeros(r)
-    for i in range(r):
-        acc = x[i]
-        for d in range(1, window):
-            acc += x[i + d]
-            counts.adds += 1
-        out[i] = acc
-    return out
-
-
 _MAX_INSTRUMENTED = 10**6
 
 
@@ -410,13 +385,8 @@ def count_ops_instrumented(spec: LayerSpec, seed: int = 0) -> dict:
     cfg = spec.cfg
     alphas = np.asarray(random_tensor(seed, (spec.cout, cfg.c, cfg.n, cfg.n)))
     w = _reconstruct_stack(alphas, cfg)
-    if spec.kind == "linear":
-        x = random_tensor(seed + 1, (spec.cin,))
-        y_direct = _matvec_scalar(w.reshape(spec.cout, spec.cin), x, direct)
-        pooled = _pool1d_scalar(x, cfg.pool_dims[0], decomposed)
-        y_decomp = _matvec_scalar(alphas.reshape(spec.cout, spec.c), pooled, decomposed)
-    elif spec.kind == "dwconv":
-        x = random_tensor(seed + 1, (spec.cout, spec.in_h, spec.in_w))
+    if spec.kind == "dwconv":
+        x = random_tensor(seed + 1, (spec.cout, *spec.in_hw))
         outs_d, outs_p = [], []
         for b in range(spec.cout):
             outs_d.append(
@@ -429,7 +399,8 @@ def count_ops_instrumented(spec: LayerSpec, seed: int = 0) -> dict:
         y_direct = np.concatenate(outs_d)
         y_decomp = np.concatenate(outs_p)
     else:
-        x = random_tensor(seed + 1, (spec.cin, spec.in_h, spec.in_w))
+        # A linear layer runs as the conv case on its (cin, 1, 1) map.
+        x = random_tensor(seed + 1, (spec.cin, *spec.in_hw))
         y_direct = _conv_scalar(x, w, spec.stride, spec.pad, spec.dilation, direct)
         pooled = _pool_scalar(x, cfg.pool_dims, spec.pad, spec.dilation, decomposed)
         y_decomp = _conv_scalar(pooled, alphas, spec.stride, 0, spec.dilation, decomposed)

@@ -38,8 +38,16 @@ def _verify_input_hw(spec):
     return max(base, 1) + spec.stride
 
 
+def _forward(x, layer):
+    if isinstance(layer, structured.DecomposedLinearLayer):
+        return structured.forward_decomposed_linear(x, layer)
+    if isinstance(layer, structured.DecomposedDepthwiseLayer):
+        return structured.forward_decomposed_depthwise(x, layer)
+    return structured.forward_decomposed(x, layer)
+
+
 def _verify_layer(spec, seed, trials, corrupt):
-    cfg = spec.cfg
+    cfg, geom = spec.cfg, spec.geom
     worst = 0.0
     for t in range(trials):
         s = seed * 1000003 + spec.index * 7919 + t
@@ -49,35 +57,14 @@ def _verify_layer(spec, seed, trials, corrupt):
             alphas[0, 0, 0, 0] += 1e-3
         if spec.kind == "linear":
             x = tensor.random_tensor(s + 500009, (spec.cin,))
-            layer = structured.DecomposedLinearLayer(
-                in_features=spec.cin, R=spec.c, small=alphas.reshape(spec.cout, spec.c)
-            )
             direct = tensor.linear(dense.reshape(spec.cout, spec.cin), x)
-            pooled = structured.forward_decomposed_linear(x, layer)
+            alphas = alphas.reshape(spec.cout, spec.c)
         else:
             h = w = _verify_input_hw(spec)
-            depthwise = spec.kind == "dwconv"
-            x = tensor.random_tensor(s + 500009, (spec.cout if depthwise else spec.cin, h, w))
-            geom = tensor.ConvGeometry(
-                stride=spec.stride,
-                padding=spec.pad,
-                dilation=spec.dilation,
-                groups=spec.cout if depthwise else 1,
-            )
+            channels = spec.cout if spec.kind == "dwconv" else spec.cin
+            x = tensor.random_tensor(s + 500009, (channels, h, w))
             direct = tensor.conv(x, dense, geom)
-            common = dict(
-                cfg=cfg,
-                pool_dims=cfg.pool_dims,
-                pool_geom=tensor.ConvGeometry(padding=spec.pad, dilation=spec.dilation),
-                alpha=alphas,
-                small_geom=tensor.ConvGeometry(stride=spec.stride, dilation=spec.dilation),
-            )
-            if depthwise:
-                layer = structured.DecomposedDepthwiseLayer(channels=spec.cout, **common)
-                pooled = structured.forward_decomposed_depthwise(x, layer)
-            else:
-                layer = structured.DecomposedConvLayer(**common)
-                pooled = structured.forward_decomposed(x, layer)
+        pooled = _forward(x, structured.decomposed_layer(alphas, cfg, geom))
         err = np.max(np.abs(direct - pooled)) / max(1.0, np.max(np.abs(direct)))
         worst = max(worst, float(err))
     return worst
@@ -212,17 +199,8 @@ def _write_decomposed(out_dir, layers, weights, tol):
     os.makedirs(parent, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".decompose-", dir=parent) as tmp:
         for spec, w in zip(layers, weights):
-            geom = tensor.ConvGeometry(
-                stride=spec.stride, padding=spec.pad, dilation=spec.dilation
-            )
-            name = f"layer_{spec.index:03d}"
-            if spec.kind == "linear":
-                layer = structured.decompose_linear(w, spec.c, residual_tol=tol)
-            elif spec.kind == "dwconv":
-                layer = structured.decompose_depthwise_layer(w, spec.n, geom, residual_tol=tol)
-            else:
-                layer = structured.decompose_conv_layer(w, spec.cfg, geom, residual_tol=tol)
-            structured.save_decomposed_layer(tmp, name, layer)
+            layer = structured.decompose_conv_layer(w, spec.cfg, spec.geom, residual_tol=tol)
+            structured.save_decomposed_layer(tmp, f"layer_{spec.index:03d}", layer)
         os.makedirs(out_dir, exist_ok=True)
         for name in sorted(os.listdir(tmp)):
             os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))

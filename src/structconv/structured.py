@@ -8,7 +8,8 @@ c x n x n convolution, which is where the parameter and op savings come from.
 
 This module generates the basis, builds the structure matrix A whose columns
 are the vectorized basis elements, projects arbitrary kernels onto the
-structured subspace, and decomposes conv/linear layers into their pooled form.
+structured subspace, and decomposes conv, depthwise and fully connected layers
+into their pooled form.
 Vectorization order is fixed everywhere: channel-major, then kernel row, then
 kernel column (a plain row-major flatten of a (C, N, N) array).
 """
@@ -230,44 +231,66 @@ class DecomposedConvLayer:
     bias: np.ndarray | None = None
 
 
-def decompose_conv_layer(
-    weights,
-    cfg: StructuredConfig,
-    geom: ConvGeometry = ConvGeometry(),
-    bias=None,
-    residual_tol: float = 1e-6,
-) -> DecomposedConvLayer:
-    """Split a (C_out, C, N, N) conv layer into its pooled equivalent.
+@dataclass(frozen=True)
+class DecomposedDepthwiseLayer:
+    """Depthwise conv refactored per channel: each channel pools its own plane
+    spatially (window (N-n+1)^2, stride 1) and applies its own n x n kernel.
+    Nothing is shared across channels."""
 
-    Every output channel's kernel must lie within residual_tol of the
-    structured subspace; the worst offender is reported otherwise. The pool is
-    shared by all output channels, so it is stored once.
+    cfg: StructuredConfig
+    channels: int
+    pool_dims: tuple[int, int, int]
+    pool_geom: ConvGeometry
+    alpha: np.ndarray
+    small_geom: ConvGeometry
+    bias: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class DecomposedLinearLayer:
+    """Fully connected layer (P x Q) refactored as a length-(Q-R+1) sliding
+    window sum producing R values, then a small P x R matrix."""
+
+    in_features: int
+    R: int
+    small: np.ndarray
+    bias: np.ndarray | None = None
+
+    @property
+    def window(self) -> int:
+        return self.in_features - self.R + 1
+
+
+def decomposed_layer(alphas, cfg: StructuredConfig, geom: ConvGeometry = ConvGeometry(), bias=None):
+    """The decomposed layer that runs the small kernels alphas after cfg's pool.
+
+    Rank-2 alphas (P, R) give a fully connected layer, which needs N = 1 and
+    the default geom. Rank-4 alphas (C_out, c, n, n) give a conv when
+    geom.groups = 1 and a depthwise conv of geom.groups channels, which needs
+    C = 1, otherwise. The dense layer's geom splits into the pool's part
+    (stride 1, its padding and dilation) and the small kernel's part (its
+    stride and dilation, no padding).
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 4:
-        raise ShapeError(f"weights must be rank 4, got rank {weights.ndim}")
-    if weights.shape[1:] != (cfg.C, cfg.N, cfg.N):
+    alphas = np.asarray(alphas, dtype=np.float64)
+    linear = alphas.ndim == 2
+    if linear and (cfg.N != 1 or geom != ConvGeometry()):
+        raise GeometryError(f"a linear layer needs N = 1 and no geometry, got N={cfg.N}, {geom}")
+    if geom.groups > 1 and cfg.C != 1:
         raise ShapeError(
-            f"weights shape {weights.shape} does not match config dims "
-            f"(C_out, {cfg.C}, {cfg.N}, {cfg.N})"
+            f"groups={geom.groups} needs a depthwise config with C = 1, got C={cfg.C}; "
+            "other grouped layers decompose channel block by channel block"
         )
-    if geom.groups != 1:
-        raise ShapeError("grouped layers decompose channel block by channel block; pass groups=1")
-    c_out = weights.shape[0]
-    sm = structure_matrix(cfg)
-    flat = weights.reshape(c_out, -1)
-    worst_idx, worst_res = _worst_block_residual(flat, sm)
-    if not worst_res <= residual_tol:
-        raise ResidualError(
-            f"output channel {worst_idx} has residual {worst_res:.3e} "
-            f"> tolerance {residual_tol:.3e}"
-        )
-    alphas = block_alphas(flat, sm).reshape(c_out, cfg.c, cfg.n, cfg.n)
+    outputs = (geom.groups,) if geom.groups > 1 else alphas.shape[:1]
+    expect = outputs + ((cfg.c,) if linear else (cfg.c, cfg.n, cfg.n))
+    if alphas.shape != expect:
+        raise ShapeError(f"alpha shape {alphas.shape} does not match {expect}")
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (c_out,):
-            raise ShapeError(f"bias shape {bias.shape} does not match {c_out} output channels")
-    return DecomposedConvLayer(
+        if bias.shape != outputs:
+            raise ShapeError(f"bias shape {bias.shape} does not match {expect[0]} outputs")
+    if linear:
+        return DecomposedLinearLayer(in_features=cfg.C, R=cfg.c, small=alphas, bias=bias)
+    parts = dict(
         cfg=cfg,
         pool_dims=cfg.pool_dims,
         pool_geom=ConvGeometry(stride=1, padding=geom.padding, dilation=geom.dilation),
@@ -275,6 +298,45 @@ def decompose_conv_layer(
         small_geom=ConvGeometry(stride=geom.stride, padding=0, dilation=geom.dilation),
         bias=bias,
     )
+    if geom.groups > 1:
+        return DecomposedDepthwiseLayer(channels=geom.groups, **parts)
+    return DecomposedConvLayer(**parts)
+
+
+def decompose_conv_layer(
+    weights,
+    cfg: StructuredConfig,
+    geom: ConvGeometry = ConvGeometry(),
+    bias=None,
+    residual_tol: float = 1e-6,
+):
+    """Split a conv, depthwise or fully connected layer into its pooled form.
+
+    weights are (C_out, C, N, N) for a conv (geom.groups = 1) and for a
+    depthwise conv (cfg (1, N, 1, n), geom.groups = C_out), and (P, Q) for a
+    fully connected layer (cfg (Q, 1, R, 1), default geom). Every output's
+    kernel must lie within residual_tol of the structured subspace; the worst
+    offender is reported otherwise.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    # A (P, Q) fully connected layer holds P kernels of shape (Q, 1, 1).
+    dims = (cfg.C,) if weights.ndim == 2 and cfg.N == 1 else (cfg.C, cfg.N, cfg.N)
+    if weights.shape[1:] != dims:
+        raise ShapeError(
+            f"weights shape {weights.shape} does not match config dims "
+            f"(C_out, {', '.join(map(str, dims))})"
+        )
+    sm = structure_matrix(cfg)
+    flat = weights.reshape(len(weights), -1)
+    worst_idx, worst_res = _worst_block_residual(flat, sm)
+    if not worst_res <= residual_tol:
+        raise ResidualError(
+            f"output channel {worst_idx} has residual {worst_res:.3e} "
+            f"> tolerance {residual_tol:.3e}"
+        )
+    small = (cfg.c, cfg.n, cfg.n)[: len(dims)]
+    alphas = block_alphas(flat, sm).reshape((len(weights),) + small)
+    return decomposed_layer(alphas, cfg, geom, bias)
 
 
 def forward_decomposed(x, layer: DecomposedConvLayer) -> np.ndarray:
@@ -299,60 +361,6 @@ def forward_decomposed(x, layer: DecomposedConvLayer) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DecomposedDepthwiseLayer:
-    """Depthwise conv refactored per channel: each channel pools its own plane
-    spatially (window (N-n+1)^2, stride 1) and applies its own n x n kernel.
-    Nothing is shared across channels."""
-
-    cfg: StructuredConfig
-    channels: int
-    pool_dims: tuple[int, int, int]
-    pool_geom: ConvGeometry
-    alpha: np.ndarray
-    small_geom: ConvGeometry
-    bias: np.ndarray | None = None
-
-
-def decompose_depthwise_layer(
-    weights,
-    n: int,
-    geom: ConvGeometry = ConvGeometry(),
-    bias=None,
-    residual_tol: float = 1e-6,
-) -> DecomposedDepthwiseLayer:
-    """Split a (C, 1, N, N) depthwise layer; every channel's kernel must be
-    within residual_tol of the spatial-structure subspace."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 4 or weights.shape[1] != 1:
-        raise ShapeError(f"depthwise weights must be (C, 1, N, N), got {weights.shape}")
-    channels, _, kN, kN2 = weights.shape
-    if kN != kN2:
-        raise ShapeError(f"kernel must be square, got {kN}x{kN2}")
-    cfg = StructuredConfig(C=1, N=kN, c=1, n=n)
-    sm = structure_matrix(cfg)
-    flat = weights.reshape(channels, -1)
-    worst_idx, worst_res = _worst_block_residual(flat, sm)
-    if not worst_res <= residual_tol:
-        raise ResidualError(
-            f"channel {worst_idx} has residual {worst_res:.3e} > tolerance {residual_tol:.3e}"
-        )
-    alphas = block_alphas(flat, sm).reshape(channels, 1, n, n)
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (channels,):
-            raise ShapeError(f"bias shape {bias.shape} does not match {channels} channels")
-    return DecomposedDepthwiseLayer(
-        cfg=cfg,
-        channels=channels,
-        pool_dims=cfg.pool_dims,
-        pool_geom=ConvGeometry(stride=1, padding=geom.padding, dilation=geom.dilation),
-        alpha=alphas,
-        small_geom=ConvGeometry(stride=geom.stride, padding=0, dilation=geom.dilation),
-        bias=bias,
-    )
-
-
 def forward_decomposed_depthwise(x, layer: DecomposedDepthwiseLayer) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != layer.channels:
@@ -366,49 +374,6 @@ def forward_decomposed_depthwise(x, layer: DecomposedDepthwiseLayer) -> np.ndarr
     if layer.bias is not None:
         out = out + layer.bias[:, np.newaxis, np.newaxis]
     return out
-
-
-@dataclass(frozen=True)
-class DecomposedLinearLayer:
-    """Fully connected layer (P x Q) refactored as a length-(Q-R+1) sliding
-    window sum producing R values, then a small P x R matrix."""
-
-    in_features: int
-    R: int
-    small: np.ndarray
-    bias: np.ndarray | None = None
-
-    @property
-    def window(self) -> int:
-        return self.in_features - self.R + 1
-
-
-def decompose_linear(weights, R: int, bias=None, residual_tol: float = 1e-6) -> DecomposedLinearLayer:
-    """Split a (P, Q) matrix whose rows are structured with parameter R.
-
-    Each row is treated as a Q x 1 x 1 kernel with channel structure R, so the
-    shared pooled vector has R entries and the per-row work drops from Q to R
-    multiplications.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2:
-        raise ShapeError(f"weights must be rank 2, got rank {weights.ndim}")
-    p_out, q_in = weights.shape
-    if not (1 <= R <= q_in):
-        raise ConfigError(f"need 1 <= R <= in_features, got R={R}, in_features={q_in}")
-    cfg = StructuredConfig(C=q_in, N=1, c=R, n=1)
-    sm = structure_matrix(cfg)
-    worst_idx, worst_res = _worst_block_residual(weights, sm)
-    if not worst_res <= residual_tol:
-        raise ResidualError(
-            f"row {worst_idx} has residual {worst_res:.3e} > tolerance {residual_tol:.3e}"
-        )
-    small = block_alphas(weights, sm)
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (p_out,):
-            raise ShapeError(f"bias shape {bias.shape} does not match {p_out} outputs")
-    return DecomposedLinearLayer(in_features=q_in, R=R, small=small, bias=bias)
 
 
 def forward_decomposed_linear(x, layer: DecomposedLinearLayer) -> np.ndarray:
@@ -518,22 +483,30 @@ def _sidecar_file(base, key, name):
 
 def load_decomposed_layer(sidecar_path):
     """Inverse of save_decomposed_layer. Every sidecar field is checked before
-    any tensor is read, and the tensors are checked against the config."""
+    any tensor is read, and decomposed_layer checks the tensors against the
+    config."""
     base = os.path.dirname(sidecar_path)
     with open(sidecar_path, encoding="utf-8") as f:
         sidecar = json.load(f)
     if not isinstance(sidecar, dict):
         raise SidecarError(f"sidecar must be a JSON object, got {type(sidecar).__name__}")
     kind = _field(sidecar, "kind")
+    geom = ConvGeometry()
     if kind in ("conv", "dwconv"):
         cd = _object_field(sidecar, "config")
         cfg = StructuredConfig(**{k: _int_field(cd, k, "config") for k in ("C", "N", "c", "n")})
         pool_dims = _ints_field(sidecar, "pool_dims", 3)
         if pool_dims != cfg.pool_dims:
             raise ShapeError(f"pool_dims {pool_dims} do not match the config's {cfg.pool_dims}")
-        pool_geom = _geom_from_json(sidecar, "pool_geom")
-        small_geom = _geom_from_json(sidecar, "small_geom")
-        channels = _int_field(sidecar, "channels") if kind == "dwconv" else None
+        pool = _geom_from_json(sidecar, "pool_geom")
+        small = _geom_from_json(sidecar, "small_geom")
+        if pool.stride != (1, 1) or small.padding != (0, 0) or pool.dilation != small.dilation:
+            raise SidecarError(
+                f"pool_geom {_geom_to_json(pool)} and small_geom {_geom_to_json(small)} "
+                "do not split one layer's geometry (pool stride 1, small padding 0, one dilation)"
+            )
+        groups = _int_field(sidecar, "channels") if kind == "dwconv" else 1
+        geom = ConvGeometry(small.stride, pool.padding, small.dilation, groups)
     elif kind == "linear":
         q_in, R = _int_field(sidecar, "in_features"), _int_field(sidecar, "R")
         cfg = StructuredConfig(C=q_in, N=1, c=R, n=1)
@@ -543,22 +516,6 @@ def load_decomposed_layer(sidecar_path):
     bias = None
     if sidecar.get("bias_file") is not None:
         bias = read_tensor(_sidecar_file(base, "bias_file", sidecar["bias_file"]))
-    outputs = channels if kind == "dwconv" else alpha.shape[0]
-    expect = (outputs, cfg.c) if kind == "linear" else (outputs, cfg.c, cfg.n, cfg.n)
-    if alpha.shape != expect:
-        raise ShapeError(f"alpha shape {alpha.shape} does not match {expect}")
-    if bias is not None and bias.shape != (outputs,):
-        raise ShapeError(f"bias shape {bias.shape} does not match {outputs} outputs")
-    if kind == "linear":
-        return DecomposedLinearLayer(in_features=cfg.C, R=cfg.c, small=alpha, bias=bias)
-    common = dict(
-        cfg=cfg,
-        pool_dims=pool_dims,
-        pool_geom=pool_geom,
-        alpha=alpha,
-        small_geom=small_geom,
-        bias=bias,
-    )
-    if kind == "dwconv":
-        return DecomposedDepthwiseLayer(channels=outputs, **common)
-    return DecomposedConvLayer(**common)
+    if (alpha.ndim == 2) != (kind == "linear"):
+        raise ShapeError(f"alpha shape {alpha.shape} does not fit a {kind} layer")
+    return decomposed_layer(alpha, cfg, geom, bias)

@@ -27,7 +27,6 @@ from structconv.composite import count_composite_ops
 from structconv.structured import (
     StructuredConfig,
     decompose_conv_layer,
-    decompose_linear,
     forward_decomposed,
     forward_decomposed_linear,
     generate_structured_basis,
@@ -119,7 +118,7 @@ def test_acceptance_2_linear_decomposition_equivalence():
                 seed = 104729 * q + 491 * r + p
                 rows = np.array(random_tensor(seed, (p, r, 1, 1)))
                 dense = _reconstruct_stack(rows, cfg).reshape(p, q)
-                layer = decompose_linear(dense, r)
+                layer = decompose_conv_layer(dense, cfg)
                 x = random_tensor(seed + 1, (q,))
                 worst = max(worst, rel_err(forward_decomposed_linear(x, layer), linear(dense, x)))
                 cases += 1

@@ -17,6 +17,7 @@ from structconv.analyzer import (
     parse_network_spec,
 )
 from structconv.structured import StructuredConfig
+from structconv.tensor import ConvGeometry
 
 
 def fixture_path(name):
@@ -363,15 +364,17 @@ def test_parse_rejects_non_integer_fields(tmp_path, field, value):
 @pytest.mark.parametrize(
     "kind, dims, want",
     [
-        ("conv", dict(cout=4, cin=6, k=3, c=2, n=2), StructuredConfig(6, 3, 2, 2)),
-        ("pwconv", dict(cout=4, cin=6, k=1, c=3, n=1), StructuredConfig(6, 1, 3, 1)),
-        ("dwconv", dict(cout=6, cin=1, k=5, c=1, n=2), StructuredConfig(1, 5, 1, 2)),
-        ("linear", dict(cout=4, cin=8, k=1, c=3, n=1), StructuredConfig(8, 1, 3, 1)),
+        ("conv", dict(cout=4, cin=6, k=3, c=2, n=2, stride=2, pad=1),
+         (StructuredConfig(6, 3, 2, 2), ConvGeometry(stride=2, padding=1))),
+        ("pwconv", dict(cout=4, cin=6, k=1, c=3, n=1), (StructuredConfig(6, 1, 3, 1), ConvGeometry())),
+        ("dwconv", dict(cout=6, cin=1, k=5, c=1, n=2, pad=2, dilation=2),
+         (StructuredConfig(1, 5, 1, 2), ConvGeometry(padding=2, dilation=2, groups=6))),
+        ("linear", dict(cout=4, cin=8, k=1, c=3, n=1), (StructuredConfig(8, 1, 3, 1), ConvGeometry())),
     ],
 )
 def test_layer_spec_cfg_per_kind(kind, dims, want):
     spec = LayerSpec(index=1, kind=kind, in_h=8, in_w=8, **dims)
-    assert spec.cfg == want
+    assert (spec.cfg, spec.geom) == want
     if kind == "dwconv":
         assert spec.cfg.pool_dims == (1, 4, 4)
 

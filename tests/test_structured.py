@@ -10,13 +10,14 @@ from structconv.composite import CompositeKernel, check_linear_independence, com
 from structconv.structured import (
     ConfigError,
     DecomposedConvLayer,
+    DecomposedDepthwiseLayer,
+    DecomposedLinearLayer,
     ResidualError,
     SidecarError,
     StructuredConfig,
     block_alphas,
     decompose_conv_layer,
-    decompose_depthwise_layer,
-    decompose_linear,
+    decomposed_layer,
     extract_alpha,
     forward_decomposed,
     forward_decomposed_depthwise,
@@ -30,7 +31,7 @@ from structconv.structured import (
     worst_kernel_residual,
 )
 from structconv.structured import _reconstruct_stack, _worst_block_residual
-from structconv.tensor import ConvGeometry, ShapeError, conv, linear, random_tensor, write_tensor
+from structconv.tensor import ConvGeometry, GeometryError, ShapeError, conv, linear, random_tensor, write_tensor
 
 
 def svd_pinv(a):
@@ -355,12 +356,12 @@ def test_decompose_rejects_non_finite_weights(kind):
     elif kind == "dwconv":
         w = _reconstruct_stack(random_tensor(31, (3, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
         w[1, 0, 1, 1] = np.inf
-        call = lambda: decompose_depthwise_layer(w, 2)
+        call = lambda: decompose_conv_layer(w, StructuredConfig(1, 3, 1, 2), ConvGeometry(groups=3))
     else:
         w = _reconstruct_stack(random_tensor(32, (3, 2, 1, 1)), StructuredConfig(5, 1, 2, 1))
         w = w.reshape(3, 5)
         w[1, 2] = np.nan
-        call = lambda: decompose_linear(w, 2)
+        call = lambda: decompose_conv_layer(w, StructuredConfig(5, 1, 2, 1))
     with pytest.raises(ResidualError, match="1 has residual nan"):
         call()
 
@@ -370,6 +371,48 @@ def test_decompose_rejects_grouped_geometry():
     w = _reconstruct_stack(random_tensor(20, (4, 1, 2, 2)), cfg)
     with pytest.raises(ValueError):
         decompose_conv_layer(w, cfg, ConvGeometry(groups=2))
+
+
+@pytest.mark.parametrize(
+    "kind, groups",
+    [("conv", 2), ("dwconv", 2), ("dwconv", 5)],
+    ids=["conv-groups-2", "dwconv-groups-2", "dwconv-groups-5"],
+)
+def test_decompose_rejects_groups_other_than_one_or_outputs(kind, groups):
+    # A conv takes groups = 1 only; a depthwise layer (C = 1) takes groups = 1
+    # or one group per output channel.
+    cfg = StructuredConfig(2, 3, 1, 2) if kind == "conv" else StructuredConfig(1, 3, 1, 2)
+    w = _reconstruct_stack(random_tensor(20, (4, 1, 2, 2)), cfg)
+    with pytest.raises(ShapeError):
+        decompose_conv_layer(w, cfg, ConvGeometry(groups=groups))
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [ConvGeometry(stride=2), ConvGeometry(padding=1), ConvGeometry(dilation=2), ConvGeometry(groups=3)],
+    ids=["stride", "padding", "dilation", "groups"],
+)
+def test_decompose_rejects_linear_with_geometry(geom):
+    cfg = StructuredConfig(C=6, N=1, c=3, n=1)
+    w = _reconstruct_stack(random_tensor(40, (3, 3, 1, 1)), cfg).reshape(3, 6)
+    with pytest.raises(GeometryError, match="linear layer"):
+        decompose_conv_layer(w, cfg, geom)
+
+
+def test_decomposed_layer_picks_class_and_splits_geometry():
+    geom = ConvGeometry(stride=2, padding=1, dilation=2)
+    conv_layer = decomposed_layer(np.zeros((4, 2, 2, 2)), StructuredConfig(3, 3, 2, 2), geom)
+    assert isinstance(conv_layer, DecomposedConvLayer)
+    assert conv_layer.pool_geom == ConvGeometry(padding=1, dilation=2)
+    assert conv_layer.small_geom == ConvGeometry(stride=2, dilation=2)
+    dw_geom = ConvGeometry(stride=2, padding=1, dilation=2, groups=4)
+    dw = decomposed_layer(np.zeros((4, 1, 2, 2)), StructuredConfig(1, 3, 1, 2), dw_geom)
+    assert isinstance(dw, DecomposedDepthwiseLayer) and dw.channels == 4
+    assert (dw.pool_geom, dw.small_geom) == (conv_layer.pool_geom, conv_layer.small_geom)
+    lin = decomposed_layer(np.zeros((3, 2)), StructuredConfig(5, 1, 2, 1))
+    assert isinstance(lin, DecomposedLinearLayer) and lin.window == 4
+    with pytest.raises(ShapeError, match="bias shape"):
+        decomposed_layer(np.zeros((3, 2)), StructuredConfig(5, 1, 2, 1), bias=np.zeros(2))
 
 
 def test_worst_block_residual_matches_per_kernel_loop():
@@ -403,7 +446,7 @@ def test_depthwise_decomposition_equivalence():
     alphas = random_tensor(22, (6, 1, n, n))
     w = _reconstruct_stack(alphas, cfg)
     geom = ConvGeometry(stride=2, padding=1)
-    layer = decompose_depthwise_layer(w, n, geom)
+    layer = decompose_conv_layer(w, cfg, ConvGeometry(stride=2, padding=1, groups=6))
     x = random_tensor(23, (6, 9, 9))
     want = conv(x, w, ConvGeometry(stride=2, padding=1, groups=6))
     assert rel_err(forward_decomposed_depthwise(x, layer), want) <= 1e-10
@@ -413,7 +456,7 @@ def test_depthwise_decomposition_with_bias():
     cfg = StructuredConfig(1, 3, 1, 2)
     w = _reconstruct_stack(random_tensor(24, (4, 1, 2, 2)), cfg)
     bias = random_tensor(25, (4,))
-    layer = decompose_depthwise_layer(w, 2, ConvGeometry(padding=1), bias=bias)
+    layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=4), bias=bias)
     x = random_tensor(26, (4, 6, 6))
     want = conv(x, w, ConvGeometry(padding=1, groups=4)) + bias[:, None, None]
     assert rel_err(forward_decomposed_depthwise(x, layer), want) <= 1e-10
@@ -421,12 +464,14 @@ def test_depthwise_decomposition_with_bias():
 
 def test_depthwise_rejects_bad_shapes():
     with pytest.raises(ShapeError):
-        decompose_depthwise_layer(random_tensor(27, (4, 2, 3, 3)), 2)
+        decompose_conv_layer(
+            random_tensor(27, (4, 2, 3, 3)), StructuredConfig(1, 3, 1, 2), ConvGeometry(groups=4)
+        )
 
 
 def test_linear_decomposition_r_equals_q():
     w = random_tensor(28, (3, 5))
-    layer = decompose_linear(w, 5)
+    layer = decompose_conv_layer(w, StructuredConfig(5, 1, 5, 1))
     assert layer.window == 1
     np.testing.assert_allclose(layer.small, w, atol=1e-10)
     x = random_tensor(29, (5,))
@@ -438,7 +483,7 @@ def test_linear_decomposition_structured_rows():
     cfg = StructuredConfig(C=q_dim, N=1, c=r_dim, n=1)
     alpha_rows = random_tensor(30, (p_dim, r_dim, 1, 1))
     w = _reconstruct_stack(alpha_rows, cfg).reshape(p_dim, q_dim)
-    layer = decompose_linear(w, r_dim)
+    layer = decompose_conv_layer(w, cfg)
     assert layer.window == q_dim - r_dim + 1
     x = random_tensor(31, (q_dim,))
     got = forward_decomposed_linear(x, layer)
@@ -451,18 +496,18 @@ def test_linear_all_ones_edge_windows():
     # overlapping windows double-count interior entries.
     w = np.ones((3, 6))
     for r_dim in (1, 6):
-        layer = decompose_linear(w, r_dim)
+        layer = decompose_conv_layer(w, StructuredConfig(6, 1, r_dim, 1))
         x = random_tensor(32 + r_dim, (6,))
         assert rel_err(forward_decomposed_linear(x, layer), linear(w, x)) <= 1e-10
     with pytest.raises(ResidualError):
-        decompose_linear(w, 3, residual_tol=1e-6)
+        decompose_conv_layer(w, StructuredConfig(6, 1, 3, 1), residual_tol=1e-6)
 
 
 def test_linear_decomposition_with_bias():
     cfg = StructuredConfig(C=6, N=1, c=3, n=1)
     w = _reconstruct_stack(random_tensor(40, (2, 3, 1, 1)), cfg).reshape(2, 6)
     bias = random_tensor(41, (2,))
-    layer = decompose_linear(w, 3, bias=bias)
+    layer = decompose_conv_layer(w, cfg, bias=bias)
     x = random_tensor(42, (6,))
     np.testing.assert_allclose(
         forward_decomposed_linear(x, layer), linear(w, x) + bias, atol=1e-10
@@ -472,7 +517,7 @@ def test_linear_decomposition_with_bias():
 def test_linear_rejects_unstructured_rows():
     w = np.array(random_tensor(43, (3, 6)))
     with pytest.raises(ResidualError):
-        decompose_linear(w, 2, residual_tol=1e-6)
+        decompose_conv_layer(w, StructuredConfig(6, 1, 2, 1), residual_tol=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["conv", "dwconv", "linear"])
@@ -487,13 +532,13 @@ def test_sidecar_round_trip(tmp_path, kind):
     elif kind == "dwconv":
         cfg = StructuredConfig(1, 3, 1, 2)
         w = _reconstruct_stack(random_tensor(53, (5, 1, 2, 2)), cfg)
-        layer = decompose_depthwise_layer(w, 2, ConvGeometry(padding=1))
+        layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=5))
         x = random_tensor(54, (5, 6, 6))
         fwd = forward_decomposed_depthwise
     else:
         cfg = StructuredConfig(C=8, N=1, c=4, n=1)
         w = _reconstruct_stack(random_tensor(55, (3, 4, 1, 1)), cfg).reshape(3, 8)
-        layer = decompose_linear(w, 4, bias=random_tensor(56, (3,)))
+        layer = decompose_conv_layer(w, cfg, bias=random_tensor(56, (3,)))
         x = random_tensor(57, (8,))
         fwd = forward_decomposed_linear
     save_decomposed_layer(tmp_path, "layer", layer)
@@ -504,10 +549,14 @@ def test_sidecar_round_trip(tmp_path, kind):
 def _saved_layer(tmp_path, kind):
     if kind == "linear":
         w = _reconstruct_stack(random_tensor(60, (3, 4, 1, 1)), StructuredConfig(8, 1, 4, 1))
-        layer = decompose_linear(w.reshape(3, 8), 4, bias=random_tensor(61, (3,)))
+        layer = decompose_conv_layer(
+            w.reshape(3, 8), StructuredConfig(8, 1, 4, 1), bias=random_tensor(61, (3,))
+        )
     elif kind == "dwconv":
         w = _reconstruct_stack(random_tensor(64, (5, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
-        layer = decompose_depthwise_layer(w, 2, bias=random_tensor(65, (5,)))
+        layer = decompose_conv_layer(
+            w, StructuredConfig(1, 3, 1, 2), ConvGeometry(groups=5), bias=random_tensor(65, (5,))
+        )
     else:
         cfg = StructuredConfig(3, 3, 2, 2)
         w = _reconstruct_stack(random_tensor(62, (4, 2, 2, 2)), cfg)
@@ -548,6 +597,38 @@ def test_load_rejects_pool_dims_mismatch(tmp_path):
     _rewrite(path, sidecar, pool_dims=[1, 2, 2])
     with pytest.raises(ShapeError, match="pool_dims"):
         load_decomposed_layer(path)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda s: dict(s, pool_geom=dict(s["pool_geom"], stride=[2, 2])),
+        lambda s: dict(s, small_geom=dict(s["small_geom"], padding=[1, 0])),
+        lambda s: dict(s, small_geom=dict(s["small_geom"], dilation=[2, 2])),
+    ],
+    ids=["pool-stride", "small-padding", "dilation-mismatch"],
+)
+@pytest.mark.parametrize("kind", ["conv", "dwconv"])
+def test_load_rejects_inconsistent_geometry(tmp_path, kind, change):
+    # No dense layer splits into a strided pool, a padded small kernel or two
+    # dilations.
+    path, sidecar = _saved_layer(tmp_path, kind)
+    path.write_text(json.dumps(change(sidecar)), encoding="utf-8")
+    with pytest.raises(SidecarError, match="do not split one layer's geometry"):
+        load_decomposed_layer(path)
+
+
+def test_one_channel_depthwise_round_trips_as_conv(tmp_path):
+    cfg = StructuredConfig(1, 3, 1, 2)
+    w = _reconstruct_stack(random_tensor(66, (1, 1, 2, 2)), cfg)
+    geom = ConvGeometry(stride=2, padding=1, groups=1)
+    layer = decompose_conv_layer(w, cfg, geom, bias=random_tensor(67, (1,)))
+    assert save_decomposed_layer(tmp_path, "layer", layer)["kind"] == "conv"
+    back = load_decomposed_layer(tmp_path / "layer.json")
+    x = random_tensor(68, (1, 7, 7))
+    want = conv(x, w, geom) + layer.bias[:, None, None]
+    np.testing.assert_array_equal(forward_decomposed(x, back), forward_decomposed(x, layer))
+    assert rel_err(forward_decomposed(x, back), want) <= 1e-10
 
 
 @pytest.mark.parametrize("field", ["alpha_file", "bias_file"])
