@@ -377,7 +377,8 @@ def count_ops_instrumented(spec: LayerSpec, seed: int = 0) -> dict:
     problems; use layer_costs for real networks.
     """
     ho, wo = spec.out_hw
-    work = spec.cout * spec.cin * spec.k * spec.k * max(spec.in_h * spec.in_w, ho * wo)
+    h, w = spec.in_hw
+    work = spec.cout * spec.cin * spec.k * spec.k * max(h * w, ho * wo)
     if work > _MAX_INSTRUMENTED:
         raise ValueError(f"problem too large to instrument ({work} > {_MAX_INSTRUMENTED})")
     direct = OpCounts()

@@ -183,6 +183,14 @@ def test_instrumented_size_guard():
         count_ops_instrumented(big)
 
 
+def test_instrumented_size_guard_uses_the_map_the_layer_runs_on():
+    # A linear layer runs on a 1x1 map whatever in_h and in_w say, so this
+    # spec does 200 * 100 = 20,000 multiplications and is under the guard.
+    spec = LayerSpec(index=1, kind="linear", cout=200, cin=100, k=1, c=40, n=1, in_h=8, in_w=8)
+    assert_counts_match(spec)
+    assert count_ops_instrumented(spec)["direct"]["mults"] == 20_000
+
+
 def test_adds_per_output_amortized_over_channels():
     # The pooled map is built once and shared, so its add cost fades as the
     # output channel count grows; the per-output cost approaches c*n*n - 1.

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from structconv import tensor
 from structconv.tensor import (
+    _DEPTHWISE_BLOCK_BYTES,
+    _PLANE_SUM_MIN_SIZE,
     _gather_patches,
     ContainerError,
     ConvGeometry,
@@ -120,6 +123,65 @@ def test_depthwise_matches_loop_reference(geom, k_hw):
     np.testing.assert_allclose(
         conv(x, kernel, geom), conv_loops(x, kernel, geom), rtol=0, atol=1e-12
     )
+
+
+def depthwise_taps_reference(x, kernel, geom):
+    # The unblocked depthwise sum: zeros, plus each tap's product over the
+    # whole map in tap order. Blocking must reproduce it bit for bit.
+    (sh, sw), (ph, pw), (dh, dw) = geom.stride, geom.padding, geom.dilation
+    _, _, kh, kw = kernel.shape
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw)))
+    ho = (xp.shape[1] - dh * (kh - 1) - 1) // sh + 1
+    wo = (xp.shape[2] - dw * (kw - 1) - 1) // sw + 1
+    out = np.zeros((len(x), ho, wo))
+    for u, v in np.ndindex(kh, kw):
+        rows = slice(u * dh, u * dh + sh * (ho - 1) + 1, sh)
+        cols = slice(v * dw, v * dw + sw * (wo - 1) + 1, sw)
+        out += xp[:, rows, cols] * kernel[:, 0, u, v, np.newaxis, np.newaxis]
+    return out
+
+
+# Channels per block of a depthwise conv with a 32x32 output.
+_BLOCK_32 = _DEPTHWISE_BLOCK_BYTES // (8 * 32 * 32)
+
+
+@pytest.mark.parametrize(
+    "hw,geom",
+    [
+        ((32, 32), ConvGeometry(padding=1)),
+        ((64, 64), ConvGeometry(stride=2, padding=1)),
+        ((36, 34), ConvGeometry(padding=(0, 1), dilation=2)),
+        ((32, 34), ConvGeometry(padding=(2, 0), dilation=(2, 1))),
+    ],
+    ids=["stride1", "stride2", "dilation2", "asymmetric-padding"],
+)
+def test_depthwise_blocks_are_bit_identical_to_the_unblocked_sum(hw, geom):
+    # Every case has a 32x32 output: two full channel blocks and a remainder.
+    c = 2 * _BLOCK_32 + _BLOCK_32 // 3
+    geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=c)
+    x = random_tensor(37, (c,) + hw)
+    kernel = random_tensor(38, (c, 1, 3, 3))
+    got = conv(x, kernel, geom)
+    assert got.shape == (c, 32, 32)
+    np.testing.assert_array_equal(got, depthwise_taps_reference(x, kernel, geom))
+
+
+def test_depthwise_plane_larger_than_a_block_is_its_own_block():
+    side = int(np.sqrt(_DEPTHWISE_BLOCK_BYTES / 8)) + 8
+    assert 8 * side * side > _DEPTHWISE_BLOCK_BYTES
+    geom = ConvGeometry(padding=1, groups=3)
+    x = random_tensor(39, (3, side, side))
+    kernel = random_tensor(40, (3, 1, 3, 3))
+    np.testing.assert_array_equal(conv(x, kernel, geom), depthwise_taps_reference(x, kernel, geom))
+
+
+def test_depthwise_blocks_of_a_non_contiguous_input():
+    c = 2 * _BLOCK_32 + 5
+    x = random_tensor(41, (32, c, 32, 2))[..., 1].transpose(1, 0, 2)  # (c, 32, 32), strided
+    assert not x.flags.c_contiguous
+    geom = ConvGeometry(stride=(1, 2), padding=(1, 2), groups=c)
+    kernel = random_tensor(42, (c, 1, 3, 2))
+    np.testing.assert_array_equal(conv(x, kernel, geom), depthwise_taps_reference(x, kernel, geom))
 
 
 @pytest.mark.parametrize(
@@ -391,6 +453,48 @@ def test_window_sum_running_sums_stay_accurate_at_fixture_scale(k):
     want = np.lib.stride_tricks.sliding_window_view(x, k, axis=0).sum(axis=-1)
     got = window_sum(x, k, 0)
     assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def cumsum_window_reference(x, k, axis, dilation=1):
+    # window_sum's running-sum path with one np.cumsum per residue class of
+    # the dilation, whatever the row layout or length.
+    x = np.moveaxis(np.asarray(x), axis, 0)
+    d = dilation
+    sums = np.zeros((len(x) + d,) + x.shape[1:])
+    for r in range(d):
+        sums[d + r :: d] = np.cumsum(x[r::d], axis=0)
+    return np.moveaxis(sums[d * k :] - sums[: len(x) - d * (k - 1)], 0, axis)
+
+
+@pytest.mark.parametrize(
+    "shape,perm,k,axis,dilation,plane_by_plane",
+    [
+        ((144, 56, 56), None, 73, 0, 1, True),
+        ((40, _PLANE_SUM_MIN_SIZE - 1), None, 9, 0, 1, False),
+        ((40, _PLANE_SUM_MIN_SIZE), None, 9, 0, 1, True),
+        ((60, 24, 24), None, 7, 0, 2, False),
+        ((4, 40, 16, 16), None, 13, -3, 1, False),
+        # A (B, C, H, W) view of channel-major memory, as an einsum may return.
+        ((40, 4, 16, 16), (1, 0, 2, 3), 13, -3, 1, True),
+    ],
+    ids=[
+        "long-rows", "just-below-cutoff", "at-cutoff", "dilation2", "batched",
+        "batched-channel-major",
+    ],
+)
+def test_window_sum_running_sum_paths_are_bit_identical_to_cumsum(
+    shape, perm, k, axis, dilation, plane_by_plane, monkeypatch
+):
+    x = random_tensor(43, shape)
+    if perm is not None:
+        x = x.transpose(perm)
+    want = cumsum_window_reference(x, k, axis, dilation)
+    calls = []
+    cumsum = np.cumsum
+    monkeypatch.setattr(tensor.np, "cumsum", lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
+    got = window_sum(x, k, axis, dilation=dilation)
+    np.testing.assert_array_equal(got, want)
+    assert (not calls) == plane_by_plane
 
 
 def test_linear_identity_and_hand_values():
