@@ -254,6 +254,18 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _check_log_path(path):
+    # Checked before training, so that a bad path fails at once and not after
+    # the last epoch.
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"--log {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ValueError(f"--log directory {parent} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"--log directory {parent} is not writable")
+
+
 def cmd_train_toy(args) -> int:
     lam = args.lam
     if lam is None:
@@ -266,6 +278,8 @@ def cmd_train_toy(args) -> int:
         seed=args.seed,
         mode=args.mode,
     )
+    if args.log:
+        _check_log_path(args.log)
     dataset = training.make_toy_dataset(args.seed)
     model, log = training.train(default_toy_model_spec(), dataset, config)
     if args.log:

@@ -10,10 +10,13 @@ counter-based seeded random generator; and a bit-exact binary file
 container.
 
 Convolution is cross-correlation: no kernel flip, zero padding only. It takes
-one of three paths, picked from the layer's shapes: one matrix product for a
-1x1 kernel with one group, shift-and-add over strided views for a depthwise
-layer, and a patch gather (im2col) with one contraction for every other layer.
-The depthwise path walks the channels in blocks of about
+one map (C x H x W) or a batch (B x C x H x W), and a batch gives the bits of
+convolving each sample on its own. It takes one of three paths, picked from
+the layer's shapes: one matrix product for a 1x1 kernel with one group,
+shift-and-add over strided views for a depthwise layer, and for every other
+layer one matrix product with the column matrix that im2col fills tap by tap
+(its adjoint, col2im, serves training's backward). The depthwise path puts
+the batch last and walks the channels in blocks of about
 _DEPTHWISE_BLOCK_BYTES = 256 KB of output, so that each block stays in cache
 across all its taps.
 
@@ -87,33 +90,58 @@ def out_extent(size: int, kernel: int, stride: int, padding: int, dilation: int)
     return span // stride + 1
 
 
-def _check_3d(x, name):
+def _check_map(x):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"{name} must be rank 3 (C x H x W), got rank {x.ndim}")
+    if x.ndim not in (3, 4):
+        raise ShapeError(
+            f"input must be rank 3 (C x H x W) or 4 (B x C x H x W), got rank {x.ndim}"
+        )
     return x
 
 
-def _gather_patches(xp, out_hw, k_hw, stride, dilation):
-    # xp: (..., Hp, Wp) already padded. Returns (..., H', W', kh, kw) with
-    # patches[..., i, j, u, v] = xp[..., i*sh + u*dh, j*sw + v*dw].
-    ho, wo = out_hw
-    kh, kw = k_hw
-    sh, sw = stride
-    dh, dw = dilation
-    rows = sh * np.arange(ho)[:, None] + dh * np.arange(kh)[None, :]
-    cols = sw * np.arange(wo)[:, None] + dw * np.arange(kw)[None, :]
-    lead = (slice(None),) * (xp.ndim - 2)
-    return xp[lead + (rows[:, None, :, None], cols[None, :, None, :])]
-
-
-def _tap_view(xp, u, v, out_hw, stride, dilation):
-    # The (..., H', W') strided view of xp that kernel tap (u, v) multiplies:
-    # view[..., i, j] = xp[..., i*sh + u*dh, j*sw + v*dw]. No copy is made.
+def _tap_slices(u, v, out_hw, stride, dilation):
+    # The row and column slices of a padded map that kernel tap (u, v)
+    # multiplies: map[rows, cols][i, j] = map[i*sh + u*dh, j*sw + v*dw].
     (ho, wo), (sh, sw), (dh, dw) = out_hw, stride, dilation
     rows = slice(u * dh, u * dh + sh * (ho - 1) + 1, sh)
     cols = slice(v * dw, v * dw + sw * (wo - 1) + 1, sw)
-    return xp[..., rows, cols]
+    return rows, cols
+
+
+def _tap_grid(hw, k_hw, stride, dilation):
+    # The output extents of a K_h x K_w kernel on an already padded H x W map.
+    return tuple(out_extent(n, k, s, 0, d) for n, k, s, d in zip(hw, k_hw, stride, dilation))
+
+
+def im2col(xp, k_hw, stride=(1, 1), dilation=(1, 1)):
+    """Column matrix of an already padded map xp (C x H x W, or B x C x H x W)
+    for a K_h x K_w kernel: (..., C*K_h*K_w, H'*W'), whose row (c, u, v)
+    holds the strided view of channel c that kernel tap (u, v) multiplies.
+
+    Filled tap by tap, one strided copy per tap, into one C-contiguous array,
+    so a matrix product reads it without another copy.
+    """
+    kh, kw = k_hw
+    ho, wo = _tap_grid(xp.shape[-2:], k_hw, stride, dilation)
+    cols = np.empty(xp.shape[:-2] + (kh, kw, ho, wo))
+    for u, v in np.ndindex(kh, kw):
+        rows, cs = _tap_slices(u, v, (ho, wo), stride, dilation)
+        cols[..., u, v, :, :] = xp[..., rows, cs]
+    return cols.reshape(xp.shape[:-3] + (-1, ho * wo))
+
+
+def col2im(cols, hw, k_hw, stride=(1, 1), dilation=(1, 1)):
+    """Adjoint of im2col for a padded map of extent hw = (H, W): adds every
+    entry of cols (..., C*K_h*K_w, H'*W') back onto the map entry it was
+    copied from, one strided add per tap, and returns (..., C, H, W)."""
+    kh, kw = k_hw
+    ho, wo = _tap_grid(hw, k_hw, stride, dilation)
+    cols = cols.reshape(cols.shape[:-2] + (-1, kh, kw, ho, wo))
+    out = np.zeros(cols.shape[:-4] + tuple(hw))
+    for u, v in np.ndindex(kh, kw):
+        rows, cs = _tap_slices(u, v, (ho, wo), stride, dilation)
+        out[..., rows, cs] += cols[..., u, v, :, :]
+    return out
 
 
 # Output bytes per channel block of a depthwise conv; conv's docstring gives
@@ -126,34 +154,42 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
 
     Cross-correlation with zero padding; returns C_out x H' x W'. With
     groups=g, input and output channels are split into g contiguous blocks and
-    block i of the output sees only block i of the input.
+    block i of the output sees only block i of the input. A batch
+    x (B x C x H x W) gives B x C_out x H' x W', equal bit for bit to
+    convolving each sample on its own: every matrix product below is one
+    per sample (np.matmul over the batch axis), and every other operation is
+    elementwise.
 
     No patches are copied for a 1x1 kernel with g=1 (one matrix product over
     a strided view of the input) or for a depthwise layer, g=C=C_out (a sum
     of the K_h*K_w strided views, each times its per-channel tap). Every other
-    layer contracts the kernel with the gathered K_h x K_w patches.
+    layer is one matrix product of the kernel, per group, with the input's
+    im2col column matrix (Chellapilla, Puri & Simard 2006).
 
-    The depthwise sum runs over blocks of max(1, 256 KB // (8 H' W'))
-    channels (_DEPTHWISE_BLOCK_BYTES), so a block's output, its tap product
-    and its input rows stay in L2 while all K_h*K_w taps pass over them
-    (loop blocking, Lam, Rothberg & Wolf 1991). The first tap writes its
+    The depthwise sum keeps a batch's samples on the last axis, so a row of a
+    tap's view runs over W' * B entries: on a (32, 16, 4, 4) batch with 3x3
+    taps that took the sum from 271 to 143 us (2 shared cores, min of 200
+    calls). It runs over blocks of max(1, 256 KB // (8 B H' W')) channels
+    (_DEPTHWISE_BLOCK_BYTES; B = 1 for one map), so a block's output, its tap
+    product and its input rows stay in L2 while all K_h*K_w taps pass over
+    them (loop blocking, Lam, Rothberg & Wolf 1991). The first tap writes its
     product into the block and the later ones add to it: the bits of zeros
     plus every product, up to the sign of a zero. Over struct_mv2_b's 34
-    depthwise convs at 224x224 (17 dense, 17 decomposed; 2 shared cores with
-    2 MB of L2 each, NumPy 2.4, min of 8 rounds) the blocks took 0.110 s at
-    32 KB, 0.107 at 64 KB, 0.093 at 128 KB, 0.090 at 256 KB, 0.091 at
-    512 KB, 0.111 at 1 MB and 0.114 as one block, against 0.117 s for
-    np.zeros plus one full-map pass per tap. Padding each block into a reused
-    zero-bordered buffer instead of padding the whole map took those convs
-    from 0.087 to 0.082 s (median of 12), but infer-mv2b's op_s moved only
-    from 0.172 to 0.164 s over 16 alternating pairs, less than its spread,
-    so the whole map is still padded once.
+    depthwise convs at 224x224 (17 dense, 17 decomposed; 2 shared cores with 2
+    MB of L2 each, NumPy 2.4, min of 8 rounds) the blocks took 0.110 s at 32
+    KB, 0.107 at 64 KB, 0.093 at 128 KB, 0.090 at 256 KB, 0.091 at 512 KB,
+    0.111 at 1 MB and 0.114 as one block, against 0.117 s for np.zeros plus
+    one full-map pass per tap. Padding each block into a reused zero-bordered
+    buffer instead of padding the whole map took those convs from 0.087 to
+    0.082 s (median of 12), but infer-mv2b's op_s moved only from 0.172 to
+    0.164 s over 16 alternating pairs, less than its spread, so the whole map
+    is still padded once.
     """
-    x = _check_3d(x, "input")
+    x = _check_map(x)
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
         raise ShapeError(f"kernel must be rank 4, got rank {kernel.ndim}")
-    c_in, h, w = x.shape
+    lead, (c_in, h, w) = x.shape[:-3], x.shape[-3:]
     c_out, c_k, kh, kw = kernel.shape
     g = geom.groups
     if c_in % g != 0 or c_out % g != 0:
@@ -165,32 +201,32 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     ho = out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
     wo = out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
     ph, pw = geom.padding
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw))) if ph or pw else x
+    xp = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((ph, ph), (pw, pw))) if ph or pw else x
     if kh == kw == 1 and g == 1:
-        view = _tap_view(xp, 0, 0, (ho, wo), geom.stride, geom.dilation)
-        out = kernel.reshape(c_out, c_in) @ view.reshape(c_in, ho * wo)
-        return out.reshape(c_out, ho, wo)
+        view = xp[(...,) + _tap_slices(0, 0, (ho, wo), geom.stride, geom.dilation)]
+        out = kernel.reshape(c_out, c_in) @ view.reshape(lead + (c_in, ho * wo))
+        return out.reshape(lead + (c_out, ho, wo))
     if g == c_in == c_out:
-        out = np.empty((c_out, ho, wo))
-        step = max(1, _DEPTHWISE_BLOCK_BYTES // (8 * ho * wo))
-        term = np.empty((min(step, c_out), ho, wo))
-        taps = kernel[:, 0, :, :, np.newaxis, np.newaxis]
+        # Channels first and the batch last, a unit axis for one map.
+        xt = np.ascontiguousarray(np.moveaxis(xp, 0, -1)) if lead else xp[..., np.newaxis]
+        nb = xt.shape[-1]
+        out = np.empty((c_out, ho, wo, nb))
+        step = max(1, _DEPTHWISE_BLOCK_BYTES // (8 * ho * wo * nb))
+        term = np.empty((min(step, c_out), ho, wo, nb))
+        taps = kernel[:, 0, :, :, np.newaxis, np.newaxis, np.newaxis]
         for c0 in range(0, c_out, step):
-            ob, xb, kb = out[c0 : c0 + step], xp[c0 : c0 + step], taps[c0 : c0 + step]
+            ob, xb, kb = out[c0 : c0 + step], xt[c0 : c0 + step], taps[c0 : c0 + step]
             for t, (u, v) in enumerate(np.ndindex(kh, kw)):
-                view = _tap_view(xb, u, v, (ho, wo), geom.stride, geom.dilation)
+                view = xb[(slice(None),) + _tap_slices(u, v, (ho, wo), geom.stride, geom.dilation)]
                 if t == 0:
                     np.multiply(view, kb[:, u, v], out=ob)
                 else:
                     ob += np.multiply(view, kb[:, u, v], out=term[: len(ob)])
-        return out
-    patches = _gather_patches(xp, (ho, wo), (kh, kw), geom.stride, geom.dilation)
-    if g == 1:
-        return np.einsum("chwuv,ocuv->ohw", patches, kernel, optimize=True)
-    pg = patches.reshape(g, c_in // g, ho, wo, kh, kw)
-    kg = kernel.reshape(g, c_out // g, c_k, kh, kw)
-    out = np.einsum("gchwuv,gocuv->gohw", pg, kg, optimize=True)
-    return out.reshape(c_out, ho, wo)
+        return np.moveaxis(out, -1, 0) if lead else out[..., 0]
+    cols = im2col(xp, (kh, kw), geom.stride, geom.dilation)
+    cols = cols.reshape(lead + (g, c_k * kh * kw, ho * wo))
+    out = kernel.reshape(g, c_out // g, c_k * kh * kw) @ cols
+    return out.reshape(lead + (c_out, ho, wo))
 
 
 # The longest window the window pair sums as slice-adds; window_sum's
@@ -309,11 +345,7 @@ def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
     convolving with an all-ones kernel of shape pool_dims slid over channels
     and space.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (3, 4):
-        raise ShapeError(
-            f"input must be rank 3 (C x H x W) or 4 (B x C x H x W), got rank {x.ndim}"
-        )
+    x = _check_map(x)
     kc, kh, kw = (int(d) for d in pool_dims)
     if min(kc, kh, kw) < 1:
         raise ShapeError(f"pool dims must be >= 1, got {pool_dims}")

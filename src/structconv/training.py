@@ -2,9 +2,9 @@
 
 Small stack of hand-differentiated layers (conv, depthwise conv, relu, global
 average pool, linear) trained with plain mini-batch SGD on softmax cross
-entropy. The conv, depthwise and linear layers are one structured layer type:
-a grouped conv over patches, where a depthwise conv has one channel per group
-and a linear layer is a 1x1 conv on a 1x1 map. Three modes:
+entropy. The conv, depthwise and linear layers are one structured layer type
+that runs tensor.conv on the whole batch, where a depthwise conv has one
+channel per group and a linear layer is a 1x1 conv on a 1x1 map. Three modes:
 
   regularized  adds lam * sum of per-layer structural residuals to the loss,
                pulling dense weights toward the structured subspace
@@ -21,6 +21,8 @@ curves are reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +34,8 @@ from .structured import (
     block_alphas,
     structure_matrix,
 )
-from .tensor import ConvGeometry, _gather_patches, random_tensor, sum_pool3d, window_spread
+from .tensor import ConvGeometry, _tap_slices, col2im, conv, im2col, random_tensor
+from .tensor import sum_pool3d, window_spread
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
 
@@ -164,34 +167,13 @@ def _he_init(seed, shape):
 
 
 def _pool3d_backward(g, x_shape, dims, padding):
-    # Adjoint of the stride-1 sum_pool3d: spread g back over every window,
-    # then drop the padding.
+    # Adjoint of the stride-1 sum_pool3d: spread g back over every window
+    # longer than 1, then drop the padding.
     for axis, k in zip((1, 2, 3), dims):
-        g = window_spread(g, k, axis)
+        if k > 1:
+            g = window_spread(g, k, axis)
     h, w = x_shape[2:]
     return g[:, :, padding : padding + h, padding : padding + w]
-
-
-def _conv_patches(x, kernel, stride, padding):
-    ho = (x.shape[2] + 2 * padding - kernel) // stride + 1
-    wo = (x.shape[3] + 2 * padding - kernel) // stride + 1
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    return _gather_patches(x, (ho, wo), (kernel, kernel), (stride, stride), (1, 1))
-
-
-def _einsum(subscripts, *operands):
-    # einsum over the axes longer than 1. With one group this is the plain
-    # conv contraction (one BLAS product), and with one channel per group the
-    # depthwise one (an elementwise product), as tensor.conv does unbatched.
-    inputs, output = subscripts.split("->")
-    inputs = inputs.split(",")
-    size = {a: n for sub, op in zip(inputs, operands) for a, n in zip(sub, op.shape)}
-    keep = lambda sub: "".join(a for a in sub if size[a] != 1)
-    squeezed = [op.reshape([size[a] for a in keep(sub)]) for sub, op in zip(inputs, operands)]
-    spec = ",".join(map(keep, inputs)) + "->" + keep(output)
-    out = np.einsum(spec, *squeezed, optimize=True)
-    return out.reshape([size[a] for a in output])
 
 
 def _as_map(x):
@@ -214,6 +196,10 @@ class _Structured(_Layer):
     cfg.pool_dims before the small kernel. Input channels split into `groups`
     blocks as in tensor.conv: a depthwise conv has groups = channels and
     C = c = 1. A linear layer has N = n = 1 and takes (B, Q) inputs.
+
+    The forward runs tensor.conv on the padded (direct mode: pooled) batch
+    and keeps only that input; the backward rebuilds any im2col columns it
+    needs, so the forward never holds them.
     """
 
     def __init__(self, name, cfg, out_channels, groups, stride, padding, seed, direct):
@@ -229,42 +215,49 @@ class _Structured(_Layer):
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
 
-    def _grouped(self, a, axis):
-        # Split axis into (groups, size / groups).
-        return a.reshape(a.shape[:axis] + (self.groups, -1) + a.shape[axis + 1 :])
-
     def forward(self, x):
         self.x_shape = x.shape
         x = _as_map(x)
         self.map_shape = x.shape
         p = self.padding
         if self.direct:
-            x, p = sum_pool3d(x, self.cfg.pool_dims, ConvGeometry(padding=p)), 0
-        self.conv_in = (x.shape, p)
-        self.patches = self._grouped(_conv_patches(x, self.w.shape[-1], self.stride, p), 1)
-        out = _einsum("bgchwuv,gocuv->bgohw", self.patches, self._grouped(self.w, 0))
-        out = out.reshape(len(x), -1, *out.shape[3:]) + self.b[:, None, None]
+            x = sum_pool3d(x, self.cfg.pool_dims, ConvGeometry(padding=p))
+        elif p:
+            # Zeros plus one copy: np.pad's own cost dominates at these sizes.
+            xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * p, x.shape[3] + 2 * p))
+            xp[:, :, p:-p, p:-p] = x
+            x = xp
+        self.xp = x
+        out = conv(x, self.w, ConvGeometry(stride=self.stride, groups=self.groups))
+        out += self.b[:, None, None]
         return out.reshape(out.shape[: len(self.x_shape)])
 
     def backward(self, g):
         g = _as_map(g)
-        gg = self._grouped(g, 1)
-        self.gw += _einsum("bgohw,bgchwuv->gocuv", gg, self.patches).reshape(self.w.shape)
         self.gb += g.sum(axis=(0, 2, 3))
-        # Scatter every kernel tap's share of the input gradient.
-        (b, cin, h, w), p = self.conv_in
-        ho, wo = g.shape[2:]
-        s, k = self.stride, self.w.shape[-1]
-        taps = _einsum("bgohw,gocuv->bgchwuv", gg, self._grouped(self.w, 0))
-        taps = taps.reshape(b, cin, ho, wo, k, k)
-        dxp = np.zeros((b, cin, h + 2 * p, w + 2 * p))
-        for u in range(k):
-            for v in range(k):
-                dxp[:, :, u : u + s * ho : s, v : v + s * wo : s] += taps[..., u, v]
-        dx = dxp[:, :, p : p + h, p : p + w]
-        if self.direct:
-            dx = _pool3d_backward(dx, self.map_shape, self.cfg.pool_dims, self.padding)
-        return dx.reshape(self.x_shape)
+        xp, k, s = self.xp, self.w.shape[-1], (self.stride, self.stride)
+        if self.groups > 1:
+            # Tap by tap, with the batch last as in tensor.conv's depthwise path.
+            xt, gt = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (xp, g))
+            dxt = np.zeros_like(xt)
+            for u, v in np.ndindex(k, k):
+                rows, cols = _tap_slices(u, v, g.shape[2:], s, (1, 1))
+                self.gw[:, 0, u, v] += (gt * xt[:, rows, cols]).sum(axis=(1, 2, 3))
+                dxt[:, rows, cols] += gt * self.w[:, 0, u, v, None, None, None]
+            dxp = np.moveaxis(dxt, -1, 0)
+        elif xp.shape[2:] == (1, 1):
+            # The batch is the inner axis of both products.
+            gm, xm = g.reshape(len(g), -1), xp.reshape(len(xp), -1)
+            self.gw += (gm.T @ xm).reshape(self.w.shape)
+            dxp = (gm @ self.w.reshape(len(self.w), -1)).reshape(xp.shape)
+        else:
+            # One product per sample, as in tensor.conv.
+            cols = im2col(xp, (k, k), s)
+            gm, wm = g.reshape(g.shape[:2] + (-1,)), self.w.reshape(len(self.w), -1)
+            self.gw += np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
+            dxp = col2im(wm.T @ gm, xp.shape[2:], (k, k), s)
+        dims = self.cfg.pool_dims if self.direct else (1, 1, 1)
+        return _pool3d_backward(dxp, self.map_shape, dims, self.padding).reshape(self.x_shape)
 
     def params(self):
         return [(self.w, self.gw), (self.b, self.gb)]
@@ -491,11 +484,16 @@ class TrainLog:
 
 
 def save_train_log(path, log: TrainLog) -> None:
-    """One JSON object per line: epoch records, then the final summary."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in log.to_records():
-            f.write(json.dumps(rec, sort_keys=True))
-            f.write("\n")
+    """One JSON object per line: epoch records, then the final summary. The
+    file is written beside path and then replaces it, so a failed write leaves
+    path as it was."""
+    with tempfile.TemporaryDirectory(dir=os.path.dirname(os.path.abspath(path))) as tmp:
+        part = os.path.join(tmp, "log.jsonl")
+        with open(part, "w", encoding="utf-8") as f:
+            for rec in log.to_records():
+                f.write(json.dumps(rec, sort_keys=True))
+                f.write("\n")
+        os.replace(part, path)
 
 
 def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
@@ -568,7 +566,7 @@ def train(spec: ToyModelSpec, dataset: ToyDataset, config: TrainingConfig):
                 "test_accuracy": acc.accuracy,
             }
         )
-    log.final_accuracy = evaluate(model, dataset.test_x, dataset.test_y).accuracy
+    log.final_accuracy = log.epochs[-1]["test_accuracy"]
     decomposed = decompose_model(model, residual_tol=1.0)
     log.final_accuracy_decomposed = evaluate(
         decomposed, dataset.test_x, dataset.test_y

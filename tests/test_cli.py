@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import structconv
-from structconv import cli, structured
+from structconv import cli, structured, training
 from structconv.structured import (
     StructuredConfig,
     forward_decomposed,
@@ -333,6 +333,21 @@ def test_train_toy_smoke(tmp_path):
         assert sorted(rec["residuals"]) == [
             "layer_0_conv2d", "layer_2_conv2d", "layer_4_depthwiseconv2d", "layer_7_linear",
         ]
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_train_toy_bad_log_path_exits_2_before_training(tmp_path, monkeypatch, capsys, where):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the --log path was checked")
+
+    monkeypatch.setattr(training, "make_toy_dataset", no_training)
+    monkeypatch.setattr(training, "train", no_training)
+    log = tmp_path / "no" / "such" / "x.jsonl" if where == "missing-dir" else tmp_path
+    rc = cli.main(["train-toy", "--mode", "plain", "--epochs", "1", "--seed", "0",
+                   "--log", str(log)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--log" in err and str(log if where == "directory" else log.parent) in err
 
 
 def test_train_toy_rejects_lambda_in_plain_mode():

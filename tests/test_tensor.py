@@ -7,12 +7,13 @@ from structconv import tensor
 from structconv.tensor import (
     _DEPTHWISE_BLOCK_BYTES,
     _PLANE_SUM_MIN_SIZE,
-    _gather_patches,
     ContainerError,
     ConvGeometry,
     GeometryError,
     ShapeError,
+    col2im,
     conv,
+    im2col,
     linear,
     out_extent,
     random_tensor,
@@ -219,9 +220,64 @@ def test_conv_without_padding_is_bit_identical_to_padded_path():
     x = random_tensor(14, (4, 7, 6, 2))[..., 0]  # a strided, non-contiguous view
     kernel = random_tensor(15, (6, 4, 3, 2))
     geom = ConvGeometry(stride=(2, 1), dilation=(1, 2))
-    patches = _gather_patches(np.pad(x, 0), (3, 4), (3, 2), (2, 1), (1, 2))
-    want = np.einsum("chwuv,ocuv->ohw", patches, kernel, optimize=True)
-    np.testing.assert_array_equal(conv(x, kernel, geom), want)
+    want = kernel.reshape(6, -1) @ im2col(np.pad(x, 0), (3, 2), (2, 1), (1, 2))
+    np.testing.assert_array_equal(conv(x, kernel, geom), want.reshape(6, 3, 4))
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+@pytest.mark.parametrize(
+    "kernel_shape,groups",
+    [((5, 4, 1, 1), 1), ((4, 1, 3, 2), 4), ((5, 4, 3, 2), 1), ((6, 2, 3, 2), 2)],
+    ids=["1x1", "depthwise", "general", "grouped-general"],
+)
+def test_batched_conv_is_bit_identical_to_per_sample_calls(kernel_shape, groups, geom):
+    geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=groups)
+    x = random_tensor(43, (3, 4, 9, 8))
+    kernel = random_tensor(44, kernel_shape)
+    got = conv(x, kernel, geom)
+    want = np.stack([conv(xi, kernel, geom) for xi in x])
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+def test_batched_depthwise_blocks_are_bit_identical_to_per_sample_calls():
+    # Two samples of 32x32 outputs: two full channel blocks and a remainder.
+    b = 2
+    step = _DEPTHWISE_BLOCK_BYTES // (8 * 32 * 32 * b)
+    c = 2 * step + step // 3
+    geom = ConvGeometry(stride=(1, 2), padding=(1, 2), groups=c)
+    x = random_tensor(47, (b, c, 32, 66))
+    kernel = random_tensor(48, (c, 1, 3, 2))
+    got = conv(x, kernel, geom)
+    assert got.shape == (b, c, 32, 35)
+    for xi, gi in zip(x, got):
+        np.testing.assert_array_equal(gi, conv(xi, kernel, geom))
+        np.testing.assert_array_equal(gi, depthwise_taps_reference(xi, kernel, geom))
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (1, 2, 3, 5, 5)])
+def test_conv_rejects_other_ranks(shape):
+    with pytest.raises(ShapeError, match=f"got rank {len(shape)}"):
+        conv(random_tensor(1, shape), random_tensor(2, (4, 3, 3, 3)))
+
+
+@pytest.mark.parametrize("geom", GEOMS)
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["map", "batch"])
+def test_im2col_and_col2im_are_adjoint(geom, lead):
+    xp = random_tensor(45, lead + (3, 9, 8))
+    k_hw = (3, 2)
+    cols = im2col(xp, k_hw, geom.stride, geom.dilation)
+    y = random_tensor(46, cols.shape)
+    back = col2im(y, xp.shape[-2:], k_hw, geom.stride, geom.dilation)
+    assert back.shape == xp.shape
+    assert abs(np.vdot(cols, y) - np.vdot(xp, back)) <= 1e-12
+
+
+def test_im2col_rows_hold_each_taps_view():
+    xp = random_tensor(49, (2, 3, 7, 6))
+    cols = im2col(xp, (2, 3), (2, 1), (1, 2)).reshape(2, 3, 2, 3, 3, 2)
+    for u, v in np.ndindex(2, 3):
+        np.testing.assert_array_equal(cols[:, :, u, v], xp[:, :, u : u + 5 : 2, 2 * v : 2 * v + 2])
 
 
 def test_conv_identity_kernel():

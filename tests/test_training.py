@@ -1,11 +1,14 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from structconv import training
 from structconv.structured import StructuredConfig, structure_matrix
 from structconv.structured import _reconstruct_stack
-from structconv.tensor import ConvGeometry, conv, linear, random_tensor
+from structconv.tensor import ConvGeometry, conv, linear, random_tensor, sum_pool3d
 from structconv.training import (
     Conv,
     DegenerateWeightError,
@@ -17,6 +20,8 @@ from structconv.training import (
     ToyModel,
     ToyModelSpec,
     TrainingConfig,
+    TrainLog,
+    _as_map,
     _pool3d_backward,
     _softmax_ce,
     decompose_model,
@@ -382,6 +387,45 @@ def test_log_records_structure_and_serialization(tmp_path):
     assert lines[-1]["final"]["mode"] == "regularized"
 
 
+def test_save_train_log_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text("old\n", encoding="utf-8")
+    log = TrainLog(mode="plain", lam=0.0, epochs=[{"epoch": 1}, {"epoch": object()}])
+    with pytest.raises(TypeError):
+        save_train_log(path, log)
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert os.listdir(tmp_path) == ["log.jsonl"]
+
+
+def test_train_evaluates_once_per_epoch_and_once_decomposed(monkeypatch):
+    ds = make_toy_dataset(4)
+    calls = []
+
+    def spy(model, x, y, **kwargs):
+        calls.append(model.direct)
+        return evaluate(model, x, y, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", spy)
+    cfg = TrainingConfig(lam=0.0, lr=0.2, epochs=3, batch_size=64, seed=7, mode="plain")
+    _, log = train(TINY_SPEC, ds, cfg)
+    assert calls == [False, False, False, True]
+    assert log.final_accuracy == log.epochs[-1]["test_accuracy"]
+
+
+def test_toy_dataset_traced_peak_is_bounded():
+    # The teacher runs on all 2,560 samples at once, so whatever a layer
+    # keeps for its backward sets the peak: 39.0 MB when every layer kept its
+    # gathered patches, 49.6 MB in a probe that kept both the padded input
+    # and the im2col columns.
+    tracemalloc.start()
+    try:
+        make_toy_dataset(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
+
+
 def test_decompose_model_direct_round_trip():
     ds = make_toy_dataset(4)
     cfg = TrainingConfig(lam=0.0, lr=0.2, epochs=2, batch_size=64, seed=8, mode="direct")
@@ -438,3 +482,65 @@ def test_layer_forward_matches_reference_ops(kind, direct):
         want = np.stack([conv(xi, w, geom) + layer.b[:, None, None] for xi in x])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def einsum_reference(layer, x, g):
+    """Forward, weight gradient and input gradient of a structured layer in
+    the formulation training used before it ran through tensor.conv: the
+    gathered K x K patches of the padded (or pooled) input, split into
+    groups and contracted with np.einsum, and a scatter of every tap's share
+    of the input gradient."""
+    x_shape = x.shape
+    x = x.reshape(x.shape[:2] + (x.shape[2:] or (1, 1)))
+    map_shape, p = x.shape, layer.padding
+    if layer.direct:
+        x, p = sum_pool3d(x, layer.cfg.pool_dims, ConvGeometry(padding=p)), 0
+    b, cin, h, w = x.shape
+    k, s, grp = layer.w.shape[-1], layer.stride, layer.groups
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    rows = s * np.arange(ho)[:, None] + np.arange(k)[None, :]
+    cols = s * np.arange(wo)[:, None] + np.arange(k)[None, :]
+    patches = xp[:, :, rows[:, None, :, None], cols[None, :, None, :]]
+    patches = patches.reshape(b, grp, cin // grp, ho, wo, k, k)
+    wg = layer.w.reshape((grp, -1) + layer.w.shape[1:])
+    out = np.einsum("bgchwuv,gocuv->bgohw", patches, wg).reshape(b, -1, ho, wo)
+    out = out + layer.b[:, None, None]
+    gg = g.reshape(b, grp, -1, ho, wo)
+    gw = np.einsum("bgohw,bgchwuv->gocuv", gg, patches).reshape(layer.w.shape)
+    taps = np.einsum("bgohw,gocuv->bgchwuv", gg, wg).reshape(b, cin, ho, wo, k, k)
+    dxp = np.zeros((b, cin, h + 2 * p, w + 2 * p))
+    for u in range(k):
+        for v in range(k):
+            dxp[:, :, u : u + s * ho : s, v : v + s * wo : s] += taps[..., u, v]
+    dx = dxp[:, :, p : p + h, p : p + w]
+    if layer.direct:
+        dx = _pool3d_backward(dx, map_shape, layer.cfg.pool_dims, layer.padding)
+    return out.reshape(out.shape[: len(x_shape)]), gw, dx.reshape(x_shape)
+
+
+# One layer per case: (descriptor, input batch shape).
+EINSUM_CASES = {
+    "conv": (Conv(out_channels=5, kernel=3, c=2, n=2, stride=2, padding=1), (3, 3, 7, 7)),
+    "conv-stride1": (Conv(out_channels=4, kernel=3, c=3, n=2, stride=1, padding=0), (2, 4, 6, 5)),
+    "depthwise": (DepthwiseConv(kernel=3, n=2, stride=1, padding=1), (3, 4, 5, 5)),
+    "depthwise-stride2": (DepthwiseConv(kernel=3, n=2, stride=2, padding=1), (2, 5, 6, 7)),
+    "linear": (Linear(out_features=3, R=4), (3, 6)),
+}
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["dense", "direct"])
+@pytest.mark.parametrize("case", sorted(EINSUM_CASES))
+def test_layer_matches_einsum_reference(case, direct):
+    desc, x_shape = EINSUM_CASES[case]
+    spec = ToyModelSpec(layers=(desc,), input_shape=(x_shape[1], 1, 1))
+    layer = ToyModel(spec, seed=25, direct=direct).layers[0]
+    layer.b = np.array(random_tensor(26, layer.b.shape))
+    x = np.array(random_tensor(27, x_shape))
+    out = layer.forward(x)
+    g = np.array(random_tensor(28, out.shape))
+    dx = layer.backward(g)
+    want_out, want_gw, want_dx = einsum_reference(layer, x, _as_map(g))
+    for got, want in ((out, want_out), (layer.gw, want_gw), (dx, want_dx)):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
