@@ -34,8 +34,6 @@ from .structured import (
     decomposed_layer,
     extract_alpha,
     forward_decomposed,
-    forward_decomposed_depthwise,
-    forward_decomposed_linear,
     generate_structured_basis,
     load_decomposed_layer,
     project,

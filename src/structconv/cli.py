@@ -38,14 +38,6 @@ def _verify_input_hw(spec):
     return max(base, 1) + spec.stride
 
 
-def _forward(x, layer):
-    if isinstance(layer, structured.DecomposedLinearLayer):
-        return structured.forward_decomposed_linear(x, layer)
-    if isinstance(layer, structured.DecomposedDepthwiseLayer):
-        return structured.forward_decomposed_depthwise(x, layer)
-    return structured.forward_decomposed(x, layer)
-
-
 def _verify_layer(spec, seed, trials, corrupt):
     cfg, geom = spec.cfg, spec.geom
     worst = 0.0
@@ -64,7 +56,7 @@ def _verify_layer(spec, seed, trials, corrupt):
             channels = spec.cout if spec.kind == "dwconv" else spec.cin
             x = tensor.random_tensor(s + 500009, (channels, h, w))
             direct = tensor.conv(x, dense, geom)
-        pooled = _forward(x, structured.decomposed_layer(alphas, cfg, geom))
+        pooled = structured.forward_decomposed(x, structured.decomposed_layer(alphas, cfg, geom))
         err = np.max(np.abs(direct - pooled)) / max(1.0, np.max(np.abs(direct)))
         worst = max(worst, float(err))
     return worst

@@ -9,7 +9,7 @@ c x n x n convolution, which is where the parameter and op savings come from.
 This module generates the basis, builds the structure matrix A whose columns
 are the vectorized basis elements, projects arbitrary kernels onto the
 structured subspace, and decomposes conv, depthwise and fully connected layers
-into their pooled form.
+into their pooled form, which the one forward_decomposed runs for all three.
 Vectorization order is fixed everywhere: channel-major, then kernel row, then
 kernel column (a plain row-major flatten of a (C, N, N) array).
 """
@@ -181,11 +181,13 @@ def block_alphas(flat, sm: StructureMatrix) -> np.ndarray:
 def _reconstruct_stack(alphas, cfg: StructuredConfig):
     # alphas (..., c, n, n) -> kernels (..., C, N, N): each kernel axis is
     # spread over its pool window, the channel axis last since it grows most.
-    # The copy keeps the result apart from alphas when every window is 1.
-    out = np.array(alphas, dtype=np.float64)
+    # window_spread never aliases its input, so only a config whose windows
+    # are all 1 copies to keep the result apart from alphas.
+    out = np.asarray(alphas, dtype=np.float64)
     for axis, k in zip((-1, -2, -3), cfg.pool_dims[::-1]):
-        out = window_spread(out, k, axis)
-    return out
+        if k > 1:
+            out = window_spread(out, k, axis)
+    return out if max(cfg.pool_dims) > 1 else out.copy()
 
 
 def reconstruct(alpha, cfg: StructuredConfig) -> np.ndarray:
@@ -339,52 +341,48 @@ def decompose_conv_layer(
     return decomposed_layer(alphas, cfg, geom, bias)
 
 
-def forward_decomposed(x, layer: DecomposedConvLayer) -> np.ndarray:
-    """Pool, then small conv, then bias. Output extents match the dense path
-    for every admissible input; that is asserted, not assumed."""
+def forward_decomposed(x, layer) -> np.ndarray:
+    """Pool, then the small kernel, then bias, for a conv, depthwise or fully
+    connected decomposed layer.
+
+    A linear layer sums x over windows of layer.window entries and applies
+    its small matrix. A conv or depthwise layer sum-pools x and runs the
+    small conv, grouped per channel for a depthwise layer; its output extents
+    match the dense path for every admissible input, which is asserted, not
+    assumed.
+    """
     x = np.asarray(x, dtype=np.float64)
-    pooled = sum_pool3d(x, layer.pool_dims, layer.pool_geom)
-    out = conv(pooled, layer.alpha, layer.small_geom)
-    cfg, sg = layer.cfg, layer.small_geom
-    ph, pw = layer.pool_geom.padding
-    expect = (
-        out_extent(x.shape[1], cfg.N, sg.stride[0], ph, sg.dilation[0]),
-        out_extent(x.shape[2], cfg.N, sg.stride[1], pw, sg.dilation[1]),
-    )
-    if out.shape[1:] != expect:
-        raise GeometryError(
-            f"decomposed output extents {out.shape[1:]} diverged from dense-path "
-            f"extents {expect}; this indicates an internal bug"
+    linear = isinstance(layer, DecomposedLinearLayer)
+    if linear:
+        if x.shape != (layer.in_features,):
+            raise ShapeError(f"input shape {x.shape} does not match ({layer.in_features},)")
+        out = layer.small @ window_sum(x, layer.window, 0)
+    else:
+        sg, groups = layer.small_geom, 1
+        if isinstance(layer, DecomposedDepthwiseLayer):
+            groups = layer.channels
+            if x.shape[0] != groups:
+                raise ShapeError(f"input has {x.shape[0]} channels, layer expects {groups}")
+        pooled = sum_pool3d(x, layer.pool_dims, layer.pool_geom)
+        out = conv(pooled, layer.alpha, ConvGeometry(sg.stride, sg.padding, sg.dilation, groups))
+        ph, pw = layer.pool_geom.padding
+        expect = (
+            out_extent(x.shape[-2], layer.cfg.N, sg.stride[0], ph, sg.dilation[0]),
+            out_extent(x.shape[-1], layer.cfg.N, sg.stride[1], pw, sg.dilation[1]),
         )
+        if out.shape[-2:] != expect:
+            raise GeometryError(
+                f"decomposed output extents {out.shape[-2:]} diverged from dense-path "
+                f"extents {expect}; this indicates an internal bug"
+            )
     if layer.bias is not None:
-        out = out + layer.bias[:, np.newaxis, np.newaxis]
+        out = out + (layer.bias if linear else layer.bias[:, np.newaxis, np.newaxis])
     return out
 
 
-def forward_decomposed_depthwise(x, layer: DecomposedDepthwiseLayer) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != layer.channels:
-        raise ShapeError(f"input has {x.shape[0]} channels, layer expects {layer.channels}")
-    pooled = sum_pool3d(x, layer.pool_dims, layer.pool_geom)
-    sg = layer.small_geom
-    grouped = ConvGeometry(
-        stride=sg.stride, padding=sg.padding, dilation=sg.dilation, groups=layer.channels
-    )
-    out = conv(pooled, layer.alpha, grouped)
-    if layer.bias is not None:
-        out = out + layer.bias[:, np.newaxis, np.newaxis]
-    return out
-
-
-def forward_decomposed_linear(x, layer: DecomposedLinearLayer) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (layer.in_features,):
-        raise ShapeError(f"input shape {x.shape} does not match ({layer.in_features},)")
-    pooled = window_sum(x, layer.window, 0)
-    out = layer.small @ pooled
-    if layer.bias is not None:
-        out = out + layer.bias
-    return out
+# perfbench/ still calls the per-kind names; the benchmark change that moves it
+# to forward_decomposed removes them.
+forward_decomposed_depthwise = forward_decomposed_linear = forward_decomposed
 
 
 def _geom_to_json(g: ConvGeometry) -> dict:

@@ -29,6 +29,7 @@ window_sum give the measurements behind each constant.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -434,34 +435,44 @@ def write_tensor(path, x) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tensor container; the round trip through write_tensor is bit exact."""
+    """Read a tensor container; the round trip through write_tensor is bit exact.
+
+    The header and extents are checked, and the file size compared with the
+    size they imply, before the payload is read, so a malformed file of any
+    size is rejected without loading it.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != _MAGIC:
-        raise ContainerError(f"bad magic {raw[:4]!r}, expected {_MAGIC!r}")
-    if len(raw) < 12:
-        raise ContainerError("truncated header")
-    version, rank = struct.unpack_from("<II", raw, 4)
-    if version != _VERSION:
-        raise ContainerError(f"unsupported container version {version}")
-    if rank < 1 or rank > _MAX_RANK:
-        raise ContainerError(f"rank {rank} outside supported range 1..{_MAX_RANK}")
-    if len(raw) < 12 + 4 * rank:
-        raise ContainerError("truncated extent list")
-    shape = struct.unpack_from(f"<{rank}I", raw, 12)
-    if any(d < 1 for d in shape):
-        raise ContainerError(f"zero extent in shape {shape}")
-    n = 1
-    for d in shape:
-        n *= d
-        if n > _MAX_ELEMS:
-            raise ContainerError(f"element count overflow in shape {shape}")
-    start = 12 + 4 * rank
-    expected = start + 8 * n
-    if len(raw) < expected:
-        raise ContainerError(f"truncated payload: {len(raw) - start} of {8 * n} bytes")
-    if len(raw) > expected:
-        raise ContainerError(f"{len(raw) - expected} trailing bytes after payload")
-    out = np.frombuffer(raw[start:expected], dtype="<f8").astype(np.float64).reshape(shape)
+        head = f.read(12)
+        if head[:4] != _MAGIC:
+            raise ContainerError(f"bad magic {head[:4]!r}, expected {_MAGIC!r}")
+        if len(head) < 12:
+            raise ContainerError("truncated header")
+        version, rank = struct.unpack_from("<II", head, 4)
+        if version != _VERSION:
+            raise ContainerError(f"unsupported container version {version}")
+        if rank < 1 or rank > _MAX_RANK:
+            raise ContainerError(f"rank {rank} outside supported range 1..{_MAX_RANK}")
+        extents = f.read(4 * rank)
+        if len(extents) < 4 * rank:
+            raise ContainerError("truncated extent list")
+        shape = struct.unpack(f"<{rank}I", extents)
+        if any(d < 1 for d in shape):
+            raise ContainerError(f"zero extent in shape {shape}")
+        n = 1
+        for d in shape:
+            n *= d
+            if n > _MAX_ELEMS:
+                raise ContainerError(f"element count overflow in shape {shape}")
+        start = 12 + 4 * rank
+        size, expected = os.fstat(f.fileno()).st_size, start + 8 * n
+        if size < expected:
+            raise ContainerError(f"truncated payload: {size - start} of {8 * n} bytes")
+        if size > expected:
+            raise ContainerError(f"{size - expected} trailing bytes after payload")
+        out = np.empty(n, dtype="<f8")
+        got = f.readinto(out)
+    if got != 8 * n:  # the file shrank after fstat
+        raise ContainerError(f"truncated payload: {got} of {8 * n} bytes")
+    out = out.astype(np.float64, copy=False).reshape(shape)
     out.flags.writeable = False
     return out

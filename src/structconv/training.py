@@ -34,8 +34,7 @@ from .structured import (
     block_alphas,
     structure_matrix,
 )
-from .tensor import ConvGeometry, _tap_slices, col2im, conv, im2col, random_tensor
-from .tensor import sum_pool3d, window_spread
+from .tensor import ConvGeometry, _tap_slices, col2im, conv, im2col, random_tensor, sum_pool3d
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
 
@@ -166,16 +165,6 @@ def _he_init(seed, shape):
     return np.array(random_tensor(seed, shape)) * np.sqrt(6.0 / np.prod(shape[1:]))
 
 
-def _pool3d_backward(g, x_shape, dims, padding):
-    # Adjoint of the stride-1 sum_pool3d: spread g back over every window
-    # longer than 1, then drop the padding.
-    for axis, k in zip((1, 2, 3), dims):
-        if k > 1:
-            g = window_spread(g, k, axis)
-    h, w = x_shape[2:]
-    return g[:, :, padding : padding + h, padding : padding + w]
-
-
 def _as_map(x):
     # A (B, Q) feature vector is a (B, Q, 1, 1) feature map.
     return x.reshape(x.shape[:2] + (x.shape[2:] or (1, 1)))
@@ -256,8 +245,12 @@ class _Structured(_Layer):
             gm, wm = g.reshape(g.shape[:2] + (-1,)), self.w.reshape(len(self.w), -1)
             self.gw += np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
             dxp = col2im(wm.T @ gm, xp.shape[2:], (k, k), s)
-        dims = self.cfg.pool_dims if self.direct else (1, 1, 1)
-        return _pool3d_backward(dxp, self.map_shape, dims, self.padding).reshape(self.x_shape)
+        if self.direct:
+            # The stride-1 pool's adjoint spreads each axis over its window,
+            # which is the reconstruction A @ alpha applied to every sample.
+            dxp = _reconstruct_stack(dxp, self.cfg)
+        (h, w), p = self.map_shape[2:], self.padding
+        return dxp[:, :, p : p + h, p : p + w].reshape(self.x_shape)
 
     def params(self):
         return [(self.w, self.gw), (self.b, self.gb)]

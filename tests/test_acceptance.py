@@ -28,7 +28,6 @@ from structconv.structured import (
     StructuredConfig,
     decompose_conv_layer,
     forward_decomposed,
-    forward_decomposed_linear,
     generate_structured_basis,
     load_decomposed_layer,
     reconstruct,
@@ -120,7 +119,7 @@ def test_acceptance_2_linear_decomposition_equivalence():
                 dense = _reconstruct_stack(rows, cfg).reshape(p, q)
                 layer = decompose_conv_layer(dense, cfg)
                 x = random_tensor(seed + 1, (q,))
-                worst = max(worst, rel_err(forward_decomposed_linear(x, layer), linear(dense, x)))
+                worst = max(worst, rel_err(forward_decomposed(x, layer), linear(dense, x)))
                 cases += 1
     elapsed = time.perf_counter() - t0
     report(

@@ -11,8 +11,6 @@ from structconv import cli, structured, training
 from structconv.structured import (
     StructuredConfig,
     forward_decomposed,
-    forward_decomposed_depthwise,
-    forward_decomposed_linear,
     load_decomposed_layer,
     _reconstruct_stack,
 )
@@ -197,13 +195,13 @@ def test_decompose_round_trip(tmp_path):
         if spec["kind"] == "linear":
             x = random_tensor(900 + i, (spec["cin"],))
             want = linear(dense, x)
-            got = forward_decomposed_linear(x, layer)
+            got = forward_decomposed(x, layer)
         elif spec["kind"] == "dwconv":
             x = random_tensor(900 + i, (spec["cout"], 6, 6))
             geom = ConvGeometry(stride=spec.get("stride", 1), padding=spec.get("pad", 0),
                                 groups=spec["cout"])
             want = conv(x, dense, geom)
-            got = forward_decomposed_depthwise(x, layer)
+            got = forward_decomposed(x, layer)
         else:
             x = random_tensor(900 + i, (spec["cin"], 6, 6))
             geom = ConvGeometry(stride=spec.get("stride", 1), padding=spec.get("pad", 0))

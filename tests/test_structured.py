@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -20,8 +21,6 @@ from structconv.structured import (
     decomposed_layer,
     extract_alpha,
     forward_decomposed,
-    forward_decomposed_depthwise,
-    forward_decomposed_linear,
     generate_structured_basis,
     load_decomposed_layer,
     project,
@@ -449,7 +448,7 @@ def test_depthwise_decomposition_equivalence():
     layer = decompose_conv_layer(w, cfg, ConvGeometry(stride=2, padding=1, groups=6))
     x = random_tensor(23, (6, 9, 9))
     want = conv(x, w, ConvGeometry(stride=2, padding=1, groups=6))
-    assert rel_err(forward_decomposed_depthwise(x, layer), want) <= 1e-10
+    assert rel_err(forward_decomposed(x, layer), want) <= 1e-10
 
 
 def test_depthwise_decomposition_with_bias():
@@ -459,7 +458,7 @@ def test_depthwise_decomposition_with_bias():
     layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=4), bias=bias)
     x = random_tensor(26, (4, 6, 6))
     want = conv(x, w, ConvGeometry(padding=1, groups=4)) + bias[:, None, None]
-    assert rel_err(forward_decomposed_depthwise(x, layer), want) <= 1e-10
+    assert rel_err(forward_decomposed(x, layer), want) <= 1e-10
 
 
 def test_depthwise_rejects_bad_shapes():
@@ -469,13 +468,25 @@ def test_depthwise_rejects_bad_shapes():
         )
 
 
+@pytest.mark.parametrize("groups", [1, 4], ids=["conv", "dwconv"])
+def test_forward_rejects_a_layer_whose_geometry_diverges_from_dense(groups):
+    # A hand-built layer that pads the small conv too: a (4, 6, 6) input
+    # would come out (., 8, 8) where the dense conv gives (., 6, 6).
+    cfg = StructuredConfig(4 if groups == 1 else 1, 3, 2 if groups == 1 else 1, 2)
+    good = decomposed_layer(np.zeros((4, cfg.c, 2, 2)), cfg, ConvGeometry(padding=1, groups=groups))
+    layer = dataclasses.replace(good, small_geom=ConvGeometry(padding=1))
+    assert forward_decomposed(np.zeros((4, 6, 6)), good).shape == (4, 6, 6)
+    with pytest.raises(GeometryError, match="diverged from dense-path extents"):
+        forward_decomposed(np.zeros((4, 6, 6)), layer)
+
+
 def test_linear_decomposition_r_equals_q():
     w = random_tensor(28, (3, 5))
     layer = decompose_conv_layer(w, StructuredConfig(5, 1, 5, 1))
     assert layer.window == 1
     np.testing.assert_allclose(layer.small, w, atol=1e-10)
     x = random_tensor(29, (5,))
-    np.testing.assert_allclose(forward_decomposed_linear(x, layer), linear(w, x), atol=1e-12)
+    np.testing.assert_allclose(forward_decomposed(x, layer), linear(w, x), atol=1e-12)
 
 
 def test_linear_decomposition_structured_rows():
@@ -486,7 +497,7 @@ def test_linear_decomposition_structured_rows():
     layer = decompose_conv_layer(w, cfg)
     assert layer.window == q_dim - r_dim + 1
     x = random_tensor(31, (q_dim,))
-    got = forward_decomposed_linear(x, layer)
+    got = forward_decomposed(x, layer)
     assert rel_err(got, linear(w, x)) <= 1e-10
 
 
@@ -498,7 +509,7 @@ def test_linear_all_ones_edge_windows():
     for r_dim in (1, 6):
         layer = decompose_conv_layer(w, StructuredConfig(6, 1, r_dim, 1))
         x = random_tensor(32 + r_dim, (6,))
-        assert rel_err(forward_decomposed_linear(x, layer), linear(w, x)) <= 1e-10
+        assert rel_err(forward_decomposed(x, layer), linear(w, x)) <= 1e-10
     with pytest.raises(ResidualError):
         decompose_conv_layer(w, StructuredConfig(6, 1, 3, 1), residual_tol=1e-6)
 
@@ -510,7 +521,7 @@ def test_linear_decomposition_with_bias():
     layer = decompose_conv_layer(w, cfg, bias=bias)
     x = random_tensor(42, (6,))
     np.testing.assert_allclose(
-        forward_decomposed_linear(x, layer), linear(w, x) + bias, atol=1e-10
+        forward_decomposed(x, layer), linear(w, x) + bias, atol=1e-10
     )
 
 
@@ -528,22 +539,19 @@ def test_sidecar_round_trip(tmp_path, kind):
         layer = decompose_conv_layer(w, cfg, ConvGeometry(stride=2, padding=1),
                                      bias=random_tensor(51, (4,)))
         x = random_tensor(52, (3, 7, 7))
-        fwd = forward_decomposed
     elif kind == "dwconv":
         cfg = StructuredConfig(1, 3, 1, 2)
         w = _reconstruct_stack(random_tensor(53, (5, 1, 2, 2)), cfg)
         layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=5))
         x = random_tensor(54, (5, 6, 6))
-        fwd = forward_decomposed_depthwise
     else:
         cfg = StructuredConfig(C=8, N=1, c=4, n=1)
         w = _reconstruct_stack(random_tensor(55, (3, 4, 1, 1)), cfg).reshape(3, 8)
         layer = decompose_conv_layer(w, cfg, bias=random_tensor(56, (3,)))
         x = random_tensor(57, (8,))
-        fwd = forward_decomposed_linear
     save_decomposed_layer(tmp_path, "layer", layer)
     back = load_decomposed_layer(tmp_path / "layer.json")
-    np.testing.assert_array_equal(fwd(x, back), fwd(x, layer))
+    np.testing.assert_array_equal(forward_decomposed(x, back), forward_decomposed(x, layer))
 
 
 def _saved_layer(tmp_path, kind):

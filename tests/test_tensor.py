@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -682,6 +684,27 @@ def test_container_trailing_bytes(tmp_path):
     p.write_bytes(p.read_bytes() + b"\x00")
     with pytest.raises(ContainerError, match="trailing"):
         read_tensor(p)
+
+
+@pytest.mark.parametrize(
+    "header,message",
+    [(b"NOPE", "magic"), (b"STCV" + (1).to_bytes(4, "little") * 3, "trailing")],
+    ids=["bad-magic", "one-element-header"],
+)
+def test_container_rejected_before_the_payload_is_read(tmp_path, header, message):
+    # A 64 MB sparse file whose header alone condemns it.
+    p = tmp_path / "big.stcv"
+    with open(p, "wb") as f:
+        f.write(header)
+        f.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match=message):
+            read_tensor(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_container_bad_rank_and_version(tmp_path):
