@@ -361,8 +361,8 @@ def forward_decomposed(x, layer) -> np.ndarray:
         sg, groups = layer.small_geom, 1
         if isinstance(layer, DecomposedDepthwiseLayer):
             groups = layer.channels
-            if x.shape[0] != groups:
-                raise ShapeError(f"input has {x.shape[0]} channels, layer expects {groups}")
+            if x.ndim in (3, 4) and x.shape[-3] != groups:
+                raise ShapeError(f"input has {x.shape[-3]} channels, layer expects {groups}")
         pooled = sum_pool3d(x, layer.pool_dims, layer.pool_geom)
         out = conv(pooled, layer.alpha, ConvGeometry(sg.stride, sg.padding, sg.dilation, groups))
         ph, pw = layer.pool_geom.padding

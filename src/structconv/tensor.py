@@ -14,21 +14,29 @@ one map (C x H x W) or a batch (B x C x H x W), and a batch gives the bits of
 convolving each sample on its own. It takes one of three paths, picked from
 the layer's shapes: one matrix product for a 1x1 kernel with one group,
 shift-and-add over strided views for a depthwise layer, and for every other
-layer one matrix product with the column matrix that im2col fills tap by tap
-(its adjoint, col2im, serves training's backward). The depthwise path puts
-the batch last and walks the channels in blocks of about
-_DEPTHWISE_BLOCK_BYTES = 256 KB of output, so that each block stays in cache
-across all its taps.
+layer one matrix product per sample with the column matrix that im2col fills
+tap by tap. The depthwise path puts the batch last and walks the channels in
+blocks of about _DEPTHWISE_BLOCK_BYTES = 256 KB of output, so that each block
+stays in cache across all its taps.
 
-window_sum takes a stride-1 running sum along an axis whose rows (the slices
-across that axis) are C-contiguous and hold at least _PLANE_SUM_MIN_SIZE = 512
-entries as one add per row, plane by plane, and every other running sum in one
-call along the axis. Both give the same bits. The docstrings of conv and
+Training's backward uses the gather and scatter with the batch last: im2col
+of a C x H x W x B map gives (C*K_h*K_w, H'*W'*B) columns, so one matrix
+product per group covers the batch, and col2im, their adjoint, adds the
+columns back in rows of W'*B entries. These two and conv are the only tap
+loops in the package.
+
+The window pair indexes the summed axis where it is: np.moveaxis costs about
+5 us a call, which small maps notice. window_sum takes a stride-1 running sum
+along an axis whose rows (the slices across that axis) are C-contiguous and
+hold at least _PLANE_SUM_MIN_SIZE = 512 entries as one add per row, plane by
+plane, and every other running sum in one call along the axis. Both give the
+same bits. The docstrings of conv and
 window_sum give the measurements behind each constant.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -114,34 +122,44 @@ def _tap_grid(hw, k_hw, stride, dilation):
     return tuple(out_extent(n, k, s, 0, d) for n, k, s, d in zip(hw, k_hw, stride, dilation))
 
 
-def im2col(xp, k_hw, stride=(1, 1), dilation=(1, 1)):
-    """Column matrix of an already padded map xp (C x H x W, or B x C x H x W)
-    for a K_h x K_w kernel: (..., C*K_h*K_w, H'*W'), whose row (c, u, v)
-    holds the strided view of channel c that kernel tap (u, v) multiplies.
+def im2col(xp, k_hw, stride=(1, 1), dilation=(1, 1), batch_last=False):
+    """Column matrix of an already padded map for a K_h x K_w kernel, whose
+    row (c, u, v) holds the strided view of channel c that kernel tap (u, v)
+    multiplies.
 
-    Filled tap by tap, one strided copy per tap, into one C-contiguous array,
-    so a matrix product reads it without another copy.
+    xp is C x H x W or B x C x H x W, giving (..., C*K_h*K_w, H'*W') for
+    conv's per-sample matrix products. With batch_last, xp is C x H x W x B
+    and the result is (C*K_h*K_w, H'*W'*B), so one matrix product covers the
+    whole batch. Filled tap by tap, one strided copy per tap, into one
+    C-contiguous array, so a matrix product reads it without another copy.
     """
     kh, kw = k_hw
-    ho, wo = _tap_grid(xp.shape[-2:], k_hw, stride, dilation)
-    cols = np.empty(xp.shape[:-2] + (kh, kw, ho, wo))
+    # The axes before the spatial pair, and the batch after it.
+    tail = xp.shape[3:] if batch_last else ()
+    head = xp.shape[: xp.ndim - len(tail) - 2]
+    ho, wo = _tap_grid(xp.shape[len(head) : len(head) + 2], k_hw, stride, dilation)
+    cols = np.empty(head + (kh, kw, ho, wo) + tail)
+    every = (slice(None),) * len(tail)
     for u, v in np.ndindex(kh, kw):
         rows, cs = _tap_slices(u, v, (ho, wo), stride, dilation)
-        cols[..., u, v, :, :] = xp[..., rows, cs]
-    return cols.reshape(xp.shape[:-3] + (-1, ho * wo))
+        cols[(..., u, v, slice(None), slice(None)) + every] = xp[(..., rows, cs) + every]
+    return cols.reshape(head[:-1] + (-1, ho * wo * math.prod(tail)))
 
 
-def col2im(cols, hw, k_hw, stride=(1, 1), dilation=(1, 1)):
-    """Adjoint of im2col for a padded map of extent hw = (H, W): adds every
-    entry of cols (..., C*K_h*K_w, H'*W') back onto the map entry it was
-    copied from, one strided add per tap, and returns (..., C, H, W)."""
+def col2im(cols, shape, k_hw, stride=(1, 1), dilation=(1, 1)):
+    """Adjoint of im2col with batch_last: adds every entry of cols
+    (C*K_h*K_w, H'*W'*B) back onto the entry of the padded C x H x W x B map
+    (shape) it was copied from, one strided add per tap, and returns that
+    map. With the batch last, each add walks rows of W'*B entries at
+    horizontal stride 1, and runs of B entries otherwise."""
+    c, h, w, b = shape
     kh, kw = k_hw
-    ho, wo = _tap_grid(hw, k_hw, stride, dilation)
-    cols = cols.reshape(cols.shape[:-2] + (-1, kh, kw, ho, wo))
-    out = np.zeros(cols.shape[:-4] + tuple(hw))
+    ho, wo = _tap_grid((h, w), k_hw, stride, dilation)
+    cols = cols.reshape(c, kh, kw, ho, wo, b)
+    out = np.zeros(shape)
     for u, v in np.ndindex(kh, kw):
         rows, cs = _tap_slices(u, v, (ho, wo), stride, dilation)
-        out[..., rows, cs] += cols[..., u, v, :, :]
+        out[:, rows, cs] += cols[:, u, v]
     return out
 
 
@@ -165,7 +183,11 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     a strided view of the input) or for a depthwise layer, g=C=C_out (a sum
     of the K_h*K_w strided views, each times its per-channel tap). Every other
     layer is one matrix product of the kernel, per group, with the input's
-    im2col column matrix (Chellapilla, Puri & Simard 2006).
+    im2col column matrix (Chellapilla, Puri & Simard 2006), one per sample:
+    a single product over batch-last columns is not bit-identical to
+    per-sample calls. On a (8, 300, 12, 12) batch with a 64 x 300 x 3 x 3
+    kernel (K = 2700; NumPy 2.4, OpenBLAS, 2 shared cores) the two differed
+    by up to 4.4e-14.
 
     The depthwise sum keeps a batch's samples on the last axis, so a row of a
     tap's view runs over W' * B entries: on a (32, 16, 4, 4) batch with 3x3
@@ -209,7 +231,7 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
         return out.reshape(lead + (c_out, ho, wo))
     if g == c_in == c_out:
         # Channels first and the batch last, a unit axis for one map.
-        xt = np.ascontiguousarray(np.moveaxis(xp, 0, -1)) if lead else xp[..., np.newaxis]
+        xt = np.ascontiguousarray(xp.transpose(1, 2, 3, 0)) if lead else xp[..., np.newaxis]
         nb = xt.shape[-1]
         out = np.empty((c_out, ho, wo, nb))
         step = max(1, _DEPTHWISE_BLOCK_BYTES // (8 * ho * wo * nb))
@@ -223,7 +245,7 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
                     np.multiply(view, kb[:, u, v], out=ob)
                 else:
                     ob += np.multiply(view, kb[:, u, v], out=term[: len(ob)])
-        return np.moveaxis(out, -1, 0) if lead else out[..., 0]
+        return out.transpose(3, 0, 1, 2) if lead else out[..., 0]
     cols = im2col(xp, (kh, kw), geom.stride, geom.dilation)
     cols = cols.reshape(lead + (g, c_k * kh * kw, ho * wo))
     out = kernel.reshape(g, c_out // g, c_k * kh * kw) @ cols
@@ -236,6 +258,19 @@ _SLICE_ADD_MAX_K = 4
 # The fewest entries per row for which window_sum takes a stride-1 running
 # sum plane by plane; its docstring gives the measurements behind the value.
 _PLANE_SUM_MIN_SIZE = 512
+
+
+def _axis_prefix(ndim, axis):
+    # The index prefix that reaches axis: x[_axis_prefix(x.ndim, axis) + (s,)]
+    # slices x along axis without moving it.
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"axis {axis} is out of range for rank {ndim}")
+    return (slice(None),) * (axis % ndim)
+
+
+def _resized(shape, axis, n):
+    # shape with extent n along axis (axis >= 0).
+    return shape[:axis] + (n,) + shape[axis + 1 :]
 
 
 def _check_window(n, k, stride, dilation):
@@ -280,28 +315,31 @@ def window_sum(x, k: int, axis: int, stride: int = 1, dilation: int = 1):
     window keeps np.cumsum, and so do rows that are not contiguous, such as a
     batched (B, C, H, W) input summed over C, or a map summed along H or W.
     """
-    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
-    _check_window(len(x), k, stride, dilation)
-    d = dilation
-    if 1 < k <= _SLICE_ADD_MAX_K:
+    x = np.asarray(x, dtype=np.float64)
+    pre, n, d = _axis_prefix(x.ndim, axis), x.shape[axis], dilation
+    _check_window(n, k, stride, d)
+    if k == 1:
+        return x[pre + (slice(None, None, stride),)]
+    if k <= _SLICE_ADD_MAX_K:
         # Slice j holds x[i*stride + j*d] for every kept output i.
-        span = stride * ((len(x) - d * (k - 1) - 1) // stride) + 1
-        out = x[:span:stride] + x[d : d + span : stride]
+        span = stride * ((n - d * (k - 1) - 1) // stride) + 1
+        out = x[pre + (slice(0, span, stride),)] + x[pre + (slice(d, d + span, stride),)]
         for j in range(2, k):
-            out += x[j * d : j * d + span : stride]
-        return np.moveaxis(out, 0, axis)
-    if k > 1:
-        # Running sums with step d after d zeros: sums[i+d] = x[i] + x[i-d] + ...
-        sums = np.zeros_like(x, shape=(len(x) + d,) + x.shape[1:])
-        if d == 1 and x[0].flags.c_contiguous and x[0].size >= _PLANE_SUM_MIN_SIZE:
-            sums[1] = x[0]
-            for i in range(1, len(x)):
-                np.add(sums[i], x[i], out=sums[i + 1])
-        else:
-            for r in range(d):
-                np.cumsum(x[r::d], axis=0, out=sums[d + r :: d])
-        x = sums[d * k :] - sums[: len(x) - d * (k - 1)]
-    return np.moveaxis(x[::stride], 0, axis)
+            out += x[pre + (slice(j * d, j * d + span, stride),)]
+        return out
+    # Running sums with step d after d zeros: sums[i+d] = x[i] + x[i-d] + ...
+    sums = np.zeros_like(x, shape=_resized(x.shape, len(pre), n + d))
+    row = x[pre + (0,)]
+    if d == 1 and row.flags.c_contiguous and row.size >= _PLANE_SUM_MIN_SIZE:
+        sums[pre + (1,)] = row
+        for i in range(1, n):
+            np.add(sums[pre + (i,)], x[pre + (i,)], out=sums[pre + (i + 1,)])
+    else:
+        for r in range(d):
+            np.cumsum(x[pre + (slice(r, None, d),)], axis=len(pre),
+                      out=sums[pre + (slice(d + r, None, d),)])
+    out = sums[pre + (slice(d * k, None),)] - sums[pre + (slice(0, n - d * (k - 1)),)]
+    return out[pre + (slice(None, None, stride),)]
 
 
 def window_spread(x, k: int, axis: int):
@@ -315,26 +353,37 @@ def window_spread(x, k: int, axis: int):
     each output as a difference of two running sums of x. For k > 1 the
     result never aliases x.
     """
-    x = np.moveaxis(np.asarray(x, dtype=np.float64), axis, 0)
-    l = len(x)
+    x = np.asarray(x, dtype=np.float64)
+    pre = _axis_prefix(x.ndim, axis)
+    l = x.shape[axis]
     # The windows tile the l + k - 1 output rows, so only k can be wrong.
     _check_window(l + k - 1, k, 1, 1)
-    if 1 < k <= _SLICE_ADD_MAX_K:
-        # empty_like keeps x's memory order, so the result is laid out like x.
-        out = np.empty_like(x, shape=(l + k - 1,) + x.shape[1:])
-        out[:l] = x
-        out[l:] = 0.0
+    if k == 1:
+        return x
+    # empty_like keeps x's memory order, so the result is laid out like x.
+    out = np.empty_like(x, shape=_resized(x.shape, len(pre), l + k - 1))
+    if k <= _SLICE_ADD_MAX_K:
+        out[pre + (slice(0, l),)] = x
+        out[pre + (slice(l, None),)] = 0.0
         for j in range(1, k):
-            out[j : j + l] += x
-        return np.moveaxis(out, 0, axis)
-    if k > 1:
-        # Output r is the sum of x[max(0, r-k+1) .. min(r, l-1)].
-        sums = np.cumsum(x, axis=0)
-        x = np.empty_like(x, shape=(l + k - 1,) + x.shape[1:])
-        x[:l] = sums
-        x[l:] = sums[-1]
-        x[k:] -= sums[: l - 1]
-    return np.moveaxis(x, 0, axis)
+            out[pre + (slice(j, j + l),)] += x
+        return out
+    # Output r is the sum of x[max(0, r-k+1) .. min(r, l-1)].
+    sums = np.cumsum(x, axis=len(pre))
+    out[pre + (slice(0, l),)] = sums
+    out[pre + (slice(l, None),)] = sums[pre + (slice(l - 1, l),)]
+    out[pre + (slice(k, None),)] -= sums[pre + (slice(0, l - 1),)]
+    return out
+
+
+def zero_pad(x, ph, pw):
+    """x with ph rows of zeros above and below and pw columns of zeros on
+    either side of its last two axes: zeros plus one copy, since np.pad's own
+    cost dominates on small maps."""
+    h, w = x.shape[-2:]
+    out = np.zeros(x.shape[:-2] + (h + 2 * ph, w + 2 * pw))
+    out[..., ph : ph + h, pw : pw + w] = x
+    return out
 
 
 def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
@@ -360,7 +409,7 @@ def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
     out = window_sum(x, kc, -3)
     ph, pw = geom.padding
     if ph or pw:
-        out = np.pad(out, [(0, 0)] * (x.ndim - 2) + [(ph, ph), (pw, pw)])
+        out = zero_pad(out, ph, pw)
     out = window_sum(out, kh, -2, geom.stride[0], geom.dilation[0])
     return window_sum(out, kw, -1, geom.stride[1], geom.dilation[1])
 

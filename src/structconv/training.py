@@ -34,7 +34,7 @@ from .structured import (
     block_alphas,
     structure_matrix,
 )
-from .tensor import ConvGeometry, _tap_slices, col2im, conv, im2col, random_tensor, sum_pool3d
+from .tensor import ConvGeometry, col2im, conv, im2col, random_tensor, sum_pool3d, zero_pad
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
 
@@ -184,11 +184,15 @@ class _Structured(_Layer):
     (out, c, n, n) when direct, where direct mode sum-pools the input with
     cfg.pool_dims before the small kernel. Input channels split into `groups`
     blocks as in tensor.conv: a depthwise conv has groups = channels and
-    C = c = 1. A linear layer has N = n = 1 and takes (B, Q) inputs.
+    C = c = 1. A linear layer has N = n = 1 and takes (B, Q) inputs. The
+    pool's and the conv's ConvGeometry are built once, here.
 
     The forward runs tensor.conv on the padded (direct mode: pooled) batch
-    and keeps only that input; the backward rebuilds any im2col columns it
-    needs, so the forward never holds them.
+    and keeps only that input. The backward of a conv or depthwise layer
+    moves the gradient and that input to (C, H, W, B) once, so the weight
+    gradient is one matrix product per group over the batch-last im2col
+    columns, and the input gradient is one product per group followed by
+    one col2im scatter whose rows hold W' * B entries.
     """
 
     def __init__(self, name, cfg, out_channels, groups, stride, padding, seed, direct):
@@ -198,6 +202,8 @@ class _Structured(_Layer):
         self.stride = stride
         self.padding = padding
         self.direct = direct
+        self.pool_geom = ConvGeometry(padding=padding)
+        self.geom = ConvGeometry(stride=stride, groups=groups)
         dims = (cfg.c, cfg.n) if direct else (cfg.C, cfg.N)
         self.w = _he_init(seed, (out_channels, dims[0], dims[1], dims[1]))
         self.b = np.zeros(out_channels)
@@ -210,41 +216,40 @@ class _Structured(_Layer):
         self.map_shape = x.shape
         p = self.padding
         if self.direct:
-            x = sum_pool3d(x, self.cfg.pool_dims, ConvGeometry(padding=p))
+            x = sum_pool3d(x, self.cfg.pool_dims, self.pool_geom)
         elif p:
-            # Zeros plus one copy: np.pad's own cost dominates at these sizes.
-            xp = np.zeros(x.shape[:2] + (x.shape[2] + 2 * p, x.shape[3] + 2 * p))
-            xp[:, :, p:-p, p:-p] = x
-            x = xp
+            x = zero_pad(x, p, p)
         self.xp = x
-        out = conv(x, self.w, ConvGeometry(stride=self.stride, groups=self.groups))
+        out = conv(x, self.w, self.geom)
         out += self.b[:, None, None]
         return out.reshape(out.shape[: len(self.x_shape)])
 
-    def backward(self, g):
+    def backward(self, g, input_grad=True):
+        """Add this batch's weight and bias gradients to gw and gb and, with
+        input_grad, return the gradient with respect to the layer's input."""
         g = _as_map(g)
         self.gb += g.sum(axis=(0, 2, 3))
-        xp, k, s = self.xp, self.w.shape[-1], (self.stride, self.stride)
-        if self.groups > 1:
-            # Tap by tap, with the batch last as in tensor.conv's depthwise path.
-            xt, gt = (np.ascontiguousarray(np.moveaxis(a, 0, -1)) for a in (xp, g))
-            dxt = np.zeros_like(xt)
-            for u, v in np.ndindex(k, k):
-                rows, cols = _tap_slices(u, v, g.shape[2:], s, (1, 1))
-                self.gw[:, 0, u, v] += (gt * xt[:, rows, cols]).sum(axis=(1, 2, 3))
-                dxt[:, rows, cols] += gt * self.w[:, 0, u, v, None, None, None]
-            dxp = np.moveaxis(dxt, -1, 0)
-        elif xp.shape[2:] == (1, 1):
+        xp, grp = self.xp, self.groups
+        wg = self.w.reshape(grp, len(self.w) // grp, -1)
+        if xp.shape[2:] == (1, 1):
             # The batch is the inner axis of both products.
             gm, xm = g.reshape(len(g), -1), xp.reshape(len(xp), -1)
             self.gw += (gm.T @ xm).reshape(self.w.shape)
-            dxp = (gm @ self.w.reshape(len(self.w), -1)).reshape(xp.shape)
+            if not input_grad:
+                return None
+            dxp = (gm @ wg[0]).reshape(xp.shape)
         else:
-            # One product per sample, as in tensor.conv.
-            cols = im2col(xp, (k, k), s)
-            gm, wm = g.reshape(g.shape[:2] + (-1,)), self.w.reshape(len(self.w), -1)
-            self.gw += np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
-            dxp = col2im(wm.T @ gm, xp.shape[2:], (k, k), s)
+            # Channels first and the batch last, so each group's gradient
+            # rows meet its im2col rows over the whole batch in one product.
+            k, s, xt = self.w.shape[-1], self.geom.stride, xp.transpose(1, 2, 3, 0)
+            gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(grp, wg.shape[1], -1)
+            cols = im2col(xt, (k, k), s, batch_last=True).reshape(grp, -1, gt.shape[-1])
+            self.gw += np.matmul(gt, cols.transpose(0, 2, 1)).reshape(self.w.shape)
+            if not input_grad:
+                return None
+            del cols  # the input gradient needs only gt and the weights
+            dxt = col2im(np.matmul(wg.transpose(0, 2, 1), gt), xt.shape, (k, k), s)
+            dxp = dxt.transpose(3, 0, 1, 2)
         if self.direct:
             # The stride-1 pool's adjoint spreads each axis over its window,
             # which is the reconstruction A @ alpha applied to every sample.
@@ -322,9 +327,17 @@ class ToyModel:
         return x
 
     def backward(self, g):
-        for layer in reversed(self.layers):
+        """Add the gradients of the loss whose logits gradient is g to every
+        parameter's gradient. The gradient with respect to the data is never
+        built: nothing reads it, so the backward stops at the first
+        structured layer's weight and bias gradients."""
+        trainable = self.structured_layers()
+        if not trainable:
+            return
+        first = self.layers.index(trainable[0])
+        for layer in reversed(self.layers[first + 1 :]):
             g = layer.backward(g)
-        return g
+        trainable[0].backward(g, input_grad=False)
 
     def zero_grads(self):
         for layer in self.layers:

@@ -461,6 +461,20 @@ def test_depthwise_decomposition_with_bias():
     assert rel_err(forward_decomposed(x, layer), want) <= 1e-10
 
 
+def test_depthwise_forward_takes_a_batch():
+    # The channel check reads the channel axis, not the batch axis.
+    cfg = StructuredConfig(1, 3, 1, 2)
+    w = _reconstruct_stack(random_tensor(50, (4, 1, 2, 2)), cfg)
+    layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=4),
+                                 bias=random_tensor(51, (4,)))
+    x = random_tensor(52, (2, 4, 6, 6))
+    got = forward_decomposed(x, layer)
+    assert got.shape == (2, 4, 6, 6)
+    np.testing.assert_array_equal(got, np.stack([forward_decomposed(xi, layer) for xi in x]))
+    with pytest.raises(ShapeError, match="input has 3 channels, layer expects 4"):
+        forward_decomposed(random_tensor(53, (4, 3, 6, 6)), layer)
+
+
 def test_depthwise_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         decompose_conv_layer(

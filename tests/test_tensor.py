@@ -264,13 +264,14 @@ def test_conv_rejects_other_ranks(shape):
 
 
 @pytest.mark.parametrize("geom", GEOMS)
-@pytest.mark.parametrize("lead", [(), (2,)], ids=["map", "batch"])
-def test_im2col_and_col2im_are_adjoint(geom, lead):
-    xp = random_tensor(45, lead + (3, 9, 8))
+@pytest.mark.parametrize("batch", [1, 2], ids=["map", "batch"])
+def test_im2col_and_col2im_are_adjoint(geom, batch):
+    # col2im scatters the batch-last columns that training's backward uses.
+    xp = random_tensor(45, (3, 9, 8, batch))
     k_hw = (3, 2)
-    cols = im2col(xp, k_hw, geom.stride, geom.dilation)
+    cols = im2col(xp, k_hw, geom.stride, geom.dilation, batch_last=True)
     y = random_tensor(46, cols.shape)
-    back = col2im(y, xp.shape[-2:], k_hw, geom.stride, geom.dilation)
+    back = col2im(y, xp.shape, k_hw, geom.stride, geom.dilation)
     assert back.shape == xp.shape
     assert abs(np.vdot(cols, y) - np.vdot(xp, back)) <= 1e-12
 
@@ -280,6 +281,10 @@ def test_im2col_rows_hold_each_taps_view():
     cols = im2col(xp, (2, 3), (2, 1), (1, 2)).reshape(2, 3, 2, 3, 3, 2)
     for u, v in np.ndindex(2, 3):
         np.testing.assert_array_equal(cols[:, :, u, v], xp[:, :, u : u + 5 : 2, 2 * v : 2 * v + 2])
+    # The batch-last columns hold the same entries, each column's batch last.
+    last = im2col(xp.transpose(1, 2, 3, 0), (2, 3), (2, 1), (1, 2), batch_last=True)
+    assert last.shape == (3 * 2 * 3, 3 * 2 * 2) and last.flags.c_contiguous
+    np.testing.assert_array_equal(last.reshape(3, 2, 3, 3, 2, 2), cols.transpose(1, 2, 3, 4, 5, 0))
 
 
 def test_conv_identity_kernel():
@@ -478,6 +483,48 @@ def test_window_spread_matches_loop_reference(k, axis):
     # A C-ordered input gives a C-ordered result, which later reshapes of a
     # reconstructed kernel stack take without a copy.
     assert window_spread(np.ascontiguousarray(x), k, axis).flags.c_contiguous
+
+
+def _memory_order(a, shape):
+    # a's axes from the largest stride to the smallest, leaving out the axes
+    # of extent 1 in shape, whose strides say nothing about the layout.
+    order = np.argsort(a.strides, kind="stable")[::-1]
+    return [int(ax) for ax in order if shape[ax] > 1]
+
+
+def _laid_out(layout):
+    # A (6, 7, 8) input that is C-ordered, F-ordered or a strided view.
+    if layout == "C":
+        return np.array(random_tensor(54, (6, 7, 8)))
+    if layout == "F":
+        return np.asfortranarray(random_tensor(54, (6, 7, 8)))
+    return np.array(random_tensor(54, (7, 16, 6))).transpose(2, 0, 1)[:, :, ::2]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_window_pair_matches_moveaxis_reference(layout, k):
+    # Along axis 0 both functions run as they did when every axis was moved
+    # there first; along any other axis they must give the same bits, laid
+    # out the same way in memory, and for k > 1 a result apart from x.
+    x = _laid_out(layout)
+    assert x.flags.c_contiguous == (layout == "C") and x.flags.f_contiguous == (layout == "F")
+    calls = {
+        "sum": lambda a, ax: window_sum(a, k, ax),
+        "spread": lambda a, ax: window_spread(a, k, ax),
+        "sum-stride2": lambda a, ax: window_sum(a, k, ax, stride=2),
+    }
+    for axis in (0, 1, 2, -1, -2, -3):
+        for name, call in calls.items():
+            got = call(x, axis)
+            want = np.moveaxis(call(np.moveaxis(x, axis, 0), 0), 0, axis)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            assert got.strides == want.strides
+            if k > 1:
+                assert not np.shares_memory(got, x)
+                if name != "sum-stride2":
+                    assert _memory_order(got, got.shape) == _memory_order(x, got.shape)
 
 
 @pytest.mark.parametrize(

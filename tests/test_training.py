@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from structconv import training
+from structconv import cli, training
 from structconv.structured import StructuredConfig, structure_matrix
 from structconv.structured import _reconstruct_stack
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, sum_pool3d
@@ -268,12 +268,16 @@ def test_pool3d_backward_matches_loop_reference(dims, padding):
 
 
 def test_input_gradient_matches_numeric():
+    # ToyModel.backward never builds the data's gradient, so the layers'
+    # backwards are chained here, down to the first one's input gradient.
     model = ToyModel(TINY_SPEC, seed=4)
     x = np.array(random_tensor(9, (2, 3, 6, 6)))
     y = np.array([1, 3])
     logits = model.forward(x)
-    _, dlogits = _softmax_ce(logits, y)
-    dx = model.backward(dlogits)
+    _, dx = _softmax_ce(logits, y)
+    for layer in reversed(model.layers):
+        dx = layer.backward(dx)
+    assert dx.shape == x.shape
     h = 1e-6
     for idx in [(0, 0, 0, 0), (1, 2, 5, 5), (0, 1, 3, 2)]:
         orig = x[idx]
@@ -283,6 +287,67 @@ def test_input_gradient_matches_numeric():
         down = batch_loss(model, x, y)
         x[idx] = orig
         assert dx[idx] == pytest.approx((up - down) / (2 * h), rel=1e-4, abs=1e-7)
+
+
+@pytest.mark.parametrize("mode", ["plain", "direct"])
+def test_train_never_builds_the_first_layers_input_gradient(monkeypatch, mode):
+    # Every input gradient of a structured layer goes through col2im or the
+    # linear product's reshape, and in direct mode through _reconstruct_stack;
+    # the spies record which layer's backward each scatter and spread ran in.
+    ds = make_toy_dataset(4)
+    running, backwards, scatters = [], [], []
+    real_backward = training._Structured.backward
+
+    def backward(self, g, **kwargs):
+        running.append(self)
+        try:
+            dx = real_backward(self, g, **kwargs)
+        finally:
+            running.pop()
+        backwards.append((self, dx is None))
+        return dx
+
+    def spy(real):
+        def call(*args, **kwargs):
+            if running:
+                scatters.append(running[-1])
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(training._Structured, "backward", backward)
+    monkeypatch.setattr(training, "col2im", spy(training.col2im))
+    monkeypatch.setattr(training, "_reconstruct_stack", spy(training._reconstruct_stack))
+    small = training.ToyDataset(ds.train_x[:64], ds.train_y[:64], ds.test_x[:32], ds.test_y[:32],
+                                ds.teacher, ds.seed)
+    cfg = TrainingConfig(lam=0.0, lr=0.2, epochs=1, batch_size=32, seed=9, mode=mode)
+    model, _ = train(TINY_SPEC, small, cfg)
+    first, depthwise = model.layers[0], model.layers[2]
+    assert {(layer, skipped) for layer, skipped in backwards} == {
+        (first, True), (depthwise, False), (model.layers[-1], False)}
+    assert first not in scatters
+    assert depthwise in scatters  # the spies see the other layers' scatters
+
+
+def test_short_training_runs_match_recorded_values():
+    # Two epochs of the stock toy model on make_toy_dataset(3), seed 3, in
+    # every mode. Accuracies must match exactly, task losses to 1e-12
+    # relative: the backward may reorder a sum, never change what it sums.
+    ds = make_toy_dataset(3)
+    spec = cli.default_toy_model_spec()
+    recorded = {
+        ("regularized", 1.0): ([1.3988236539220218, 1.3922542838207086],
+                               [0.212890625, 0.224609375], 0.224609375),
+        ("direct", 0.0): ([11.312408935582354, 1.3880611567350591],
+                          [0.25390625, 0.2265625], 0.2265625),
+        ("plain", 0.0): ([1.3935854653148563, 1.3691632408254395],
+                         [0.318359375, 0.251953125], 0.216796875),
+    }
+    for (mode, lam), (losses, accuracies, decomposed) in recorded.items():
+        _, log = train(spec, ds, TrainingConfig(lam=lam, epochs=2, seed=3, mode=mode))
+        assert [r["test_accuracy"] for r in log.epochs] == accuracies
+        assert log.final_accuracy_decomposed == decomposed
+        for rec, want in zip(log.epochs, losses):
+            assert rec["task_loss"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_softmax_ce_values():
