@@ -6,12 +6,21 @@ with its low corner at (i, j, k). Convolution with such a kernel factors
 exactly into a 3D sum-pool with that cuboid's window followed by a small
 c x n x n convolution, which is where the parameter and op savings come from.
 
-This module generates the basis, builds the structure matrix A whose columns
-are the vectorized basis elements, projects arbitrary kernels onto the
-structured subspace, and decomposes conv, depthwise and fully connected layers
-into their pooled form, which the one forward_decomposed runs for all three.
-Vectorization order is fixed everywhere: channel-major, then kernel row, then
-kernel column (a plain row-major flatten of a (C, N, N) array).
+This module generates the basis, projects arbitrary kernels onto the
+structured subspace, measures their residuals, and decomposes conv, depthwise
+and fully connected layers into their pooled form, which the one
+forward_decomposed runs for all three. Vectorization order is fixed
+everywhere: channel-major, then kernel row, then kernel column (a plain
+row-major flatten of a (C, N, N) array).
+
+The structure matrix A, whose columns are the vectorized basis elements, is
+the Kronecker product of one L x l all-ones band B per kernel axis (window
+k = L - l + 1), and every operator runs one axis at a time without it: a
+vector lies in span(B) exactly when its k residue-class sums (over entries
+with equal index mod k) are equal, so the projection subtracts one constant
+per class, and pinv(B) v follows from p = P v by the recursion
+alpha_j = alpha_{j-k} + p_j - p_{j-1}. No inverse or SVD is formed; the dense
+A, its pseudoinverse and the projector are built on first access only.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -84,49 +93,129 @@ class StructuredConfig:
         return Fraction(self.C * self.N * self.N, self.basis_size)
 
 
-def _band_pinv(L: int, l: int) -> np.ndarray:
-    """pinv(B) = G^-1 B^T for the L x l all-ones band B, with no SVD: B has
-    full column rank, and its Gram matrix B^T B is the Toeplitz tent
-    G[i, j] = max(0, (L-l+1) - |i-j|), the overlap of windows i and j. G^-1
-    is symmetric, so G^-1 B^T is the transpose of B G^-1."""
-    idx = np.arange(l)
-    gram = np.maximum(L - l + 1 - np.abs(idx[:, None] - idx[None, :]), 0).astype(np.float64)
-    return window_spread(np.linalg.inv(gram), L - l + 1, 0).T
+def _bands(cfg: StructuredConfig):
+    # (axis, window) of each kernel axis of a (kernels, C, N, N) stack whose
+    # band is not the identity, that is whose window is longer than 1.
+    return [(axis, k) for axis, k in zip((1, 2, 3), cfg.pool_dims) if k > 1]
 
 
-def _kron3(channel, spatial):
-    # kron(kron(channel, spatial), spatial) in one allocation; its rows and
-    # columns follow the (channel, row, column) row-major vectorization.
-    (C, c), (N, n) = channel.shape, spatial.shape
-    out = np.einsum("ai,bj,dk->abdijk", channel, spatial, spatial)
-    return out.reshape(C * N * N, c * n * n)
+def _at(axis, start, stop):
+    # Index of entries start..stop-1 along axis (axis >= 0).
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _class_residual(x, k, axis):
+    """(beta, m, q) with ((I - P) x)[i] = beta[i mod k] along axis, for P the
+    orthogonal projector onto the span of the L x (L-k+1) all-ones band B.
+
+    Each column of B is k consecutive ones, one entry in every residue class
+    mod k, so a vector in span(B) has k equal class sums s_r. These k - 1
+    equalities leave L - k + 1 dimensions, span(B)'s own, so they also
+    suffice, and (I - P) x is constant on each class: beta_r = (s_r - mu) / n_r
+    for the n_r entries of class r, where mu = sum_r(s_r / n_r) /
+    sum_r(1 / n_r) is the one class sum that P x keeps. With m, q =
+    divmod(L, k), n_r is m + 1 for r < q and m otherwise. The class sums are
+    slice-adds of k entries at a time.
+    """
+    L = x.shape[axis]
+    m, q = divmod(L, k)
+    s = x[_at(axis, 0, k)].copy()
+    for b in range(k, L, k):
+        s[_at(axis, 0, min(k, L - b))] += x[_at(axis, b, b + k)]
+    big, small = s[_at(axis, 0, q)], s[_at(axis, q, k)]
+    mu = np.sum(big, axis, keepdims=True) / (m + 1) + np.sum(small, axis, keepdims=True) / m
+    s -= mu / (q / (m + 1) + (k - q) / m)
+    big /= m + 1
+    small /= m
+    return s, m, q
+
+
+def _minus_classes(x, beta, axis, stop):
+    # The first stop entries along axis of x - beta[i mod k], which is P x
+    # for beta from _class_residual.
+    k = beta.shape[axis]
+    out = x[_at(axis, 0, stop)].copy()
+    for b in range(0, stop, k):
+        out[_at(axis, b, b + k)] -= beta[_at(axis, 0, min(k, stop - b))]
+    return out
+
+
+def _band_solve(x, k, axis):
+    """pinv(B) x along axis: the alpha with B alpha = p = P x. Entry j of
+    B alpha is alpha_{j-k+1} + ... + alpha_j, so alpha_j = alpha_{j-k} +
+    p_j - p_{j-1}, a running sum within each residue class mod k."""
+    l = x.shape[axis] - k + 1
+    alpha = _minus_classes(x, _class_residual(x, k, axis)[0], axis, l)
+    alpha[_at(axis, 1, l)] -= alpha[_at(axis, 0, l - 1)]
+    for b in range(k, l, k):
+        alpha[_at(axis, b, b + k)] += alpha[_at(axis, b - k, min(b, l - k))]
+    return alpha
+
+
+def _row_squares(a):
+    # The sum of squares of each kernel's entries (axis 0 runs over kernels).
+    axes = "ijkl"[: a.ndim]
+    return np.einsum(f"{axes},{axes}->i", a, a)
+
+
+def _projection(x, cfg: StructuredConfig, norms_only=False):
+    """(P v, ||(I - P) v||) for every kernel v of a (kernels, C, N, N) stack.
+
+    P = P_1 P_2 P_3, one commuting projector per band, so (I - P) v is the
+    sum of the orthogonal parts (I - P_1) v, P_1 (I - P_2) v and
+    P_1 P_2 (I - P_3) v, whose squared norms are each band's
+    sum_r n_r beta_r^2. v - P v is never formed, so a structured kernel's
+    residual is at the rounding level of its betas, not of v. norms_only
+    skips the last band's projection, which the norms do not read.
+    """
+    sq = np.zeros(len(x))
+    bands = _bands(cfg)
+    for i, (axis, k) in enumerate(bands):
+        beta, m, q = _class_residual(x, k, axis)
+        sq += (m + 1) * _row_squares(beta[_at(axis, 0, q)])
+        sq += m * _row_squares(beta[_at(axis, q, k)])
+        if not norms_only or i < len(bands) - 1:
+            x = _minus_classes(x, beta, axis, x.shape[axis])
+    return (None if norms_only else x), np.sqrt(sq)
+
+
+def _frozen(a):
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
 class StructureMatrix:
-    """A (C*N^2 x c*n^2) with vectorized basis elements as columns, plus its
-    pseudoinverse and the orthogonal projector A @ pinv onto the column span."""
+    """The structured subspace of one config. decompose and the residuals
+    apply it matrix-free, band by band; the dense forms are built on first
+    access, by applying those same operators to an identity: A
+    (C*N^2 x c*n^2) with the vectorized basis elements as columns, its
+    pseudoinverse, and the orthogonal projector A @ pinv onto its column span."""
 
     cfg: StructuredConfig
-    A: np.ndarray
-    pinv: np.ndarray
-    projector: np.ndarray
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        cfg = self.cfg
+        eye = np.eye(cfg.basis_size).reshape(-1, cfg.c, cfg.n, cfg.n)
+        return _frozen(_reconstruct_stack(eye, cfg).reshape(cfg.basis_size, -1).T)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        # Row i of block_alphas(I) is pinv @ e_i.
+        return _frozen(block_alphas(np.eye(self.cfg.C * self.cfg.N**2), self).T)
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        cfg = self.cfg
+        d = cfg.C * cfg.N * cfg.N
+        rows = _projection(np.eye(d).reshape(d, cfg.C, cfg.N, cfg.N), cfg)[0]
+        return _frozen(rows.reshape(d, d).T)
 
 
 def _build_structure_matrix(cfg: StructuredConfig) -> StructureMatrix:
-    # A cuboid is the outer product of three 1D all-ones windows, so A is the
-    # Kronecker product of a channel band and two spatial bands, each the
-    # window_spread of an identity. pinv(X kron Y) = pinv(X) kron pinv(Y), so
-    # only the small bands are ever inverted. The projector goes first, while
-    # the band-sized temporaries are few.
-    kc, kn, _ = cfg.pool_dims
-    pc, pn = _band_pinv(cfg.C, cfg.c), _band_pinv(cfg.N, cfg.n)
-    proj = _kron3(window_spread(pc, kc, 0), window_spread(pn, kn, 0))
-    A = _kron3(window_spread(np.eye(cfg.c), kc, 0), window_spread(np.eye(cfg.n), kn, 0))
-    pinv = _kron3(pc, pn)
-    for arr in (A, pinv, proj):
-        arr.flags.writeable = False
-    return StructureMatrix(cfg=cfg, A=A, pinv=pinv, projector=proj)
+    return StructureMatrix(cfg)
 
 
 @lru_cache(maxsize=128)
@@ -155,27 +244,30 @@ def project(w, cfg: StructuredConfig) -> tuple[np.ndarray, float]:
     a zero kernel (which is exactly structured).
     """
     w = _check_kernel(w, cfg)
-    sm = structure_matrix(cfg)
-    vec = w.reshape(-1)
-    norm = float(np.linalg.norm(vec))
+    norm = float(np.linalg.norm(w))
     if norm == 0.0:
         return np.zeros_like(w), 0.0
-    proj_vec = sm.projector @ vec
-    residual = float(np.linalg.norm(vec - proj_vec) / norm)
-    return proj_vec.reshape(w.shape), residual
+    w_hat, resid = _projection(w[np.newaxis], cfg)
+    return np.array(w_hat[0]), float(resid[0] / norm)
 
 
 def extract_alpha(w, cfg: StructuredConfig) -> np.ndarray:
     """Least-squares coefficients pinv(A) @ vec(w), shaped (c, n, n)."""
     w = _check_kernel(w, cfg)
-    sm = structure_matrix(cfg)
-    return (sm.pinv @ w.reshape(-1)).reshape(cfg.c, cfg.n, cfg.n)
+    return block_alphas(w.reshape(1, -1), structure_matrix(cfg)).reshape(cfg.c, cfg.n, cfg.n)
 
 
 def block_alphas(flat, sm: StructureMatrix) -> np.ndarray:
     """Least-squares coefficients of many kernels at once: flat holds one
-    vectorized kernel per row, the result one coefficient row per kernel."""
-    return np.ascontiguousarray((sm.pinv @ flat.T).T)
+    vectorized kernel per row, the result one coefficient row per kernel.
+    pinv(A) is the Kronecker product of the bands' pseudoinverses, so each
+    kernel axis is solved in turn."""
+    cfg = sm.cfg
+    x = np.asarray(flat, dtype=np.float64).reshape(-1, cfg.C, cfg.N, cfg.N)
+    out = x
+    for axis, k in _bands(cfg):
+        out = _band_solve(out, k, axis)
+    return (out if out is not x else x.copy()).reshape(len(x), cfg.basis_size)
 
 
 def _reconstruct_stack(alphas, cfg: StructuredConfig):
@@ -201,10 +293,10 @@ def reconstruct(alpha, cfg: StructuredConfig) -> np.ndarray:
 
 def _worst_block_residual(flat, sm: StructureMatrix):
     # flat: one kernel per row. Zero rows are exactly structured.
-    norms = np.linalg.norm(flat, axis=1)
-    resid = flat @ sm.projector.T
-    np.subtract(flat, resid, out=resid)
-    res = np.linalg.norm(resid, axis=1) / np.where(norms > 0.0, norms, 1.0)
+    norms = np.sqrt(_row_squares(flat))
+    cfg = sm.cfg
+    resid = _projection(flat.reshape(-1, cfg.C, cfg.N, cfg.N), cfg, norms_only=True)[1]
+    res = resid / np.where(norms > 0.0, norms, 1.0)
     worst = int(np.argmax(res)) if res.size else -1
     if worst < 0 or res[worst] == 0.0:
         return -1, 0.0

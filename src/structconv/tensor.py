@@ -36,6 +36,7 @@ window_sum give the measurements behind each constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -140,7 +141,7 @@ def im2col(xp, k_hw, stride=(1, 1), dilation=(1, 1), batch_last=False):
     ho, wo = _tap_grid(xp.shape[len(head) : len(head) + 2], k_hw, stride, dilation)
     cols = np.empty(head + (kh, kw, ho, wo) + tail)
     every = (slice(None),) * len(tail)
-    for u, v in np.ndindex(kh, kw):
+    for u, v in itertools.product(range(kh), range(kw)):
         rows, cs = _tap_slices(u, v, (ho, wo), stride, dilation)
         cols[(..., u, v, slice(None), slice(None)) + every] = xp[(..., rows, cs) + every]
     return cols.reshape(head[:-1] + (-1, ho * wo * math.prod(tail)))
@@ -157,7 +158,7 @@ def col2im(cols, shape, k_hw, stride=(1, 1), dilation=(1, 1)):
     ho, wo = _tap_grid((h, w), k_hw, stride, dilation)
     cols = cols.reshape(c, kh, kw, ho, wo, b)
     out = np.zeros(shape)
-    for u, v in np.ndindex(kh, kw):
+    for u, v in itertools.product(range(kh), range(kw)):
         rows, cs = _tap_slices(u, v, (ho, wo), stride, dilation)
         out[:, rows, cs] += cols[:, u, v]
     return out
@@ -239,7 +240,7 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
         taps = kernel[:, 0, :, :, np.newaxis, np.newaxis, np.newaxis]
         for c0 in range(0, c_out, step):
             ob, xb, kb = out[c0 : c0 + step], xt[c0 : c0 + step], taps[c0 : c0 + step]
-            for t, (u, v) in enumerate(np.ndindex(kh, kw)):
+            for t, (u, v) in enumerate(itertools.product(range(kh), range(kw))):
                 view = xb[(slice(None),) + _tap_slices(u, v, (ho, wo), geom.stride, geom.dilation)]
                 if t == 0:
                     np.multiply(view, kb[:, u, v], out=ob)

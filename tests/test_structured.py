@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import structconv
+from structconv.analyzer import parse_network_spec
 from structconv.composite import CompositeKernel, check_linear_independence, compose_kernel
 from structconv.structured import (
     ConfigError,
@@ -107,6 +110,9 @@ def loop_structure_matrix(cfg):
 
 
 def test_kronecker_structure_matrix_matches_loop_reference():
+    # Every config with C <= 8 and N <= 5, which includes each band's edge
+    # cases: window 1 (c = C or n = N, the identity) and window L (c = 1 or
+    # n = 1, one coefficient per axis, so c = n = 1 projects onto the mean).
     for C in range(1, 9):
         for N in range(1, 6):
             for c in range(1, C + 1):
@@ -116,8 +122,34 @@ def test_kronecker_structure_matrix_matches_loop_reference():
                     want = loop_structure_matrix(cfg)
                     np.testing.assert_array_equal(sm.A, want)
                     pinv = np.linalg.pinv(want)
+                    proj = want @ pinv
                     np.testing.assert_allclose(sm.pinv, pinv, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(sm.projector, want @ pinv, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(sm.projector, proj, rtol=0, atol=1e-12)
+                    # The matrix-free operators on random rows, one of them zero.
+                    flat = np.array(random_tensor(C * 100 + N * 10 + c + n, (3, C * N * N)))
+                    flat[1] = 0.0
+                    np.testing.assert_allclose(
+                        block_alphas(flat, sm), flat @ pinv.T, rtol=0, atol=1e-12
+                    )
+                    res = [
+                        np.linalg.norm(v - proj @ v) / np.linalg.norm(v) if v.any() else 0.0
+                        for v in flat
+                    ]
+                    for v, r in zip(flat, res):
+                        assert abs(_worst_block_residual(v[np.newaxis], sm)[1] - r) <= 1e-12
+                        w_hat, got = project(v.reshape(C, N, N), cfg)
+                        np.testing.assert_allclose(w_hat.reshape(-1), proj @ v, rtol=0, atol=1e-12)
+                        assert abs(got - r) <= 1e-12
+                        if cfg.basis_size == 1:
+                            mean = np.full_like(w_hat, v.mean())
+                            np.testing.assert_allclose(w_hat, mean, rtol=0, atol=1e-12)
+                        if (c, n) == (C, N):
+                            np.testing.assert_array_equal(w_hat.reshape(-1), v)
+                    idx, worst = _worst_block_residual(flat, sm)
+                    if max(res) > 0.0:
+                        assert idx == int(np.argmax(res)) and abs(worst - max(res)) <= 1e-12
+                    else:
+                        assert (idx, worst) == (-1, 0.0)
 
 
 def test_band_pinv_at_fixture_scale():
@@ -131,6 +163,45 @@ def test_band_pinv_at_fixture_scale():
     dense = _reconstruct_stack(alphas, cfg)
     got = _reconstruct_stack(block_alphas(dense.reshape(8, -1), sm).reshape(alphas.shape), cfg)
     assert rel_err(got, dense) <= 1e-10
+
+
+def test_matrix_free_operators_at_fixture_scale():
+    # Exactly structured kernels give back their coefficients and a residual
+    # at rounding level: struct_effnet's largest band, 1920 x 960, and every
+    # layer of struct_effnet.
+    cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
+    alphas = np.array(random_tensor(30, (8, cfg.c, 1, 1)))
+    dense = _reconstruct_stack(alphas, cfg)
+    got = block_alphas(dense.reshape(8, -1), structure_matrix(cfg)).reshape(alphas.shape)
+    assert np.abs(got - alphas).max() <= 1e-12 * np.abs(alphas).max()
+    effnet = os.path.join(os.path.dirname(structconv.__file__), "fixtures", "struct_effnet.json")
+    for spec in parse_network_spec(effnet):
+        cfg = spec.cfg
+        w = _reconstruct_stack(random_tensor(spec.index, (spec.cout, cfg.c, cfg.n, cfg.n)), cfg)
+        assert worst_kernel_residual(w, cfg) <= 1e-14, spec.index
+
+
+def test_decompose_builds_no_dense_structure_matrix():
+    # struct_effnet's (320, 1920, 1, 1) pwconv: 4.9 MB of weights, against the
+    # 29.5 MB its dense projector alone would take.
+    cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
+    w = _reconstruct_stack(random_tensor(31, (320, cfg.c, 1, 1)), cfg)
+    structure_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        layer = decompose_conv_layer(w, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * w.nbytes
+    assert rel_err(_reconstruct_stack(layer.alpha, cfg), w) <= 1e-12
+    sm = structure_matrix(cfg)
+    assert not any(isinstance(v, np.ndarray) for v in vars(sm).values())
+    small = structure_matrix(StructuredConfig(4, 3, 2, 2))
+    for name in ("A", "pinv", "projector"):
+        assert name not in vars(small)
+        assert getattr(small, name) is getattr(small, name)
+        assert isinstance(vars(small)[name], np.ndarray) and not vars(small)[name].flags.writeable
 
 
 def test_structure_matrix_is_cached():
@@ -427,6 +498,8 @@ def test_worst_block_residual_matches_per_kernel_loop():
     assert idx == 4 == int(np.argmax(want))
     assert abs(res - want[4]) <= 1e-12 * want[4]
     assert _worst_block_residual(np.zeros((3, 36)), sm) == (-1, 0.0)
+    assert _worst_block_residual(np.zeros((0, 36)), sm) == (-1, 0.0)
+    assert block_alphas(np.zeros((0, 36)), sm).shape == (0, 8)
 
 
 def test_worst_kernel_residual_reports_max():
