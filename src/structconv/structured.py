@@ -439,9 +439,11 @@ def forward_decomposed(x, layer) -> np.ndarray:
 
     A linear layer sums x over windows of layer.window entries and applies
     its small matrix. A conv or depthwise layer sum-pools x and runs the
-    small conv, grouped per channel for a depthwise layer; its output extents
-    match the dense path for every admissible input, which is asserted, not
-    assumed.
+    small conv, grouped per channel for a depthwise layer. A pool whose
+    windows are all 1 only pads, so it is skipped and the conv pads instead:
+    the same bits, without a padded copy the dense path does not make. The
+    output extents match the dense path for every admissible input, which is
+    asserted, not assumed.
     """
     x = np.asarray(x, dtype=np.float64)
     linear = isinstance(layer, DecomposedLinearLayer)
@@ -455,9 +457,13 @@ def forward_decomposed(x, layer) -> np.ndarray:
             groups = layer.channels
             if x.ndim in (3, 4) and x.shape[-3] != groups:
                 raise ShapeError(f"input has {x.shape[-3]} channels, layer expects {groups}")
-        pooled = sum_pool3d(x, layer.pool_dims, layer.pool_geom)
-        out = conv(pooled, layer.alpha, ConvGeometry(sg.stride, sg.padding, sg.dilation, groups))
         ph, pw = layer.pool_geom.padding
+        if max(layer.pool_dims) == 1:
+            # An identity pool only pads, and the conv pads with the same bits.
+            pooled, pad = x, (ph + sg.padding[0], pw + sg.padding[1])
+        else:
+            pooled, pad = sum_pool3d(x, layer.pool_dims, layer.pool_geom), sg.padding
+        out = conv(pooled, layer.alpha, ConvGeometry(sg.stride, pad, sg.dilation, groups))
         expect = (
             out_extent(x.shape[-2], layer.cfg.N, sg.stride[0], ph, sg.dilation[0]),
             out_extent(x.shape[-1], layer.cfg.N, sg.stride[1], pw, sg.dilation[1]),

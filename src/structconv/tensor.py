@@ -13,11 +13,16 @@ Convolution is cross-correlation: no kernel flip, zero padding only. It takes
 one map (C x H x W) or a batch (B x C x H x W), and a batch gives the bits of
 convolving each sample on its own. It takes one of three paths, picked from
 the layer's shapes: one matrix product for a 1x1 kernel with one group,
-shift-and-add over strided views for a depthwise layer, and for every other
-layer one matrix product per sample with the column matrix that im2col fills
-tap by tap. The depthwise path puts the batch last and walks the channels in
-blocks of about _DEPTHWISE_BLOCK_BYTES = 256 KB of output, so that each block
-stays in cache across all its taps.
+shift-and-add over contiguous slices for a depthwise layer, and for every
+other layer one matrix product per sample with the column matrix that im2col
+fills tap by tap. The depthwise path puts the batch last and splits the
+padded input into phase buffers, one per residue of a tap's offset modulo
+the stride, so that every tap reads one contiguous 1-D slice of each
+channel's flat buffer. It computes the output on the buffers' row pitch and
+crops it, and walks the channels in blocks of about _DEPTHWISE_BLOCK_BYTES =
+256 KB of that output, so that each block stays in cache across all its
+taps. zero_pad is the one padding helper: it writes the phase buffers and
+every other padded map.
 
 Training's backward uses the gather and scatter with the batch last: im2col
 of a C x H x W x B map gives (C*K_h*K_w, H'*W'*B) columns, so one matrix
@@ -169,6 +174,50 @@ def col2im(cols, shape, k_hw, stride=(1, 1), dilation=(1, 1)):
 _DEPTHWISE_BLOCK_BYTES = 256 * 1024
 
 
+def _depthwise_conv(x, taps, out_hw, geom):
+    # conv's depthwise path: x is C x H x W or B x C x H x W and taps is
+    # C x K_h x K_w; returns a view of the output's H' x W_q pitch.
+    (ho, wo), (sh, sw), (ph, pw), (dh, dw) = out_hw, geom.stride, geom.padding, geom.dilation
+    c, kh, kw = taps.shape
+    xt = x.transpose(1, 2, 3, 0) if x.ndim == 4 else x[..., np.newaxis]
+    h, w, nb = xt.shape[1:]
+    grid = list(itertools.product(range(kh), range(kw)))
+    if sh == sw == 1 and not (ph or pw) and xt.flags.c_contiguous:
+        wq, flat = w, {(0, 0): xt.reshape(c, -1)}
+    else:
+        hq, wq = -(-(h + 2 * ph) // sh), -(-(w + 2 * pw) // sw)
+        flat = {
+            ab: zero_pad(xt, ph, pw, (sh, sw), ab, (hq, wq), axis=1).reshape(c, -1)
+            for ab in {(u * dh % sh, v * dw % sw) for u, v in grid}
+        }
+    n = ho * wq * nb
+    out = np.empty((c, n))
+    step = max(1, _DEPTHWISE_BLOCK_BYTES // (8 * n))
+    term = np.empty((min(step, c), n))
+    # Every operand row is contiguous, so no product below needs a ufunc
+    # buffer, but at NumPy's default size of 8192 entries a product with the
+    # (rows, 1) taps goes through one whenever a row is shorter; 16 is the
+    # smallest size NumPy takes. conv's docstring gives the cost.
+    bufsize = np.setbufsize(16)
+    try:
+        for c0 in range(0, c, step):
+            ob, kb = out[c0 : c0 + step], taps[c0 : c0 + step, :, :, np.newaxis]
+            for t, (u, v) in enumerate(grid):
+                off = ((u * dh) // sh * wq + (v * dw) // sw) * nb
+                view = flat[u * dh % sh, v * dw % sw][c0 : c0 + step, off : off + n]
+                if t == 0:
+                    np.multiply(view, kb[:, u, v], out=ob)
+                else:
+                    # A slice cut short by its buffer's end misses only
+                    # pitch columns of the last output row.
+                    m = view.shape[1]
+                    ob[:, :m] += np.multiply(view, kb[:, u, v], out=term[: len(ob), :m])
+    finally:
+        np.setbufsize(bufsize)
+    out = out.reshape(c, ho, wq, nb)[:, :, :wo]
+    return out.transpose(3, 0, 1, 2) if x.ndim == 4 else out[..., 0]
+
+
 def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     """Convolve x (C x H x W) with kernel (C_out x C/g x K_h x K_w).
 
@@ -182,32 +231,72 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
 
     No patches are copied for a 1x1 kernel with g=1 (one matrix product over
     a strided view of the input) or for a depthwise layer, g=C=C_out (a sum
-    of the K_h*K_w strided views, each times its per-channel tap). Every other
-    layer is one matrix product of the kernel, per group, with the input's
-    im2col column matrix (Chellapilla, Puri & Simard 2006), one per sample:
-    a single product over batch-last columns is not bit-identical to
+    of K_h*K_w contiguous slices, each times its per-channel tap). Every
+    other layer is one matrix product of the kernel, per group, with the
+    input's im2col column matrix (Chellapilla, Puri & Simard 2006), one per
+    sample: a single product over batch-last columns is not bit-identical to
     per-sample calls. On a (8, 300, 12, 12) batch with a 64 x 300 x 3 x 3
     kernel (K = 2700; NumPy 2.4, OpenBLAS, 2 shared cores) the two differed
     by up to 4.4e-14.
 
-    The depthwise sum keeps a batch's samples on the last axis, so a row of a
-    tap's view runs over W' * B entries: on a (32, 16, 4, 4) batch with 3x3
-    taps that took the sum from 271 to 143 us (2 shared cores, min of 200
-    calls). It runs over blocks of max(1, 256 KB // (8 B H' W')) channels
-    (_DEPTHWISE_BLOCK_BYTES; B = 1 for one map), so a block's output, its tap
-    product and its input rows stay in L2 while all K_h*K_w taps pass over
-    them (loop blocking, Lam, Rothberg & Wolf 1991). The first tap writes its
-    product into the block and the later ones add to it: the bits of zeros
-    plus every product, up to the sign of a zero. Over struct_mv2_b's 34
-    depthwise convs at 224x224 (17 dense, 17 decomposed; 2 shared cores with 2
-    MB of L2 each, NumPy 2.4, min of 8 rounds) the blocks took 0.110 s at 32
-    KB, 0.107 at 64 KB, 0.093 at 128 KB, 0.090 at 256 KB, 0.091 at 512 KB,
-    0.111 at 1 MB and 0.114 as one block, against 0.117 s for np.zeros plus
-    one full-map pass per tap. Padding each block into a reused zero-bordered
-    buffer instead of padding the whole map took those convs from 0.087 to
-    0.082 s (median of 12), but infer-mv2b's op_s moved only from 0.172 to
-    0.164 s over 16 alternating pairs, less than its spread, so the whole map
-    is still padded once.
+    The depthwise sum reads every tap as one contiguous 1-D slice. For each
+    phase (a, b) = (u d_h mod s_h, v d_w mod s_w) that some tap (u, v) reads,
+    zero_pad writes rows a, a + s_h, ... and columns b, b + s_w, ... of the
+    padded input into a C x H_q x W_q x B buffer, where H_q and W_q are the
+    padded extents over the stride, rounded up, and B = 1 for one map; a
+    C-contiguous map at stride 1 without padding is its own buffer and is
+    read in place. Flattened per channel, tap (u, v) is the slice of
+    H' W_q B entries at offset ((u d_h // s_h) W_q + v d_w // s_w) B of its
+    phase's buffer, so the output is computed on an H' x W_q pitch and the
+    returned view keeps its W' valid columns. A slice that would run past
+    its buffer's end is cut there, at most (v d_w // s_w) B lanes short, and
+    the lanes it misses are pitch columns of the last output row; tap
+    (0, 0), which writes the block first, is never cut. Every valid output
+    gets the same products in the same order as a sum of strided 2-D views,
+    so the bits are those of that sum.
+
+    The taps run with NumPy's ufunc buffer at its smallest, 16 entries.
+    Their operand rows are contiguous and need no buffer, but at the
+    default 8192 NumPy 2.4 copies the (rows, 1) taps through one whenever a
+    row is shorter than that: a (16, 768) product with a (16, 1) tap took
+    11.3 us at the default and 3.8 us at 16, against 3.2 us for a product
+    with one scalar. Strided 2-D views do need the buffer, and at 16 the
+    sum of views ran 1.5 to 2 times as slow over struct_mv2_b's depthwise
+    convs, so the small buffer goes only with the flat slices. Slices of
+    H' W_q B entries with the small buffer, where each strided view walked
+    rows of W' entries (every s_w-th at stride s_w), took struct_mv2_b's 17
+    dense depthwise convs at 224x224 from 51.7 to 26.8 ms and its 17
+    decomposed ones from 44.8 to 26.8 ms: the 144 x 56 x 56 layer from 7.4
+    to 3.6 ms and the 96 x 112 x 112 stride-2 one from 8.5 to 5.2 ms (2
+    shared cores, NumPy 2.4, min of 8 calls per layer). A 2 x 2 kernel at
+    stride 2 puts each tap in its own phase, so the buffers cost a copy
+    that the slices do not repay: on a (192, 29, 29) map the phase buffers
+    took about half of the conv's 0.57 ms. Threads do not help on 2 shared
+    cores: two Python threads running NumPy ufuncs ran at 0.84x to 1.02x
+    the speed of one (arrays of 32 K to 2 M entries), and a thread pool over
+    channel blocks of strided views took those depthwise convs from 55.7 to
+    50.4 ms dense and from 47.2 to 42.3 ms decomposed, inside the host's
+    noise.
+
+    The batch stays on the last axis, so a slice runs over the whole batch:
+    on a (32, 16, 4, 4) batch with 3x3 taps, batch-last strided views took
+    the sum from 271 to 143 us (2 shared cores, min of 200 calls). The sum
+    runs over blocks of max(1, 256 KB // (8 B H' W_q)) channels
+    (_DEPTHWISE_BLOCK_BYTES), so a block's output, its tap product and its
+    input stay in L2 while all K_h*K_w taps pass over them (loop blocking,
+    Lam, Rothberg & Wolf 1991). The first tap writes its product into the
+    block and the later ones add to it: the bits of zeros plus every
+    product, up to the sign of a zero. Over struct_mv2_b's 34 depthwise
+    convs at 224x224 (17 dense, 17 decomposed; 2 shared cores with 2 MB of
+    L2 each, NumPy 2.4, min of 8 rounds) the blocks of strided views took
+    0.110 s at 32 KB, 0.107 at 64 KB, 0.093 at 128 KB, 0.090 at 256 KB,
+    0.091 at 512 KB, 0.111 at 1 MB and 0.114 as one block, against 0.117 s
+    for np.zeros plus one full-map pass per tap. Padding each block into a
+    reused zero-bordered buffer instead of padding the whole map took those
+    convs from 0.087 to 0.082 s (median of 12), but infer-mv2b's op_s moved
+    only from 0.172 to 0.164 s over 16 alternating pairs, less than its
+    spread, so the whole map is still padded once; phase buffers built
+    block by block into reused arrays showed no clear gain either.
     """
     x = _check_map(x)
     kernel = np.asarray(kernel, dtype=np.float64)
@@ -224,29 +313,14 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
         )
     ho = out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
     wo = out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
+    if g == c_in == c_out and not kh == kw == g == 1:
+        return _depthwise_conv(x, kernel[:, 0], (ho, wo), geom)
     ph, pw = geom.padding
-    xp = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((ph, ph), (pw, pw))) if ph or pw else x
+    xp = zero_pad(x, ph, pw) if ph or pw else x
     if kh == kw == 1 and g == 1:
         view = xp[(...,) + _tap_slices(0, 0, (ho, wo), geom.stride, geom.dilation)]
         out = kernel.reshape(c_out, c_in) @ view.reshape(lead + (c_in, ho * wo))
         return out.reshape(lead + (c_out, ho, wo))
-    if g == c_in == c_out:
-        # Channels first and the batch last, a unit axis for one map.
-        xt = np.ascontiguousarray(xp.transpose(1, 2, 3, 0)) if lead else xp[..., np.newaxis]
-        nb = xt.shape[-1]
-        out = np.empty((c_out, ho, wo, nb))
-        step = max(1, _DEPTHWISE_BLOCK_BYTES // (8 * ho * wo * nb))
-        term = np.empty((min(step, c_out), ho, wo, nb))
-        taps = kernel[:, 0, :, :, np.newaxis, np.newaxis, np.newaxis]
-        for c0 in range(0, c_out, step):
-            ob, xb, kb = out[c0 : c0 + step], xt[c0 : c0 + step], taps[c0 : c0 + step]
-            for t, (u, v) in enumerate(itertools.product(range(kh), range(kw))):
-                view = xb[(slice(None),) + _tap_slices(u, v, (ho, wo), geom.stride, geom.dilation)]
-                if t == 0:
-                    np.multiply(view, kb[:, u, v], out=ob)
-                else:
-                    ob += np.multiply(view, kb[:, u, v], out=term[: len(ob)])
-        return out.transpose(3, 0, 1, 2) if lead else out[..., 0]
     cols = im2col(xp, (kh, kw), geom.stride, geom.dilation)
     cols = cols.reshape(lead + (g, c_k * kh * kw, ho * wo))
     out = kernel.reshape(g, c_out // g, c_k * kh * kw) @ cols
@@ -377,13 +451,32 @@ def window_spread(x, k: int, axis: int):
     return out
 
 
-def zero_pad(x, ph, pw):
+def zero_pad(x, ph, pw, stride=(1, 1), phase=(0, 0), extent=None, axis=-2):
     """x with ph rows of zeros above and below and pw columns of zeros on
-    either side of its last two axes: zeros plus one copy, since np.pad's own
-    cost dominates on small maps."""
-    h, w = x.shape[-2:]
-    out = np.zeros(x.shape[:-2] + (h + 2 * ph, w + 2 * pw))
-    out[..., ph : ph + h, pw : pw + w] = x
+    either side of axes (axis, axis + 1), by default its last two: zeros
+    plus one copy, since np.pad's own cost dominates on small maps. Zeroing
+    only the border of an empty array was slower: 0.18 against 0.16 ms on a
+    (192, 28, 28) map (2 shared cores, min of 40 calls).
+
+    With a stride (s_h, s_w) and a phase (a, b), the result keeps only rows
+    a, a + s_h, ... and columns b, b + s_w, ... of the padded map: conv's
+    depthwise path splits a strided layer into such phase buffers. extent,
+    by default all the kept rows and columns, sets the result's extents on
+    the two axes; entries past the padded map are zero too.
+    """
+    i = axis % x.ndim
+    (h, w), (sh, sw), (a, b) = x.shape[i : i + 2], stride, phase
+    # Kept rows r0..r1-1 hold x[a + sh*r0 - ph], x[a + sh*(r0+1) - ph], ...
+    # and kept columns c0..c1-1 likewise.
+    r0, c0 = max(0, -((a - ph) // sh)), max(0, -((b - pw) // sw))
+    r1, c1 = max(r0, (h - 1 + ph - a) // sh + 1), max(c0, (w - 1 + pw - b) // sw + 1)
+    if extent is None:
+        extent = (-(-(h + 2 * ph - a) // sh), -(-(w + 2 * pw - b) // sw))
+    out = np.zeros(x.shape[:i] + tuple(extent) + x.shape[i + 2 :])
+    pre = (slice(None),) * i
+    rows = slice(a + sh * r0 - ph, a + sh * r1 - ph, sh)
+    cols = slice(b + sw * c0 - pw, b + sw * c1 - pw, sw)
+    out[pre + (slice(r0, r1), slice(c0, c1))] = x[pre + (rows, cols)]
     return out
 
 

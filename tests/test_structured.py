@@ -548,6 +548,34 @@ def test_depthwise_forward_takes_a_batch():
         forward_decomposed(random_tensor(53, (4, 3, 6, 6)), layer)
 
 
+@pytest.mark.parametrize(
+    "cfg,groups,geom",
+    [
+        (StructuredConfig(1, 3, 1, 3), 4, ConvGeometry(stride=2, padding=1)),
+        (StructuredConfig(1, 3, 1, 3), 4, ConvGeometry(padding=(2, 1), dilation=2)),
+        (StructuredConfig(3, 3, 3, 3), 1, ConvGeometry(stride=(1, 2), padding=1)),
+    ],
+    ids=["dwconv-stride2", "dwconv-dilation2", "conv"],
+)
+@pytest.mark.parametrize("batch", [None, 2], ids=["map", "batch"])
+def test_identity_pool_is_skipped_and_equals_the_dense_conv(cfg, groups, geom, batch, monkeypatch):
+    # With n = N and c = C every pool window is 1: the conv pads in the
+    # pool's stead, with the dense conv's bits and no sum_pool3d call.
+    assert cfg.pool_dims == (1, 1, 1)
+    geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups)
+    alphas = random_tensor(60, (4, cfg.c, 3, 3))
+    layer = decomposed_layer(alphas, cfg, geom, bias=random_tensor(61, (4,)))
+    x = random_tensor(62, (batch or 1, 4 if groups > 1 else 3, 9, 8))
+    x = x if batch else x[0]
+    want = conv(x, alphas, geom) + layer.bias[:, None, None]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an identity pool called sum_pool3d")
+
+    monkeypatch.setattr(structconv.structured, "sum_pool3d", no_pool)
+    np.testing.assert_array_equal(forward_decomposed(x, layer), want)
+
+
 def test_depthwise_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         decompose_conv_layer(

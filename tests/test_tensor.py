@@ -24,6 +24,7 @@ from structconv.tensor import (
     window_spread,
     window_sum,
     write_tensor,
+    zero_pad,
 )
 
 
@@ -144,8 +145,15 @@ def depthwise_taps_reference(x, kernel, geom):
     return out
 
 
-# Channels per block of a depthwise conv with a 32x32 output.
+# Channels in 256 KB of 32x32 outputs.
 _BLOCK_32 = _DEPTHWISE_BLOCK_BYTES // (8 * 32 * 32)
+
+
+def depthwise_block(ho, w, geom):
+    # Channels per block of a depthwise conv on one map: the block's output
+    # runs over the W_q pitch of its phase buffers, so pitch lanes count too.
+    wq = -(-(w + 2 * geom.padding[1]) // geom.stride[1])
+    return max(1, _DEPTHWISE_BLOCK_BYTES // (8 * ho * wq))
 
 
 @pytest.mark.parametrize(
@@ -160,7 +168,8 @@ _BLOCK_32 = _DEPTHWISE_BLOCK_BYTES // (8 * 32 * 32)
 )
 def test_depthwise_blocks_are_bit_identical_to_the_unblocked_sum(hw, geom):
     # Every case has a 32x32 output: two full channel blocks and a remainder.
-    c = 2 * _BLOCK_32 + _BLOCK_32 // 3
+    step = depthwise_block(32, hw[1], geom)
+    c = 2 * step + step // 3
     geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=c)
     x = random_tensor(37, (c,) + hw)
     kernel = random_tensor(38, (c, 1, 3, 3))
@@ -255,6 +264,132 @@ def test_batched_depthwise_blocks_are_bit_identical_to_per_sample_calls():
     for xi, gi in zip(x, got):
         np.testing.assert_array_equal(gi, conv(xi, kernel, geom))
         np.testing.assert_array_equal(gi, depthwise_taps_reference(xi, kernel, geom))
+
+
+@pytest.mark.parametrize(
+    "hw,geom,k_hw",
+    [
+        ((17, 16), ConvGeometry(stride=3, padding=1), (3, 3)),
+        ((17, 16), ConvGeometry(stride=3, padding=2), (5, 4)),
+        ((17, 16), ConvGeometry(stride=(3, 2), padding=(2, 1), dilation=2), (3, 3)),
+        ((17, 16), ConvGeometry(stride=(2, 3), dilation=(3, 2)), (2, 4)),
+        ((1, 2), ConvGeometry(stride=3, padding=2), (3, 3)),
+    ],
+    ids=["stride3", "stride3-5x4", "stride3x2-dilation2", "stride2x3-dilation3x2",
+         "phase-of-padding-only"],
+)
+def test_depthwise_taps_in_several_phases(hw, geom, k_hw):
+    # Stride and dilation spread the taps over several phase buffers; on a
+    # 1 x 2 map, phase (0, 0) holds padding only.
+    c = 7
+    geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=c)
+    x = random_tensor(49, (c,) + hw)
+    kernel = random_tensor(50, (c, 1) + k_hw)
+    np.testing.assert_array_equal(conv(x, kernel, geom), depthwise_taps_reference(x, kernel, geom))
+    np.testing.assert_allclose(
+        conv(x, kernel, geom), conv_loops(x, kernel, geom), rtol=0, atol=1e-12
+    )
+
+
+def test_batched_depthwise_at_stride_2_is_bit_identical_to_per_sample_calls():
+    c = 6
+    geom = ConvGeometry(stride=2, padding=1, groups=c)
+    x = random_tensor(51, (3, c, 11, 10))
+    kernel = random_tensor(52, (c, 1, 3, 3))
+    got = conv(x, kernel, geom)
+    assert got.shape == (3, c, 6, 5)
+    for xi, gi in zip(x, got):
+        np.testing.assert_array_equal(gi, conv(xi, kernel, geom))
+        np.testing.assert_array_equal(gi, depthwise_taps_reference(xi, kernel, geom))
+
+
+@pytest.mark.parametrize("dilation", [1, 2])
+def test_depthwise_reads_an_unpadded_contiguous_map_in_place(dilation, monkeypatch):
+    # No padding, stride 1 and a C-contiguous map: no phase buffer is built,
+    # and the last taps' slices end at the end of the map itself.
+    c = 2 * _BLOCK_32 + 3
+    geom = ConvGeometry(dilation=dilation, groups=c)
+    x = random_tensor(53, (c, 36, 34))
+    kernel = random_tensor(54, (c, 1, 3, 3))
+    want = depthwise_taps_reference(x, kernel, geom)
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("the in-place depthwise path copied its input")
+
+    monkeypatch.setattr(tensor, "zero_pad", no_copy)
+    got = conv(x, kernel, geom)
+    assert got.shape == (c, 36 - 2 * dilation, 34 - 2 * dilation)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "geom",
+    [
+        ConvGeometry(),
+        ConvGeometry(padding=1),
+        ConvGeometry(stride=2, padding=1),
+        ConvGeometry(stride=(3, 2), dilation=2),
+    ],
+    ids=["in-place", "padded", "stride2", "stride3x2-dilation2"],
+)
+@pytest.mark.parametrize("batch", [None, 3], ids=["map", "batch"])
+def test_depthwise_never_writes_or_aliases_its_input(geom, batch):
+    c = 5
+    geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=c)
+    x = np.array(random_tensor(55, (batch or 1, c, 12, 11)))
+    x = x if batch else x[0]
+    before = x.copy()
+    kernel = random_tensor(56, (c, 1, 3, 3))
+    # Finite inputs never raise, though the pitch lanes multiply border zeros
+    # and entries that wrap around from the next row.
+    with np.errstate(all="raise"):
+        out = conv(x, kernel, geom)
+    np.testing.assert_array_equal(x, before)
+    assert not np.shares_memory(out, x)
+    out[...] = np.nan
+    np.testing.assert_array_equal(x, before)
+
+
+def test_depthwise_restores_the_ufunc_buffer_size():
+    # The taps run with NumPy's smallest ufunc buffer, which must not leak.
+    before = np.getbufsize()
+    geom = ConvGeometry(padding=1, groups=3)
+    conv(random_tensor(63, (3, 6, 6)), random_tensor(64, (3, 1, 3, 3)), geom)
+    assert np.getbufsize() == before
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        conv(np.full((3, 6, 6), 1e300), np.full((3, 1, 3, 3), 1e300), geom)
+    assert np.getbufsize() == before
+
+
+@pytest.mark.parametrize(
+    "shape,pad,stride,phase",
+    [
+        ((3, 5, 4), (1, 2), (1, 1), (0, 0)),
+        ((2, 3, 5, 4), (0, 1), (1, 1), (0, 0)),
+        ((3, 7, 6), (1, 1), (2, 2), (1, 0)),
+        ((3, 7, 6), (2, 1), (3, 2), (2, 1)),
+        ((3, 1, 2), (2, 2), (3, 3), (0, 0)),
+    ],
+    ids=["map", "batch", "stride2", "stride3x2", "padding-only"],
+)
+def test_zero_pad_keeps_one_phase_of_the_padded_map(shape, pad, stride, phase):
+    x = random_tensor(57, shape)
+    (ph, pw), (sh, sw), (a, b) = pad, stride, phase
+    want = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((ph, ph), (pw, pw)))[..., a::sh, b::sw]
+    got = zero_pad(x, ph, pw, stride, phase)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
+def test_zero_pad_on_inner_axes_with_a_larger_extent():
+    # conv's depthwise buffers: C x H x W x B, with zeros past the padded map.
+    x = random_tensor(58, (3, 7, 6, 2))
+    got = zero_pad(x, 1, 2, (2, 3), (1, 2), (6, 5), axis=1)
+    kept = np.pad(x, ((0, 0), (1, 1), (2, 2), (0, 0)))[:, 1::2, 2::3]
+    assert kept.shape == (3, 4, 3, 2)
+    want = np.zeros((3, 6, 5, 2))
+    want[:, :4, :3] = kept
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (1, 2, 3, 5, 5)])
