@@ -24,11 +24,10 @@ crops it, and walks the channels in blocks of about _DEPTHWISE_BLOCK_BYTES =
 taps. zero_pad is the one padding helper: it writes the phase buffers and
 every other padded map.
 
-Training's backward uses the gather and scatter with the batch last: im2col
-of a C x H x W x B map gives (C*K_h*K_w, H'*W'*B) columns, so one matrix
-product per group covers the batch, and col2im, their adjoint, adds the
-columns back in rows of W'*B entries. These two and conv are the only tap
-loops in the package.
+Training gathers with the batch last: im2col of a C x H x W x B map gives
+(C*K_h*K_w, H'*W'*B) columns, which one matrix product per group covers in
+both passes, and col2im, their adjoint, adds columns back in rows of W'*B
+entries. These two and conv are the only tap loops in the package.
 
 The window pair indexes the summed axis where it is: np.moveaxis costs about
 5 us a call, which small maps notice. window_sum takes a stride-1 running sum
@@ -134,10 +133,10 @@ def im2col(xp, k_hw, stride=(1, 1), dilation=(1, 1), batch_last=False):
     multiplies.
 
     xp is C x H x W or B x C x H x W, giving (..., C*K_h*K_w, H'*W') for
-    conv's per-sample matrix products. With batch_last, xp is C x H x W x B
-    and the result is (C*K_h*K_w, H'*W'*B), so one matrix product covers the
+    conv's per-sample matrix products. With batch_last, for training, xp is
+    C x H x W x B, giving (C*K_h*K_w, H'*W'*B) for one product over the
     whole batch. Filled tap by tap, one strided copy per tap, into one
-    C-contiguous array, so a matrix product reads it without another copy.
+    C-contiguous array, which a matrix product reads without another copy.
     """
     kh, kw = k_hw
     # The axes before the spatial pair, and the batch after it.

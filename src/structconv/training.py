@@ -3,8 +3,8 @@
 Small stack of hand-differentiated layers (conv, depthwise conv, relu, global
 average pool, linear) trained with plain mini-batch SGD on softmax cross
 entropy. The conv, depthwise and linear layers are one structured layer type
-that runs tensor.conv on the whole batch, where a depthwise conv has one
-channel per group and a linear layer is a 1x1 conv on a 1x1 map. Three modes:
+that gathers its batch's im2col columns once for both passes; a depthwise
+conv has a group per channel, a linear layer a 1x1 map. Three modes:
 
   regularized  adds lam * sum of per-layer structural residuals to the loss,
                pulling dense weights toward the structured subspace
@@ -34,7 +34,7 @@ from .structured import (
     block_alphas,
     structure_matrix,
 )
-from .tensor import ConvGeometry, col2im, conv, im2col, random_tensor, sum_pool3d, zero_pad
+from .tensor import col2im, im2col, random_tensor, window_sum, zero_pad
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
 
@@ -171,7 +171,7 @@ def _as_map(x):
 
 
 class _Layer:
-    cfg = None
+    cfg = cols = None
 
     def params(self):
         return []
@@ -184,15 +184,15 @@ class _Structured(_Layer):
     (out, c, n, n) when direct, where direct mode sum-pools the input with
     cfg.pool_dims before the small kernel. Input channels split into `groups`
     blocks as in tensor.conv: a depthwise conv has groups = channels and
-    C = c = 1. A linear layer has N = n = 1 and takes (B, Q) inputs. The
-    pool's and the conv's ConvGeometry are built once, here.
+    C = c = 1. A linear layer has N = n = 1 and reads (B, Q) inputs as 1x1 maps.
 
-    The forward runs tensor.conv on the padded (direct mode: pooled) batch
-    and keeps only that input. The backward of a conv or depthwise layer
-    moves the gradient and that input to (C, H, W, B) once, so the weight
-    gradient is one matrix product per group over the batch-last im2col
-    columns, and the input gradient is one product per group followed by
-    one col2im scatter whose rows hold W' * B entries.
+    The forward pads (direct mode: pools, with the window pair in sum_pool3d's
+    order) the batch as a (C, H, W, B) map, gathers its im2col columns and
+    runs one product per group over them: one GEMM for a conv or linear layer,
+    one batched product for a depthwise layer. It returns a view of the
+    (C', H', W', B) output, so the next layer's batch-last map is free. The
+    columns live until the backward, whose weight gradient is one product per
+    group with them and input gradient one product per group and one col2im.
     """
 
     def __init__(self, name, cfg, out_channels, groups, stride, padding, seed, direct):
@@ -202,8 +202,6 @@ class _Structured(_Layer):
         self.stride = stride
         self.padding = padding
         self.direct = direct
-        self.pool_geom = ConvGeometry(padding=padding)
-        self.geom = ConvGeometry(stride=stride, groups=groups)
         dims = (cfg.c, cfg.n) if direct else (cfg.C, cfg.N)
         self.w = _he_init(seed, (out_channels, dims[0], dims[1], dims[1]))
         self.b = np.zeros(out_channels)
@@ -211,51 +209,47 @@ class _Structured(_Layer):
         self.gb = np.zeros_like(self.b)
 
     def forward(self, x):
-        self.x_shape = x.shape
-        x = _as_map(x)
-        self.map_shape = x.shape
-        p = self.padding
-        if self.direct:
-            x = sum_pool3d(x, self.cfg.pool_dims, self.pool_geom)
-        elif p:
-            x = zero_pad(x, p, p)
-        self.xp = x
-        out = conv(x, self.w, self.geom)
-        out += self.b[:, None, None]
-        return out.reshape(out.shape[: len(self.x_shape)])
+        self.x_shape, p = x.shape, self.padding
+        kc, kh, kw = self.cfg.pool_dims if self.direct else (1, 1, 1)
+        xt = window_sum(_as_map(x).transpose(1, 2, 3, 0), kc, 0)
+        xt = zero_pad(xt, p, p, axis=1) if p else xt
+        xt = window_sum(window_sum(xt, kh, 1), kw, 2)
+        k, s, grp = self.w.shape[-1], self.stride, self.groups
+        self.pad_shape, cols = xt.shape, im2col(xt, (k, k), (s, s), batch_last=True)
+        self.cols = cols.reshape(grp, -1, cols.shape[-1])
+        out = self.w.reshape(grp, len(self.w) // grp, -1) @ self.cols
+        out = out.reshape((len(self.w),) + tuple((n - k) // s + 1 for n in xt.shape[1:3]) + (-1,))
+        out += self.b[:, None, None, None]
+        return out.transpose(3, 0, 1, 2).reshape(-1, *out.shape[: len(self.x_shape) - 1])
 
     def backward(self, g, input_grad=True):
         """Add this batch's weight and bias gradients to gw and gb and, with
         input_grad, return the gradient with respect to the layer's input."""
         g = _as_map(g)
         self.gb += g.sum(axis=(0, 2, 3))
-        xp, grp = self.xp, self.groups
-        wg = self.w.reshape(grp, len(self.w) // grp, -1)
-        if xp.shape[2:] == (1, 1):
-            # The batch is the inner axis of both products.
-            gm, xm = g.reshape(len(g), -1), xp.reshape(len(xp), -1)
-            self.gw += (gm.T @ xm).reshape(self.w.shape)
-            if not input_grad:
-                return None
-            dxp = (gm @ wg[0]).reshape(xp.shape)
+        grp, k, s, p = self.groups, self.w.shape[-1], self.stride, self.padding
+        gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(grp, -1, self.cols.shape[-1])
+        self.gw += np.matmul(gt, self.cols.transpose(0, 2, 1)).reshape(self.w.shape)
+        self.cols = None  # the input gradient needs only gt and the weights
+        if not input_grad:
+            return None
+        wt = self.w.reshape(grp, len(self.w) // grp, -1).transpose(0, 2, 1)
+        if gt.shape[1] == 1:
+            # One output per group (depthwise): outer products, np.matmul's bits
+            # with no gemm call per group; a 16-entry ufunc buffer copies no tap.
+            bufsize = np.setbufsize(16)
+            try:
+                dcols = wt * gt
+            finally:
+                np.setbufsize(bufsize)
         else:
-            # Channels first and the batch last, so each group's gradient
-            # rows meet its im2col rows over the whole batch in one product.
-            k, s, xt = self.w.shape[-1], self.geom.stride, xp.transpose(1, 2, 3, 0)
-            gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(grp, wg.shape[1], -1)
-            cols = im2col(xt, (k, k), s, batch_last=True).reshape(grp, -1, gt.shape[-1])
-            self.gw += np.matmul(gt, cols.transpose(0, 2, 1)).reshape(self.w.shape)
-            if not input_grad:
-                return None
-            del cols  # the input gradient needs only gt and the weights
-            dxt = col2im(np.matmul(wg.transpose(0, 2, 1), gt), xt.shape, (k, k), s)
-            dxp = dxt.transpose(3, 0, 1, 2)
+            dcols = np.matmul(wt, gt)
+        dxp = col2im(dcols, self.pad_shape, (k, k), (s, s)).transpose(3, 0, 1, 2)
         if self.direct:
             # The stride-1 pool's adjoint spreads each axis over its window,
             # which is the reconstruction A @ alpha applied to every sample.
             dxp = _reconstruct_stack(dxp, self.cfg)
-        (h, w), p = self.map_shape[2:], self.padding
-        return dxp[:, :, p : p + h, p : p + w].reshape(self.x_shape)
+        return dxp[:, :, p : dxp.shape[2] - p, p : dxp.shape[3] - p].reshape(self.x_shape)
 
     def params(self):
         return [(self.w, self.gw), (self.b, self.gb)]
@@ -282,8 +276,8 @@ class _GlobalAvgPool(_Layer):
         return x.mean(axis=(2, 3))
 
     def backward(self, g):
-        b, c, h, w = self.x_shape
-        return np.broadcast_to(g[:, :, None, None], self.x_shape) / (h * w)
+        b, c, h, w = self.x_shape  # a view with the batch last, like the layers' outputs
+        return np.broadcast_to((g / (h * w)).T[:, None, None], (c, h, w, b)).transpose(3, 0, 1, 2)
 
 
 class ToyModel:
@@ -324,6 +318,13 @@ class ToyModel:
     def forward(self, x):
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def predict(self, x):
+        """The logits of a forward that no backward follows: no columns kept."""
+        for layer in self.layers:
+            x = layer.forward(x)
+            layer.cols = None
         return x
 
     def backward(self, g):
@@ -432,10 +433,10 @@ def make_toy_dataset(seed: int = 0) -> ToyDataset:
         s = seed + 1000003 * attempt
         x = np.array(random_tensor(s, (total, 3, 8, 8)))
         teacher = ToyModel(_TEACHER_SPEC, seed=s + 7)
-        logits = teacher.forward(x)
+        logits = teacher.predict(x)
         head = teacher.layers[-1]
         head.b += _calibrate_head_bias(logits, 4)
-        labels = np.argmax(teacher.forward(x), axis=1)
+        labels = np.argmax(teacher.predict(x), axis=1)
         train_y, test_y = labels[:_N_TRAIN], labels[_N_TRAIN:]
         if _balanced(train_y, 4) and _balanced(test_y, 4):
             return ToyDataset(
@@ -459,7 +460,7 @@ def evaluate(model: ToyModel, x, y, batch_size: int = 256) -> EvalResult:
     losses, correct = [], 0
     for start in range(0, x.shape[0], batch_size):
         xb, yb = x[start : start + batch_size], y[start : start + batch_size]
-        logits = model.forward(xb)
+        logits = model.predict(xb)
         loss, _ = _softmax_ce(logits, yb)
         losses.append(loss * xb.shape[0])
         correct += int(np.sum(np.argmax(logits, axis=1) == yb))

@@ -7,7 +7,7 @@ import pytest
 
 from structconv import cli, training
 from structconv.structured import StructuredConfig, structure_matrix
-from structconv.structured import _reconstruct_stack
+from structconv.structured import _reconstruct_stack, decomposed_layer, forward_decomposed
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, sum_pool3d
 from structconv.training import (
     Conv,
@@ -328,6 +328,66 @@ def test_train_never_builds_the_first_layers_input_gradient(monkeypatch, mode):
     assert depthwise in scatters  # the spies see the other layers' scatters
 
 
+@pytest.mark.parametrize("mode", ["plain", "direct"])
+def test_train_gathers_each_layers_columns_once_per_forward(monkeypatch, mode):
+    # A structured layer's forward gathers its im2col columns once and its
+    # backward reads them: no backward gathers, and only a backward other
+    # than the first layer's scatters with col2im.
+    ds = make_toy_dataset(4)
+    running, forwards, calls = [], [], []
+
+    def traced(name):
+        real = getattr(training._Structured, name)
+
+        def method(self, *args, **kwargs):
+            if name == "forward":
+                forwards.append(self)
+            running.append((name, self))
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                running.pop()
+        return method
+
+    def spy(fn):
+        real = getattr(training, fn)
+
+        def call(*args, **kwargs):
+            calls.append((fn,) + (running[-1] if running else (None, None)))
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("forward", "backward"):
+        monkeypatch.setattr(training._Structured, name, traced(name))
+    for fn in ("im2col", "col2im"):
+        monkeypatch.setattr(training, fn, spy(fn))
+    small = training.ToyDataset(ds.train_x[:64], ds.train_y[:64], ds.test_x[:32], ds.test_y[:32],
+                                ds.teacher, ds.seed)
+    cfg = TrainingConfig(lam=0.0, lr=0.2, epochs=1, batch_size=32, seed=9, mode=mode)
+    model, _ = train(TINY_SPEC, small, cfg)
+    gathers = [(where, layer) for fn, where, layer in calls if fn == "im2col"]
+    scatters = [(where, layer) for fn, where, layer in calls if fn == "col2im"]
+    assert len(forwards) > len(model.structured_layers())
+    assert gathers == [("forward", layer) for layer in forwards]
+    assert scatters and {where for where, _ in scatters} == {"backward"}
+    assert model.layers[0] not in {layer for _, layer in scatters}
+
+
+def test_columns_live_from_a_forward_to_its_backward():
+    # A layer keeps its im2col columns for the backward that reads them, and
+    # a forward that no backward follows keeps none.
+    model = ToyModel(TINY_SPEC, seed=5)
+    x = np.array(random_tensor(6, (4, 3, 6, 6)))
+    layers = model.structured_layers()
+    model.forward(x)
+    assert all(layer.cols is not None for layer in layers)
+    model.backward(np.ones((4, 4)))
+    assert all(layer.cols is None for layer in layers)
+    np.testing.assert_array_equal(model.predict(x), model.forward(x))
+    model.predict(x)
+    assert all(layer.cols is None for layer in layers)
+
+
 def test_short_training_runs_match_recorded_values():
     # Two epochs of the stock toy model on make_toy_dataset(3), seed 3, in
     # every mode. Accuracies must match exactly, task losses to 1e-12
@@ -406,6 +466,7 @@ def test_regularized_drives_residual_down():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_guard():
     ds = make_toy_dataset(4)
     # One step at this rate overflows the weights; the next forward pass goes
@@ -613,3 +674,24 @@ def test_layer_matches_einsum_reference(case, direct):
     for got, want in ((out, want_out), (layer.gw, want_gw), (dx, want_dx)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", sorted(EINSUM_CASES))
+def test_direct_forward_matches_forward_decomposed(case):
+    # Training's decomposed math is inference's: a direct-mode layer's batch
+    # forward equals structured.forward_decomposed, sample by sample, on the
+    # decomposed layer built from the same alphas, geometry and bias.
+    desc, x_shape = EINSUM_CASES[case]
+    spec = ToyModelSpec(layers=(desc,), input_shape=(x_shape[1], 1, 1))
+    layer = ToyModel(spec, seed=31, direct=True).layers[0]
+    layer.b = np.array(random_tensor(32, layer.b.shape))
+    x = np.array(random_tensor(33, x_shape))
+    if isinstance(desc, Linear):
+        decomposed = decomposed_layer(layer.w.reshape(len(layer.w), -1), layer.cfg, bias=layer.b)
+    else:
+        geom = ConvGeometry(stride=desc.stride, padding=desc.padding, groups=layer.groups)
+        decomposed = decomposed_layer(layer.w, layer.cfg, geom, layer.b)
+    got = layer.forward(x)
+    want = np.stack([forward_decomposed(xi, decomposed) for xi in x])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
