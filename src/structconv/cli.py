@@ -183,15 +183,21 @@ def _expected_weight_shape(spec):
     return (spec.cout, spec.cin, spec.k, spec.k)
 
 
-def _write_decomposed(out_dir, layers, weights, tol):
-    # The layers are written into a temporary directory beside out_dir and
-    # move into out_dir only once all of them exist, so a failed command
-    # leaves no half-written output.
+def _write_decomposed(out_dir, layers, weights):
+    # cmd_decompose has checked every kernel's residual, so each layer is
+    # built from its coefficients with no second check, and written before
+    # the next is built. The layers are written into a temporary directory
+    # beside out_dir and move into out_dir only once all of them exist, so a
+    # failed command leaves no half-written output.
     parent = os.path.dirname(os.path.abspath(out_dir))
     os.makedirs(parent, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=".decompose-", dir=parent) as tmp:
         for spec, w in zip(layers, weights):
-            layer = structured.decompose_conv_layer(w, spec.cfg, spec.geom, residual_tol=tol)
+            cfg = spec.cfg
+            alphas = structured.block_alphas(w.reshape(len(w), -1), cfg)
+            if spec.kind != "linear":
+                alphas = alphas.reshape(len(w), cfg.c, cfg.n, cfg.n)
+            layer = structured.decomposed_layer(alphas, cfg, spec.geom)
             structured.save_decomposed_layer(tmp, f"layer_{spec.index:03d}", layer)
         os.makedirs(out_dir, exist_ok=True)
         for name in sorted(os.listdir(tmp)):
@@ -219,7 +225,7 @@ def cmd_decompose(args) -> int:
             worst = (spec.index, residual)
     ok = worst[1] <= args.tol
     if ok:
-        _write_decomposed(args.out, layers, weights, args.tol)
+        _write_decomposed(args.out, layers, weights)
     payload = {
         "command": "decompose",
         "tolerance": args.tol,

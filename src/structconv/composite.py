@@ -113,7 +113,7 @@ def conv_composite(x, kernel: CompositeKernel, geom: ConvGeometry = ConvGeometry
     """
     out = None
     for m in range(kernel.basis.size):
-        support_sum = conv(x, kernel.basis.elements[m][np.newaxis], geom)[0]
+        support_sum = conv(x, kernel.basis.elements[m][np.newaxis], geom)[..., 0, :, :]
         term = kernel.alphas[m] * support_sum
         out = term if out is None else out + term
     return out

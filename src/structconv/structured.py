@@ -204,7 +204,7 @@ class StructureMatrix:
     @cached_property
     def pinv(self) -> np.ndarray:
         # Row i of block_alphas(I) is pinv @ e_i.
-        return _frozen(block_alphas(np.eye(self.cfg.C * self.cfg.N**2), self).T)
+        return _frozen(block_alphas(np.eye(self.cfg.C * self.cfg.N**2), self.cfg).T)
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -254,15 +254,14 @@ def project(w, cfg: StructuredConfig) -> tuple[np.ndarray, float]:
 def extract_alpha(w, cfg: StructuredConfig) -> np.ndarray:
     """Least-squares coefficients pinv(A) @ vec(w), shaped (c, n, n)."""
     w = _check_kernel(w, cfg)
-    return block_alphas(w.reshape(1, -1), structure_matrix(cfg)).reshape(cfg.c, cfg.n, cfg.n)
+    return block_alphas(w.reshape(1, -1), cfg).reshape(cfg.c, cfg.n, cfg.n)
 
 
-def block_alphas(flat, sm: StructureMatrix) -> np.ndarray:
+def block_alphas(flat, cfg: StructuredConfig) -> np.ndarray:
     """Least-squares coefficients of many kernels at once: flat holds one
     vectorized kernel per row, the result one coefficient row per kernel.
     pinv(A) is the Kronecker product of the bands' pseudoinverses, so each
     kernel axis is solved in turn."""
-    cfg = sm.cfg
     x = np.asarray(flat, dtype=np.float64).reshape(-1, cfg.C, cfg.N, cfg.N)
     out = x
     for axis, k in _bands(cfg):
@@ -291,10 +290,9 @@ def reconstruct(alpha, cfg: StructuredConfig) -> np.ndarray:
     return _reconstruct_stack(alpha, cfg)
 
 
-def _worst_block_residual(flat, sm: StructureMatrix):
+def _worst_block_residual(flat, cfg: StructuredConfig):
     # flat: one kernel per row. Zero rows are exactly structured.
     norms = np.sqrt(_row_squares(flat))
-    cfg = sm.cfg
     resid = _projection(flat.reshape(-1, cfg.C, cfg.N, cfg.N), cfg, norms_only=True)[1]
     res = resid / np.where(norms > 0.0, norms, 1.0)
     worst = int(np.argmax(res)) if res.size else -1
@@ -308,7 +306,7 @@ def worst_kernel_residual(weights, cfg: StructuredConfig) -> float:
     a linear layer, channel planes for depthwise)."""
     weights = np.asarray(weights, dtype=np.float64)
     flat = weights.reshape(-1, cfg.C * cfg.N * cfg.N)
-    return _worst_block_residual(flat, structure_matrix(cfg))[1]
+    return _worst_block_residual(flat, cfg)[1]
 
 
 @dataclass(frozen=True)
@@ -420,16 +418,15 @@ def decompose_conv_layer(
             f"weights shape {weights.shape} does not match config dims "
             f"(C_out, {', '.join(map(str, dims))})"
         )
-    sm = structure_matrix(cfg)
     flat = weights.reshape(len(weights), -1)
-    worst_idx, worst_res = _worst_block_residual(flat, sm)
+    worst_idx, worst_res = _worst_block_residual(flat, cfg)
     if not worst_res <= residual_tol:
         raise ResidualError(
             f"output channel {worst_idx} has residual {worst_res:.3e} "
             f"> tolerance {residual_tol:.3e}"
         )
     small = (cfg.c, cfg.n, cfg.n)[: len(dims)]
-    alphas = block_alphas(flat, sm).reshape((len(weights),) + small)
+    alphas = block_alphas(flat, cfg).reshape((len(weights),) + small)
     return decomposed_layer(alphas, cfg, geom, bias)
 
 

@@ -9,25 +9,25 @@ take differences of running sums for longer ones; linear maps; a
 counter-based seeded random generator; and a bit-exact binary file
 container.
 
-Convolution is cross-correlation: no kernel flip, zero padding only. It takes
-one map (C x H x W) or a batch (B x C x H x W), and a batch gives the bits of
-convolving each sample on its own. It takes one of three paths, picked from
-the layer's shapes: one matrix product for a 1x1 kernel with one group,
-shift-and-add over contiguous slices for a depthwise layer, and for every
-other layer one matrix product per sample with the column matrix that im2col
-fills tap by tap. The depthwise path puts the batch last and splits the
-padded input into phase buffers, one per residue of a tap's offset modulo
-the stride, so that every tap reads one contiguous 1-D slice of each
-channel's flat buffer. It computes the output on the buffers' row pitch and
-crops it, and walks the channels in blocks of about _DEPTHWISE_BLOCK_BYTES =
-256 KB of that output, so that each block stays in cache across all its
-taps. zero_pad is the one padding helper: it writes the phase buffers and
-every other padded map.
+Convolution is cross-correlation: no kernel flip, zero padding only. It
+computes one map (C x H x W); a batch (B x C x H x W) is its samples, each
+convolved on its own. It takes one of three paths, picked from the layer's
+shapes: one matrix product for a 1x1 kernel with one group, shift-and-add
+over contiguous slices for a depthwise layer, and for every other layer one
+matrix product per group with the column matrix that im2col fills tap by
+tap. The depthwise path splits the padded input into phase buffers, one per
+residue of a tap's offset modulo the stride, so that every tap reads one
+contiguous 1-D slice of each channel's flat buffer. It computes the output on
+the buffers' row pitch and crops it, and walks the channels in blocks of
+about _DEPTHWISE_BLOCK_BYTES = 256 KB of that output, so that each block
+stays in cache across all its taps. zero_pad is the one padding helper: it
+writes the phase buffers and every other padded map.
 
-Training gathers with the batch last: im2col of a C x H x W x B map gives
-(C*K_h*K_w, H'*W'*B) columns, which one matrix product per group covers in
-both passes, and col2im, their adjoint, adds columns back in rows of W'*B
-entries. These two and conv are the only tap loops in the package.
+im2col of a padded C x H x W x B map gives (C*K_h*K_w, H'*W'*B) columns, the
+batch last: conv gathers one map, and training its whole batch, which one
+matrix product per group covers in both passes. col2im, their adjoint, adds
+columns back in rows of W'*B entries. These two and conv are the only tap
+loops in the package.
 
 The window pair indexes the summed axis where it is: np.moveaxis costs about
 5 us a call, which small maps notice. window_sum takes a stride-1 running sum
@@ -127,36 +127,28 @@ def _tap_grid(hw, k_hw, stride, dilation):
     return tuple(out_extent(n, k, s, 0, d) for n, k, s, d in zip(hw, k_hw, stride, dilation))
 
 
-def im2col(xp, k_hw, stride=(1, 1), dilation=(1, 1), batch_last=False):
-    """Column matrix of an already padded map for a K_h x K_w kernel, whose
-    row (c, u, v) holds the strided view of channel c that kernel tap (u, v)
-    multiplies.
-
-    xp is C x H x W or B x C x H x W, giving (..., C*K_h*K_w, H'*W') for
-    conv's per-sample matrix products. With batch_last, for training, xp is
-    C x H x W x B, giving (C*K_h*K_w, H'*W'*B) for one product over the
-    whole batch. Filled tap by tap, one strided copy per tap, into one
-    C-contiguous array, which a matrix product reads without another copy.
+def im2col(xp, k_hw, stride=(1, 1), dilation=(1, 1)):
+    """Column matrix (C*K_h*K_w, H'*W'*B) of an already padded C x H x W x B
+    map for a K_h x K_w kernel, whose row (c, u, v) holds the strided view of
+    channel c that kernel tap (u, v) multiplies, each column's batch last.
+    Filled tap by tap, one strided copy per tap, into one C-contiguous array,
+    which a matrix product reads without another copy.
     """
+    c, h, w, b = xp.shape
     kh, kw = k_hw
-    # The axes before the spatial pair, and the batch after it.
-    tail = xp.shape[3:] if batch_last else ()
-    head = xp.shape[: xp.ndim - len(tail) - 2]
-    ho, wo = _tap_grid(xp.shape[len(head) : len(head) + 2], k_hw, stride, dilation)
-    cols = np.empty(head + (kh, kw, ho, wo) + tail)
-    every = (slice(None),) * len(tail)
+    ho, wo = _tap_grid((h, w), k_hw, stride, dilation)
+    cols = np.empty((c, kh, kw, ho, wo, b))
     for u, v in itertools.product(range(kh), range(kw)):
         rows, cs = _tap_slices(u, v, (ho, wo), stride, dilation)
-        cols[(..., u, v, slice(None), slice(None)) + every] = xp[(..., rows, cs) + every]
-    return cols.reshape(head[:-1] + (-1, ho * wo * math.prod(tail)))
+        cols[:, u, v] = xp[:, rows, cs]
+    return cols.reshape(c * kh * kw, ho * wo * b)
 
 
 def col2im(cols, shape, k_hw, stride=(1, 1), dilation=(1, 1)):
-    """Adjoint of im2col with batch_last: adds every entry of cols
-    (C*K_h*K_w, H'*W'*B) back onto the entry of the padded C x H x W x B map
-    (shape) it was copied from, one strided add per tap, and returns that
-    map. With the batch last, each add walks rows of W'*B entries at
-    horizontal stride 1, and runs of B entries otherwise."""
+    """Adjoint of im2col: adds every entry of cols (C*K_h*K_w, H'*W'*B) back
+    onto the entry of the padded C x H x W x B map (shape) it was copied
+    from, one strided add per tap, and returns that map. Each add walks rows
+    of W'*B entries at horizontal stride 1, and runs of B entries otherwise."""
     c, h, w, b = shape
     kh, kw = k_hw
     ho, wo = _tap_grid((h, w), k_hw, stride, dilation)
@@ -174,22 +166,21 @@ _DEPTHWISE_BLOCK_BYTES = 256 * 1024
 
 
 def _depthwise_conv(x, taps, out_hw, geom):
-    # conv's depthwise path: x is C x H x W or B x C x H x W and taps is
-    # C x K_h x K_w; returns a view of the output's H' x W_q pitch.
+    # conv's depthwise path: x is C x H x W and taps is C x K_h x K_w;
+    # returns a view of the output's H' x W_q pitch.
     (ho, wo), (sh, sw), (ph, pw), (dh, dw) = out_hw, geom.stride, geom.padding, geom.dilation
     c, kh, kw = taps.shape
-    xt = x.transpose(1, 2, 3, 0) if x.ndim == 4 else x[..., np.newaxis]
-    h, w, nb = xt.shape[1:]
+    h, w = x.shape[1:]
     grid = list(itertools.product(range(kh), range(kw)))
-    if sh == sw == 1 and not (ph or pw) and xt.flags.c_contiguous:
-        wq, flat = w, {(0, 0): xt.reshape(c, -1)}
+    if sh == sw == 1 and not (ph or pw) and x.flags.c_contiguous:
+        wq, flat = w, {(0, 0): x.reshape(c, -1)}
     else:
         hq, wq = -(-(h + 2 * ph) // sh), -(-(w + 2 * pw) // sw)
         flat = {
-            ab: zero_pad(xt, ph, pw, (sh, sw), ab, (hq, wq), axis=1).reshape(c, -1)
+            ab: zero_pad(x, ph, pw, (sh, sw), ab, (hq, wq)).reshape(c, -1)
             for ab in {(u * dh % sh, v * dw % sw) for u, v in grid}
         }
-    n = ho * wq * nb
+    n = ho * wq
     out = np.empty((c, n))
     step = max(1, _DEPTHWISE_BLOCK_BYTES // (8 * n))
     term = np.empty((min(step, c), n))
@@ -202,7 +193,7 @@ def _depthwise_conv(x, taps, out_hw, geom):
         for c0 in range(0, c, step):
             ob, kb = out[c0 : c0 + step], taps[c0 : c0 + step, :, :, np.newaxis]
             for t, (u, v) in enumerate(grid):
-                off = ((u * dh) // sh * wq + (v * dw) // sw) * nb
+                off = (u * dh) // sh * wq + (v * dw) // sw
                 view = flat[u * dh % sh, v * dw % sw][c0 : c0 + step, off : off + n]
                 if t == 0:
                     np.multiply(view, kb[:, u, v], out=ob)
@@ -213,8 +204,7 @@ def _depthwise_conv(x, taps, out_hw, geom):
                     ob[:, :m] += np.multiply(view, kb[:, u, v], out=term[: len(ob), :m])
     finally:
         np.setbufsize(bufsize)
-    out = out.reshape(c, ho, wq, nb)[:, :, :wo]
-    return out.transpose(3, 0, 1, 2) if x.ndim == 4 else out[..., 0]
+    return out.reshape(c, ho, wq)[:, :, :wo]
 
 
 def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
@@ -223,36 +213,30 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     Cross-correlation with zero padding; returns C_out x H' x W'. With
     groups=g, input and output channels are split into g contiguous blocks and
     block i of the output sees only block i of the input. A batch
-    x (B x C x H x W) gives B x C_out x H' x W', equal bit for bit to
-    convolving each sample on its own: every matrix product below is one
-    per sample (np.matmul over the batch axis), and every other operation is
-    elementwise.
+    x (B x C x H x W) gives B x C_out x H' x W': its samples, each convolved
+    on its own.
 
     No patches are copied for a 1x1 kernel with g=1 (one matrix product over
     a strided view of the input) or for a depthwise layer, g=C=C_out (a sum
     of K_h*K_w contiguous slices, each times its per-channel tap). Every
     other layer is one matrix product of the kernel, per group, with the
-    input's im2col column matrix (Chellapilla, Puri & Simard 2006), one per
-    sample: a single product over batch-last columns is not bit-identical to
-    per-sample calls. On a (8, 300, 12, 12) batch with a 64 x 300 x 3 x 3
-    kernel (K = 2700; NumPy 2.4, OpenBLAS, 2 shared cores) the two differed
-    by up to 4.4e-14.
+    input's im2col column matrix (Chellapilla, Puri & Simard 2006).
 
     The depthwise sum reads every tap as one contiguous 1-D slice. For each
     phase (a, b) = (u d_h mod s_h, v d_w mod s_w) that some tap (u, v) reads,
     zero_pad writes rows a, a + s_h, ... and columns b, b + s_w, ... of the
-    padded input into a C x H_q x W_q x B buffer, where H_q and W_q are the
-    padded extents over the stride, rounded up, and B = 1 for one map; a
-    C-contiguous map at stride 1 without padding is its own buffer and is
-    read in place. Flattened per channel, tap (u, v) is the slice of
-    H' W_q B entries at offset ((u d_h // s_h) W_q + v d_w // s_w) B of its
-    phase's buffer, so the output is computed on an H' x W_q pitch and the
-    returned view keeps its W' valid columns. A slice that would run past
-    its buffer's end is cut there, at most (v d_w // s_w) B lanes short, and
-    the lanes it misses are pitch columns of the last output row; tap
-    (0, 0), which writes the block first, is never cut. Every valid output
-    gets the same products in the same order as a sum of strided 2-D views,
-    so the bits are those of that sum.
+    padded input into a C x H_q x W_q buffer, where H_q and W_q are the
+    padded extents over the stride, rounded up; a C-contiguous map at
+    stride 1 without padding is its own buffer and is read in place.
+    Flattened per channel, tap (u, v) is the slice of H' W_q entries at
+    offset (u d_h // s_h) W_q + v d_w // s_w of its phase's buffer, so the
+    output is computed on an H' x W_q pitch and the returned view keeps its
+    W' valid columns. A slice that would run past its buffer's end is cut
+    there, at most v d_w // s_w lanes short, and the lanes it misses are
+    pitch columns of the last output row; tap (0, 0), which writes the block
+    first, is never cut. Every valid output gets the same products in the
+    same order as a sum of strided 2-D views, so the bits are those of that
+    sum.
 
     The taps run with NumPy's ufunc buffer at its smallest, 16 entries.
     Their operand rows are contiguous and need no buffer, but at the
@@ -262,7 +246,7 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     with one scalar. Strided 2-D views do need the buffer, and at 16 the
     sum of views ran 1.5 to 2 times as slow over struct_mv2_b's depthwise
     convs, so the small buffer goes only with the flat slices. Slices of
-    H' W_q B entries with the small buffer, where each strided view walked
+    H' W_q entries with the small buffer, where each strided view walked
     rows of W' entries (every s_w-th at stride s_w), took struct_mv2_b's 17
     dense depthwise convs at 224x224 from 51.7 to 26.8 ms and its 17
     decomposed ones from 44.8 to 26.8 ms: the 144 x 56 x 56 layer from 7.4
@@ -277,10 +261,7 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     50.4 ms dense and from 47.2 to 42.3 ms decomposed, inside the host's
     noise.
 
-    The batch stays on the last axis, so a slice runs over the whole batch:
-    on a (32, 16, 4, 4) batch with 3x3 taps, batch-last strided views took
-    the sum from 271 to 143 us (2 shared cores, min of 200 calls). The sum
-    runs over blocks of max(1, 256 KB // (8 B H' W_q)) channels
+    The sum runs over blocks of max(1, 256 KB // (8 H' W_q)) channels
     (_DEPTHWISE_BLOCK_BYTES), so a block's output, its tap product and its
     input stay in L2 while all K_h*K_w taps pass over them (loop blocking,
     Lam, Rothberg & Wolf 1991). The first tap writes its product into the
@@ -301,7 +282,7 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
         raise ShapeError(f"kernel must be rank 4, got rank {kernel.ndim}")
-    lead, (c_in, h, w) = x.shape[:-3], x.shape[-3:]
+    c_in, h, w = x.shape[-3:]
     c_out, c_k, kh, kw = kernel.shape
     g = geom.groups
     if c_in % g != 0 or c_out % g != 0:
@@ -312,18 +293,29 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
         )
     ho = out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
     wo = out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
+    if x.ndim == 3:
+        return _conv_map(x, kernel, (ho, wo), geom)
+    out = np.empty((len(x), c_out, ho, wo))
+    for i, sample in enumerate(x):
+        out[i] = _conv_map(sample, kernel, (ho, wo), geom)
+    return out
+
+
+def _conv_map(x, kernel, out_hw, geom):
+    # conv on one checked C x H x W map.
+    c_out, _, kh, kw = kernel.shape
+    c_in, g = len(x), geom.groups
     if g == c_in == c_out and not kh == kw == g == 1:
-        return _depthwise_conv(x, kernel[:, 0], (ho, wo), geom)
+        return _depthwise_conv(x, kernel[:, 0], out_hw, geom)
     ph, pw = geom.padding
     xp = zero_pad(x, ph, pw) if ph or pw else x
     if kh == kw == 1 and g == 1:
-        view = xp[(...,) + _tap_slices(0, 0, (ho, wo), geom.stride, geom.dilation)]
-        out = kernel.reshape(c_out, c_in) @ view.reshape(lead + (c_in, ho * wo))
-        return out.reshape(lead + (c_out, ho, wo))
-    cols = im2col(xp, (kh, kw), geom.stride, geom.dilation)
-    cols = cols.reshape(lead + (g, c_k * kh * kw, ho * wo))
-    out = kernel.reshape(g, c_out // g, c_k * kh * kw) @ cols
-    return out.reshape(lead + (c_out, ho, wo))
+        view = xp[(slice(None),) + _tap_slices(0, 0, out_hw, geom.stride, geom.dilation)]
+        out = kernel.reshape(c_out, c_in) @ view.reshape(c_in, -1)
+    else:
+        cols = im2col(xp[..., np.newaxis], (kh, kw), geom.stride, geom.dilation)
+        out = kernel.reshape(g, c_out // g, -1) @ cols.reshape(g, -1, cols.shape[-1])
+    return out.reshape((c_out,) + out_hw)
 
 
 # The longest window the window pair sums as slice-adds; window_sum's

@@ -215,7 +215,7 @@ class _Structured(_Layer):
         xt = zero_pad(xt, p, p, axis=1) if p else xt
         xt = window_sum(window_sum(xt, kh, 1), kw, 2)
         k, s, grp = self.w.shape[-1], self.stride, self.groups
-        self.pad_shape, cols = xt.shape, im2col(xt, (k, k), (s, s), batch_last=True)
+        self.pad_shape, cols = xt.shape, im2col(xt, (k, k), (s, s))
         self.cols = cols.reshape(grp, -1, cols.shape[-1])
         out = self.w.reshape(grp, len(self.w) // grp, -1) @ self.cols
         out = out.reshape((len(self.w),) + tuple((n - k) // s + 1 for n in xt.shape[1:3]) + (-1,))
@@ -434,9 +434,11 @@ def make_toy_dataset(seed: int = 0) -> ToyDataset:
         x = np.array(random_tensor(s, (total, 3, 8, 8)))
         teacher = ToyModel(_TEACHER_SPEC, seed=s + 7)
         logits = teacher.predict(x)
-        head = teacher.layers[-1]
-        head.b += _calibrate_head_bias(logits, 4)
-        labels = np.argmax(teacher.predict(x), axis=1)
+        # The head bias is zero until now, so logits + shift has the bits of
+        # a second forward with the shifted bias.
+        shift = _calibrate_head_bias(logits, 4)
+        teacher.layers[-1].b += shift
+        labels = np.argmax(logits + shift, axis=1)
         train_y, test_y = labels[:_N_TRAIN], labels[_N_TRAIN:]
         if _balanced(train_y, 4) and _balanced(test_y, 4):
             return ToyDataset(
@@ -523,7 +525,7 @@ def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
                 raise ResidualError(
                     f"layer {i} ({src.name}) has residual {r:.3e} > tolerance {residual_tol:.3e}"
                 )
-            alphas = block_alphas(_blocks(src.w, src.cfg), structure_matrix(src.cfg))
+            alphas = block_alphas(_blocks(src.w, src.cfg), src.cfg)
             dst.w = alphas.reshape(dst.w.shape)
             dst.b = src.b.copy()
         dst.gw = np.zeros_like(dst.w)

@@ -288,6 +288,26 @@ def test_decompose_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["net.json", "weights"]
 
 
+def test_decompose_evaluates_each_kernel_once(tmp_path, monkeypatch, capsys):
+    # One residual evaluation per layer, over all of its kernels, and none
+    # while the layers are built and written.
+    cfg = write_config(tmp_path)
+    wdir = write_weight_dir(tmp_path)
+    evaluate = structured._worst_block_residual
+    kernels = []
+
+    def spy(flat, cfg):
+        kernels.append(len(flat))
+        return evaluate(flat, cfg)
+
+    monkeypatch.setattr(structured, "_worst_block_residual", spy)
+    out = tmp_path / "out"
+    rc = cli.main(["decompose", "--weights", wdir, "--config", cfg, "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    assert kernels == [spec["cout"] for spec in TINY_NET]
+    assert all((out / f"layer_{i:03d}.json").exists() for i in range(1, len(TINY_NET) + 1))
+
+
 def test_decompose_shape_mismatch_exits_2(tmp_path):
     cfg = write_config(tmp_path, [TINY_NET[0]])
     wfile = tmp_path / "w.stcv"

@@ -100,6 +100,18 @@ def test_conv_composite_one_hot_is_plain_conv():
     np.testing.assert_allclose(conv_composite(x, k), want, rtol=1e-12)
 
 
+def test_conv_composite_on_a_batch_is_its_samples():
+    # The support sums keep the batch axis and drop only the output channel.
+    basis = generate_structured_basis(StructuredConfig(C=3, N=3, c=2, n=2))
+    k = CompositeKernel(basis, random_tensor(11, (basis.size,)))
+    x = random_tensor(12, (2, 3, 6, 6))
+    got = conv_composite(x, k)
+    want = conv(x, compose_kernel(k)[np.newaxis])[:, 0]
+    assert got.shape == want.shape == (2, 4, 4)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1 + np.abs(want).max()))
+    np.testing.assert_array_equal(got, np.stack([conv_composite(xi, k) for xi in x]))
+
+
 def test_conv_composite_zero_alphas_zero_output():
     k = CompositeKernel(shifted_patch_basis(), np.zeros(4))
     x = random_tensor(6, (1, 4, 4))

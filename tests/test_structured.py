@@ -129,14 +129,14 @@ def test_kronecker_structure_matrix_matches_loop_reference():
                     flat = np.array(random_tensor(C * 100 + N * 10 + c + n, (3, C * N * N)))
                     flat[1] = 0.0
                     np.testing.assert_allclose(
-                        block_alphas(flat, sm), flat @ pinv.T, rtol=0, atol=1e-12
+                        block_alphas(flat, cfg), flat @ pinv.T, rtol=0, atol=1e-12
                     )
                     res = [
                         np.linalg.norm(v - proj @ v) / np.linalg.norm(v) if v.any() else 0.0
                         for v in flat
                     ]
                     for v, r in zip(flat, res):
-                        assert abs(_worst_block_residual(v[np.newaxis], sm)[1] - r) <= 1e-12
+                        assert abs(_worst_block_residual(v[np.newaxis], cfg)[1] - r) <= 1e-12
                         w_hat, got = project(v.reshape(C, N, N), cfg)
                         np.testing.assert_allclose(w_hat.reshape(-1), proj @ v, rtol=0, atol=1e-12)
                         assert abs(got - r) <= 1e-12
@@ -145,7 +145,7 @@ def test_kronecker_structure_matrix_matches_loop_reference():
                             np.testing.assert_allclose(w_hat, mean, rtol=0, atol=1e-12)
                         if (c, n) == (C, N):
                             np.testing.assert_array_equal(w_hat.reshape(-1), v)
-                    idx, worst = _worst_block_residual(flat, sm)
+                    idx, worst = _worst_block_residual(flat, cfg)
                     if max(res) > 0.0:
                         assert idx == int(np.argmax(res)) and abs(worst - max(res)) <= 1e-12
                     else:
@@ -161,7 +161,7 @@ def test_band_pinv_at_fixture_scale():
     np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(cfg.basis_size), rtol=0, atol=1e-10)
     alphas = np.array(random_tensor(29, (8, cfg.c, 1, 1)))
     dense = _reconstruct_stack(alphas, cfg)
-    got = _reconstruct_stack(block_alphas(dense.reshape(8, -1), sm).reshape(alphas.shape), cfg)
+    got = _reconstruct_stack(block_alphas(dense.reshape(8, -1), cfg).reshape(alphas.shape), cfg)
     assert rel_err(got, dense) <= 1e-10
 
 
@@ -172,7 +172,7 @@ def test_matrix_free_operators_at_fixture_scale():
     cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
     alphas = np.array(random_tensor(30, (8, cfg.c, 1, 1)))
     dense = _reconstruct_stack(alphas, cfg)
-    got = block_alphas(dense.reshape(8, -1), structure_matrix(cfg)).reshape(alphas.shape)
+    got = block_alphas(dense.reshape(8, -1), cfg).reshape(alphas.shape)
     assert np.abs(got - alphas).max() <= 1e-12 * np.abs(alphas).max()
     effnet = os.path.join(os.path.dirname(structconv.__file__), "fixtures", "struct_effnet.json")
     for spec in parse_network_spec(effnet):
@@ -194,6 +194,7 @@ def test_decompose_builds_no_dense_structure_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * w.nbytes
+    assert structure_matrix.cache_info().currsize == 0  # never looked up
     assert rel_err(_reconstruct_stack(layer.alpha, cfg), w) <= 1e-12
     sm = structure_matrix(cfg)
     assert not any(isinstance(v, np.ndarray) for v in vars(sm).values())
@@ -489,17 +490,17 @@ def test_worst_block_residual_matches_per_kernel_loop():
     cfg = StructuredConfig(4, 3, 2, 2)
     sm = structure_matrix(cfg)
     flat = _reconstruct_stack(random_tensor(25, (6, 2, 2, 2)), cfg).reshape(6, -1)
-    assert _worst_block_residual(flat, sm)[1] < 1e-14
+    assert _worst_block_residual(flat, cfg)[1] < 1e-14
     flat[1] += np.array(random_tensor(26, (36,))) * 1e-3
     flat[4] += np.array(random_tensor(27, (36,))) * 1e-2
     flat[2] = 0.0
     want = [np.linalg.norm(v - sm.projector @ v) / np.linalg.norm(v) if v.any() else 0.0 for v in flat]
-    idx, res = _worst_block_residual(flat, sm)
+    idx, res = _worst_block_residual(flat, cfg)
     assert idx == 4 == int(np.argmax(want))
     assert abs(res - want[4]) <= 1e-12 * want[4]
-    assert _worst_block_residual(np.zeros((3, 36)), sm) == (-1, 0.0)
-    assert _worst_block_residual(np.zeros((0, 36)), sm) == (-1, 0.0)
-    assert block_alphas(np.zeros((0, 36)), sm).shape == (0, 8)
+    assert _worst_block_residual(np.zeros((3, 36)), cfg) == (-1, 0.0)
+    assert _worst_block_residual(np.zeros((0, 36)), cfg) == (-1, 0.0)
+    assert block_alphas(np.zeros((0, 36)), cfg).shape == (0, 8)
 
 
 def test_worst_kernel_residual_reports_max():

@@ -231,7 +231,7 @@ def test_conv_without_padding_is_bit_identical_to_padded_path():
     x = random_tensor(14, (4, 7, 6, 2))[..., 0]  # a strided, non-contiguous view
     kernel = random_tensor(15, (6, 4, 3, 2))
     geom = ConvGeometry(stride=(2, 1), dilation=(1, 2))
-    want = kernel.reshape(6, -1) @ im2col(np.pad(x, 0), (3, 2), (2, 1), (1, 2))
+    want = kernel.reshape(6, -1) @ im2col(np.pad(x, 0)[..., np.newaxis], (3, 2), (2, 1), (1, 2))
     np.testing.assert_array_equal(conv(x, kernel, geom), want.reshape(6, 3, 4))
 
 
@@ -382,7 +382,7 @@ def test_zero_pad_keeps_one_phase_of_the_padded_map(shape, pad, stride, phase):
 
 
 def test_zero_pad_on_inner_axes_with_a_larger_extent():
-    # conv's depthwise buffers: C x H x W x B, with zeros past the padded map.
+    # Inner axes of a C x H x W x B map, with zeros past the padded map.
     x = random_tensor(58, (3, 7, 6, 2))
     got = zero_pad(x, 1, 2, (2, 3), (1, 2), (6, 5), axis=1)
     kept = np.pad(x, ((0, 0), (1, 1), (2, 2), (0, 0)))[:, 1::2, 2::3]
@@ -401,10 +401,10 @@ def test_conv_rejects_other_ranks(shape):
 @pytest.mark.parametrize("geom", GEOMS)
 @pytest.mark.parametrize("batch", [1, 2], ids=["map", "batch"])
 def test_im2col_and_col2im_are_adjoint(geom, batch):
-    # col2im scatters the batch-last columns that training's backward uses.
+    # col2im scatters the columns that training's backward uses.
     xp = random_tensor(45, (3, 9, 8, batch))
     k_hw = (3, 2)
-    cols = im2col(xp, k_hw, geom.stride, geom.dilation, batch_last=True)
+    cols = im2col(xp, k_hw, geom.stride, geom.dilation)
     y = random_tensor(46, cols.shape)
     back = col2im(y, xp.shape, k_hw, geom.stride, geom.dilation)
     assert back.shape == xp.shape
@@ -412,14 +412,15 @@ def test_im2col_and_col2im_are_adjoint(geom, batch):
 
 
 def test_im2col_rows_hold_each_taps_view():
-    xp = random_tensor(49, (2, 3, 7, 6))
-    cols = im2col(xp, (2, 3), (2, 1), (1, 2)).reshape(2, 3, 2, 3, 3, 2)
+    xp = random_tensor(49, (3, 7, 6, 2))
+    cols = im2col(xp, (2, 3), (2, 1), (1, 2))
+    assert cols.shape == (3 * 2 * 3, 3 * 2 * 2) and cols.flags.c_contiguous
+    taps = cols.reshape(3, 2, 3, 3, 2, 2)
     for u, v in np.ndindex(2, 3):
-        np.testing.assert_array_equal(cols[:, :, u, v], xp[:, :, u : u + 5 : 2, 2 * v : 2 * v + 2])
-    # The batch-last columns hold the same entries, each column's batch last.
-    last = im2col(xp.transpose(1, 2, 3, 0), (2, 3), (2, 1), (1, 2), batch_last=True)
-    assert last.shape == (3 * 2 * 3, 3 * 2 * 2) and last.flags.c_contiguous
-    np.testing.assert_array_equal(last.reshape(3, 2, 3, 3, 2, 2), cols.transpose(1, 2, 3, 4, 5, 0))
+        np.testing.assert_array_equal(taps[:, u, v], xp[:, u : u + 5 : 2, 2 * v : 2 * v + 2])
+    # Each column holds the batch last: one sample's map gives its own columns.
+    one = im2col(xp[..., :1], (2, 3), (2, 1), (1, 2))
+    np.testing.assert_array_equal(one, taps[..., 0].reshape(18, 6))
 
 
 def test_conv_identity_kernel():

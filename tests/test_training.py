@@ -159,6 +159,16 @@ def test_teacher_consistent_with_labels():
     assert result.accuracy == 1.0
 
 
+@pytest.mark.parametrize("seed", [3, 7101])
+def test_labels_match_a_second_teacher_forward(seed):
+    # The labels come from the calibrating forward plus the bias shift; a
+    # second forward over the same batch with the shifted bias agrees.
+    ds = make_toy_dataset(seed)
+    x = np.concatenate([ds.train_x, ds.test_x])
+    labels = np.argmax(ds.teacher.predict(x), axis=1)
+    np.testing.assert_array_equal(labels, np.concatenate([ds.train_y, ds.test_y]))
+
+
 def test_untrained_model_near_chance():
     ds = make_toy_dataset(2)
     spec = ToyModelSpec(
