@@ -162,18 +162,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_layer_weights(path, layers):
+def _weight_files(path, layers):
+    # Every file is found before any is read.
     if os.path.isdir(path):
         files = [os.path.join(path, f"layer_{s.index:03d}.stcv") for s in layers]
         missing = [f for f in files if not os.path.exists(f)]
         if missing:
             raise tensor.ContainerError(f"missing weight file {missing[0]}")
-        return [tensor.read_tensor(f) for f in files]
+        return files
     if len(layers) != 1:
         raise tensor.ShapeError(
             f"config has {len(layers)} layers; pass a directory of layer_NNN.stcv files"
         )
-    return [tensor.read_tensor(path)]
+    return [path]
 
 
 def _expected_weight_shape(spec):
@@ -183,49 +184,62 @@ def _expected_weight_shape(spec):
     return (spec.cout, spec.cin, spec.k, spec.k)
 
 
-def _write_decomposed(out_dir, layers, weights):
-    # cmd_decompose has checked every kernel's residual, so each layer is
-    # built from its coefficients with no second check, and written before
-    # the next is built. The layers are written into a temporary directory
-    # beside out_dir and move into out_dir only once all of them exist, so a
-    # failed command leaves no half-written output.
-    parent = os.path.dirname(os.path.abspath(out_dir))
-    os.makedirs(parent, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".decompose-", dir=parent) as tmp:
-        for spec, w in zip(layers, weights):
-            cfg = spec.cfg
-            alphas = structured.block_alphas(w.reshape(len(w), -1), cfg)
-            if spec.kind != "linear":
-                alphas = alphas.reshape(len(w), cfg.c, cfg.n, cfg.n)
-            layer = structured.decomposed_layer(alphas, cfg, spec.geom)
-            structured.save_decomposed_layer(tmp, f"layer_{spec.index:03d}", layer)
-        os.makedirs(out_dir, exist_ok=True)
-        for name in sorted(os.listdir(tmp)):
-            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
+def _decompose_layer(spec, path, tol, out_dir):
+    # One layer's read, checks and sweep; saved into out_dir, if given, when
+    # within tol. Its arrays are freed on return, before the next is read.
+    w = tensor.read_tensor(path)
+    expect = _expected_weight_shape(spec)
+    if w.shape != expect:
+        raise tensor.ShapeError(
+            f"layer {spec.index}: weights shape {w.shape}, config says {expect}"
+        )
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"layer {spec.index}: weights contain NaN or infinite values")
+    cfg = spec.cfg
+    residual, alphas = structured._worst_block_residual(w.reshape(len(w), -1), cfg)[1:]
+    if out_dir is not None and residual <= tol:
+        if spec.kind != "linear":
+            alphas = alphas.reshape(len(w), cfg.c, cfg.n, cfg.n)
+        layer = structured.decomposed_layer(alphas, cfg, spec.geom)
+        structured.save_decomposed_layer(out_dir, f"layer_{spec.index:03d}", layer)
+    return residual
 
 
 def cmd_decompose(args) -> int:
+    """Decompose every layer of --weights into --out, or write nothing.
+
+    The layers stream in config order: each is read, checked for shape and
+    finiteness, and projected by one sweep that gives both its per-kernel
+    residuals and its coefficients. While every residual so far is within
+    --tol, the layer is also saved into a temporary directory in the nearest
+    existing directory above --out; the files move into --out once every
+    layer has passed. So memory holds one layer's weights and temporaries,
+    and a failed command leaves no output. A missing weight file is reported
+    before any layer is read, and of two faulty layers the earlier one.
+    """
     if not (np.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     layers = analyzer.parse_network_spec(args.config)
-    weights = _load_layer_weights(args.weights, layers)
+    files = _weight_files(args.weights, layers)
+    parent = os.path.dirname(os.path.abspath(args.out))
+    near = parent
+    while not os.path.isdir(near):
+        near = os.path.dirname(near)
     results = []
     worst = (None, 0.0)
-    for spec, w in zip(layers, weights):
-        expect = _expected_weight_shape(spec)
-        if w.shape != expect:
-            raise tensor.ShapeError(
-                f"layer {spec.index}: weights shape {w.shape}, config says {expect}"
-            )
-        if not np.all(np.isfinite(w)):
-            raise ValueError(f"layer {spec.index}: weights contain NaN or infinite values")
-        residual = structured.worst_kernel_residual(w, spec.cfg)
-        results.append({"index": spec.index, "kind": spec.kind, "residual": residual})
-        if residual > worst[1]:
-            worst = (spec.index, residual)
-    ok = worst[1] <= args.tol
-    if ok:
-        _write_decomposed(args.out, layers, weights)
+    ok = True
+    with tempfile.TemporaryDirectory(prefix=".decompose-", dir=near) as tmp:
+        for spec, path in zip(layers, files):
+            residual = _decompose_layer(spec, path, args.tol, tmp if ok else None)
+            results.append({"index": spec.index, "kind": spec.kind, "residual": residual})
+            ok = ok and residual <= args.tol
+            if residual > worst[1]:
+                worst = (spec.index, residual)
+        if ok:
+            os.makedirs(parent, exist_ok=True)
+            os.makedirs(args.out, exist_ok=True)
+            for name in sorted(os.listdir(tmp)):
+                os.replace(os.path.join(tmp, name), os.path.join(args.out, name))
     payload = {
         "command": "decompose",
         "tolerance": args.tol,

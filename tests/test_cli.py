@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import structconv
-from structconv import cli, structured, training
+from structconv import cli, structured, tensor, training
+from structconv.analyzer import parse_network_spec
 from structconv.structured import (
     StructuredConfig,
     forward_decomposed,
@@ -289,23 +291,155 @@ def test_decompose_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
 
 
 def test_decompose_evaluates_each_kernel_once(tmp_path, monkeypatch, capsys):
-    # One residual evaluation per layer, over all of its kernels, and none
-    # while the layers are built and written.
+    # One residual evaluation per layer, over all of its kernels, which also
+    # gives the coefficients: one class residual per band of each layer, and
+    # no block_alphas call while the layers are built and written.
     cfg = write_config(tmp_path)
     wdir = write_weight_dir(tmp_path)
     evaluate = structured._worst_block_residual
-    kernels = []
+    class_residual = structured._class_residual
+    kernels, bands = [], []
 
     def spy(flat, cfg):
         kernels.append(len(flat))
         return evaluate(flat, cfg)
 
+    def count_bands(x, k, axis):
+        bands.append(k)
+        return class_residual(x, k, axis)
+
+    def no_second_solve(flat, cfg):
+        raise AssertionError("block_alphas called")
+
     monkeypatch.setattr(structured, "_worst_block_residual", spy)
+    monkeypatch.setattr(structured, "_class_residual", count_bands)
+    monkeypatch.setattr(structured, "block_alphas", no_second_solve)
     out = tmp_path / "out"
     rc = cli.main(["decompose", "--weights", wdir, "--config", cfg, "--out", str(out)])
     assert rc == 0, capsys.readouterr().err
     assert kernels == [spec["cout"] for spec in TINY_NET]
+    specs = parse_network_spec(cfg)
+    assert len(bands) == sum(len(structured._bands(spec.cfg)) for spec in specs) == 7
     assert all((out / f"layer_{i:03d}.json").exists() for i in range(1, len(TINY_NET) + 1))
+
+
+def test_decompose_memory_holds_one_layer(tmp_path):
+    # The tracemalloc peak of decompose over 8 equal layers stays near the
+    # peak over one of them, and below the 8 layers' weights together, which
+    # a command that reads every layer before it projects any exceeds.
+    spec = {"kind": "pwconv", "cout": 256, "cin": 256, "k": 1, "c": 128, "n": 1}
+
+    def peak(count):
+        root = tmp_path / f"net{count}"
+        root.mkdir()
+        cfg = write_config(root, [spec] * count)
+        wdir = write_weight_dir(root, [spec] * count)
+        tracemalloc.start()
+        try:
+            rc = cli.main(["decompose", "--weights", wdir, "--config", cfg,
+                           "--out", str(root / "out"), "--format", "json"])
+            got = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        return got
+
+    weights = 256 * 256 * 8
+    one, eight = peak(1), peak(8)
+    assert one < 4 * weights
+    assert eight <= one + weights // 4
+    assert eight < 8 * weights
+
+
+def _tree(path):
+    return sorted(os.path.relpath(os.path.join(d, f), path)
+                  for d, dirs, files in os.walk(path) for f in dirs + files)
+
+
+def test_decompose_truncated_last_layer_leaves_nothing(tmp_path, capsys):
+    # Layers 1 to 3 are decomposed and saved before layer 4 is read; its
+    # truncated container still exits 2 with the container's own message and
+    # leaves no output, no temporary directory and no created parent.
+    cfg = write_config(tmp_path)
+    wdir = write_weight_dir(tmp_path)
+    last = os.path.join(wdir, "layer_004.stcv")
+    with open(last, "rb") as f:
+        data = f.read()
+    with open(last, "wb") as f:
+        f.write(data[:-8])
+    with pytest.raises(tensor.ContainerError) as e:
+        tensor.read_tensor(last)
+    before = _tree(tmp_path)
+    out = tmp_path / "made" / "by" / "out"
+    rc = cli.main(["decompose", "--weights", wdir, "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {e.value}\n"
+    assert captured.out == ""
+    assert _tree(tmp_path) == before
+
+
+def test_decompose_residual_failure_at_first_layer_reports_every_layer(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path)
+    wdir = write_weight_dir(tmp_path)
+    w = structured_weights(TINY_NET[0], 6)
+    w[1, 0, 0, 0] += 0.5
+    write_tensor(os.path.join(wdir, "layer_001.stcv"), w)
+    saved = []
+    monkeypatch.setattr(structured, "save_decomposed_layer", lambda *a: saved.append(a))
+    before = _tree(tmp_path)
+    rc = cli.main(["decompose", "--weights", wdir, "--config", cfg,
+                   "--out", str(tmp_path / "out"), "--format", "json"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    payload = json.loads(captured.out)
+    assert [r["index"] for r in payload["layers"]] == [1, 2, 3, 4]
+    assert payload["layers"][0]["residual"] > 1e-3
+    assert all(r["residual"] <= 1e-12 for r in payload["layers"][1:])
+    assert (payload["pass"], payload["worst_layer"]) == (False, 1)
+    assert "residual tolerance exceeded: layer 1" in captured.err
+    assert saved == []
+    assert _tree(tmp_path) == before
+
+
+def test_decompose_reports_the_earlier_layer_fault_first(tmp_path, capsys):
+    # A missing file is found before any layer is read; of two faulty layers
+    # that are both present, the earlier one is reported.
+    cfg = write_config(tmp_path)
+    wdir = write_weight_dir(tmp_path)
+    write_tensor(os.path.join(wdir, "layer_002.stcv"), np.zeros((4, 1, 2, 2)))
+    with open(os.path.join(wdir, "layer_003.stcv"), "wb") as f:
+        f.write(b"STCV")
+    out = str(tmp_path / "out")
+    assert cli.main(["decompose", "--weights", wdir, "--config", cfg, "--out", out]) == 2
+    assert "layer 2: weights shape (4, 1, 2, 2)" in capsys.readouterr().err
+    os.remove(os.path.join(wdir, "layer_004.stcv"))
+    assert cli.main(["decompose", "--weights", wdir, "--config", cfg, "--out", out]) == 2
+    assert "missing weight file" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_decompose_residual_is_scale_free(tmp_path, scale):
+    # Finite weights whose per-kernel squared norm overflows (1e200) or
+    # underflows (1e-170) report the residual of the same weights at unit
+    # scale: not NaN, which passed and printed an invalid JSON token, and
+    # not 0.0.
+    spec = TINY_NET[2]
+    cfg = write_config(tmp_path, [spec])
+    w = np.array(random_tensor(11, (spec["cout"], spec["cin"], 1, 1)))
+    want = structured.worst_kernel_residual(w, StructuredConfig(C=4, N=1, c=3, n=1))
+    assert want > 1e-3
+    wfile = tmp_path / "w.stcv"
+    write_tensor(str(wfile), w * scale)
+    out = tmp_path / "out"
+    r = run_cli("decompose", "--weights", str(wfile), "--config", cfg,
+                "--out", str(out), "--format", "json")
+    assert r.returncode == 1, r.stderr
+    payload = json.loads(r.stdout, parse_constant=lambda c: pytest.fail(f"JSON token {c}"))
+    assert payload["pass"] is False
+    assert abs(payload["worst_residual"] - want) <= 1e-12 * want
+    assert not out.exists()
 
 
 def test_decompose_shape_mismatch_exits_2(tmp_path):

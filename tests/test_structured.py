@@ -32,7 +32,14 @@ from structconv.structured import (
     structure_matrix,
     worst_kernel_residual,
 )
-from structconv.structured import _reconstruct_stack, _worst_block_residual
+from structconv import structured
+from structconv.structured import (
+    _bands,
+    _projection,
+    _reconstruct_stack,
+    _row_squares,
+    _worst_block_residual,
+)
 from structconv.tensor import ConvGeometry, GeometryError, ShapeError, conv, linear, random_tensor, write_tensor
 
 
@@ -145,7 +152,8 @@ def test_kronecker_structure_matrix_matches_loop_reference():
                             np.testing.assert_allclose(w_hat, mean, rtol=0, atol=1e-12)
                         if (c, n) == (C, N):
                             np.testing.assert_array_equal(w_hat.reshape(-1), v)
-                    idx, worst = _worst_block_residual(flat, cfg)
+                    idx, worst, alphas = _worst_block_residual(flat, cfg)
+                    np.testing.assert_allclose(alphas, flat @ pinv.T, rtol=0, atol=1e-12)
                     if max(res) > 0.0:
                         assert idx == int(np.argmax(res)) and abs(worst - max(res)) <= 1e-12
                     else:
@@ -495,12 +503,73 @@ def test_worst_block_residual_matches_per_kernel_loop():
     flat[4] += np.array(random_tensor(27, (36,))) * 1e-2
     flat[2] = 0.0
     want = [np.linalg.norm(v - sm.projector @ v) / np.linalg.norm(v) if v.any() else 0.0 for v in flat]
-    idx, res = _worst_block_residual(flat, cfg)
+    idx, res, _ = _worst_block_residual(flat, cfg)
     assert idx == 4 == int(np.argmax(want))
     assert abs(res - want[4]) <= 1e-12 * want[4]
-    assert _worst_block_residual(np.zeros((3, 36)), cfg) == (-1, 0.0)
-    assert _worst_block_residual(np.zeros((0, 36)), cfg) == (-1, 0.0)
+    assert _worst_block_residual(np.zeros((3, 36)), cfg)[:2] == (-1, 0.0)
+    assert _worst_block_residual(np.zeros((0, 36)), cfg)[:2] == (-1, 0.0)
+    assert _worst_block_residual(np.zeros((0, 36)), cfg)[2].shape == (0, 8)
     assert block_alphas(np.zeros((0, 36)), cfg).shape == (0, 8)
+
+
+def test_sweep_matches_the_separate_residual_and_solve():
+    # Every config with C <= 8 and N <= 5 on random unstructured kernels. The
+    # one sweep's coefficients match block_alphas, bit for bit when there is
+    # at most one band, and its residuals equal those of a full projection
+    # divided by the kernel norms, bit for bit.
+    for C in range(1, 9):
+        for N in range(1, 6):
+            for c in range(1, C + 1):
+                for n in range(1, N + 1):
+                    cfg = StructuredConfig(C, N, c, n)
+                    flat = np.array(random_tensor(C * 1000 + N * 100 + c * 10 + n, (3, C * N * N)))
+                    want = block_alphas(flat, cfg)
+                    _, _, alphas = _worst_block_residual(flat, cfg)
+                    assert np.abs(alphas - want).max() <= 1e-12 * np.abs(want).max()
+                    if len(_bands(cfg)) <= 1:
+                        np.testing.assert_array_equal(alphas, want)
+                    for v in flat:
+                        v = v[np.newaxis]
+                        resid = _projection(v.reshape(1, C, N, N), cfg)[1]
+                        ref = resid / np.sqrt(_row_squares(v))
+                        idx, got, _ = _worst_block_residual(v, cfg)
+                        assert (got == ref[0]) if ref[0] > 0.0 else ((idx, got) == (-1, 0.0))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_decompose_conv_layer_residual_is_scale_free(scale):
+    # Per-kernel squared norms that overflow or underflow: the residual is
+    # that of the unit-scale kernels, and the coefficients are scaled with them.
+    cfg = StructuredConfig(C=6, N=1, c=3, n=1)
+    w = np.array(random_tensor(13, (4, 6, 1, 1)))
+    want = worst_kernel_residual(w, cfg)
+    assert want > 1e-3
+    assert abs(worst_kernel_residual(w * scale, cfg) - want) <= 1e-12 * want
+    with pytest.raises(ResidualError, match=f"{want:.3e}"):
+        decompose_conv_layer(w * scale, cfg)
+    alphas = np.array(random_tensor(14, (4, 3, 1, 1)))
+    layer = decompose_conv_layer(_reconstruct_stack(alphas, cfg) * scale, cfg)
+    np.testing.assert_allclose(layer.alpha, alphas * scale, rtol=1e-12, atol=0)
+
+
+def test_decompose_conv_layer_sweeps_each_band_once(monkeypatch):
+    class_residual = structured._class_residual
+    bands = []
+
+    def count_bands(x, k, axis):
+        bands.append(k)
+        return class_residual(x, k, axis)
+
+    def no_second_solve(flat, cfg):
+        raise AssertionError("block_alphas called")
+
+    monkeypatch.setattr(structured, "_class_residual", count_bands)
+    monkeypatch.setattr(structured, "block_alphas", no_second_solve)
+    cfg = StructuredConfig(4, 3, 2, 2)
+    alphas = np.array(random_tensor(15, (5, 2, 2, 2)))
+    layer = decompose_conv_layer(_reconstruct_stack(alphas, cfg), cfg)
+    assert bands == [3, 2, 2]
+    np.testing.assert_allclose(layer.alpha, alphas, rtol=0, atol=1e-12)
 
 
 def test_worst_kernel_residual_reports_max():
