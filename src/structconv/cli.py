@@ -10,6 +10,7 @@ so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -184,9 +185,10 @@ def _expected_weight_shape(spec):
     return (spec.cout, spec.cin, spec.k, spec.k)
 
 
-def _decompose_layer(spec, path, tol, out_dir):
-    # One layer's read, checks and sweep; saved into out_dir, if given, when
-    # within tol. Its arrays are freed on return, before the next is read.
+def _decompose_layer(spec, path, tol):
+    # One layer's read, checks and sweep: (residual, layer), where layer is
+    # the decomposed layer if tol is given and the residual is within it,
+    # None otherwise. The weights are freed on return.
     w = tensor.read_tensor(path)
     expect = _expected_weight_shape(spec)
     if w.shape != expect:
@@ -196,13 +198,22 @@ def _decompose_layer(spec, path, tol, out_dir):
     if not np.all(np.isfinite(w)):
         raise ValueError(f"layer {spec.index}: weights contain NaN or infinite values")
     cfg = spec.cfg
-    residual, alphas = structured._worst_block_residual(w.reshape(len(w), -1), cfg)[1:]
-    if out_dir is not None and residual <= tol:
-        if spec.kind != "linear":
-            alphas = alphas.reshape(len(w), cfg.c, cfg.n, cfg.n)
-        layer = structured.decomposed_layer(alphas, cfg, spec.geom)
-        structured.save_decomposed_layer(out_dir, f"layer_{spec.index:03d}", layer)
-    return residual
+    flat = w.reshape(len(w), -1)
+    residual, alphas = structured._worst_block_residual(flat, cfg, tol is not None)[1:]
+    if tol is None or not residual <= tol:
+        return residual, None
+    if spec.kind != "linear":
+        alphas = alphas.reshape(len(w), cfg.c, cfg.n, cfg.n)
+    return residual, structured.decomposed_layer(alphas, cfg, spec.geom)
+
+
+def _staging_dir(out):
+    # A temporary directory in the nearest existing directory above out, so
+    # that out's missing parents are made only once every layer has passed.
+    near = os.path.dirname(os.path.abspath(out))
+    while not os.path.isdir(near):
+        near = os.path.dirname(near)
+    return tempfile.TemporaryDirectory(prefix=".decompose-", dir=near)
 
 
 def cmd_decompose(args) -> int:
@@ -212,31 +223,44 @@ def cmd_decompose(args) -> int:
     finiteness, and projected by one sweep that gives both its per-kernel
     residuals and its coefficients. While every residual so far is within
     --tol, the layer is also saved into a temporary directory in the nearest
-    existing directory above --out; the files move into --out once every
-    layer has passed. So memory holds one layer's weights and temporaries,
-    and a failed command leaves no output. A missing weight file is reported
-    before any layer is read, and of two faulty layers the earlier one.
+    existing directory above --out, made at the first save; the files move
+    into --out once every layer has passed. So memory holds one layer's
+    weights and temporaries, and a failed command leaves no output. A
+    missing weight file is reported before any layer is read, and of two
+    faulty layers the earlier one. A temporary directory that cannot be made
+    is reported only if every residual passes, so a failing run still
+    reports every layer's residual.
     """
     if not (np.isfinite(args.tol) and args.tol >= 0.0):
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     layers = analyzer.parse_network_spec(args.config)
     files = _weight_files(args.weights, layers)
-    parent = os.path.dirname(os.path.abspath(args.out))
-    near = parent
-    while not os.path.isdir(near):
-        near = os.path.dirname(near)
     results = []
     worst = (None, 0.0)
     ok = True
-    with tempfile.TemporaryDirectory(prefix=".decompose-", dir=near) as tmp:
+    tmp = fault = None
+    with contextlib.ExitStack() as stack:
         for spec, path in zip(layers, files):
-            residual = _decompose_layer(spec, path, args.tol, tmp if ok else None)
+            build = ok and fault is None
+            residual, layer = _decompose_layer(spec, path, args.tol if build else None)
             results.append({"index": spec.index, "kind": spec.kind, "residual": residual})
             ok = ok and residual <= args.tol
             if residual > worst[1]:
                 worst = (spec.index, residual)
+            if layer is not None:
+                try:
+                    tmp = tmp or stack.enter_context(_staging_dir(args.out))
+                except OSError as e:
+                    fault = e
+                else:
+                    structured.save_decomposed_layer(tmp, f"layer_{spec.index:03d}", layer)
+            del layer  # freed before the next layer is read
         if ok:
-            os.makedirs(parent, exist_ok=True)
+            if fault is not None:
+                raise fault
+            # The absolute parent first: when it or a component of it is a
+            # file, the error names that path, as it always has.
+            os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
             os.makedirs(args.out, exist_ok=True)
             for name in sorted(os.listdir(tmp)):
                 os.replace(os.path.join(tmp, name), os.path.join(args.out, name))

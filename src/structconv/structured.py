@@ -23,10 +23,11 @@ alpha_j = alpha_{j-k} + p_j - p_{j-1}. No inverse or SVD is formed; the dense
 A, its pseudoinverse and the projector are built on first access only.
 
 Decomposing a layer takes one sweep over its kernels (_worst_block_residual):
-each band's class residual is taken once, giving that band's share of the
-residual norms and its projection, and the recursion then runs on the
-projected kernels, since pinv(B) P = pinv(B). So a layer's residuals and its
-coefficients cost one pass, and its temporaries are of the layer's own size.
+each band's class residual is taken once for the residual norms, and the
+first band's also starts the coefficients, which are solved band by band as
+block_alphas solves them (a later band's class residual is taken on the
+coefficients so far), so both give the same bits. A single-band layer takes
+one class residual in all, and the temporaries are of the layer's own size.
 """
 
 from __future__ import annotations
@@ -146,17 +147,20 @@ def _minus_classes(x, beta, axis, stop):
     return out
 
 
-def _band_recursion(p, k, axis):
-    """pinv(B) x along axis, computed in place in p, which holds the first
-    l = L - k + 1 entries of p = P x along axis: pinv(B) P = pinv(B), and the
-    recursion reads no more. Entry j of B alpha is alpha_{j-k+1} + ... +
-    alpha_j, so alpha_j = alpha_{j-k} + p_j - p_{j-1}, a running sum within
-    each residue class mod k."""
-    l = p.shape[axis]
-    p[_at(axis, 1, l)] -= p[_at(axis, 0, l - 1)]
+def _band_solve(x, k, axis, beta=None):
+    """pinv(B) x along axis: the alpha with B alpha = p = P x, where beta is
+    x's class residual along axis, taken here unless the caller has it.
+    Entry j of B alpha is alpha_{j-k+1} + ... + alpha_j, so alpha_j =
+    alpha_{j-k} + p_j - p_{j-1}, a running sum within each residue class
+    mod k, which reads only p's first l = L - k + 1 entries."""
+    l = x.shape[axis] - k + 1
+    if beta is None:
+        beta = _class_residual(x, k, axis)[0]
+    alpha = _minus_classes(x, beta, axis, l)
+    alpha[_at(axis, 1, l)] -= alpha[_at(axis, 0, l - 1)]
     for b in range(k, l, k):
-        p[_at(axis, b, b + k)] += p[_at(axis, b - k, min(b, l - k))]
-    return p
+        alpha[_at(axis, b, b + k)] += alpha[_at(axis, b - k, min(b, l - k))]
+    return alpha
 
 
 def _row_squares(a):
@@ -165,26 +169,32 @@ def _row_squares(a):
     return np.einsum(f"{axes},{axes}->i", a, a)
 
 
-def _projection(x, cfg: StructuredConfig, truncate=False):
-    """(P v, ||(I - P) v||) for every kernel v of a (kernels, C, N, N) stack.
+def _projection(x, cfg: StructuredConfig, keep="P"):
+    """(y, ||(I - P) v||) for every kernel v of a (kernels, C, N, N) stack,
+    where y is P v for keep="P", pinv(A) v for keep="alpha", None for None.
 
     P = P_1 P_2 P_3, one commuting projector per band, so (I - P) v is the
     sum of the orthogonal parts (I - P_1) v, P_1 (I - P_2) v and
     P_1 P_2 (I - P_3) v, whose squared norms are each band's
     sum_r n_r beta_r^2. v - P v is never formed, so a structured kernel's
-    residual is at the rounding level of its betas, not of v. truncate keeps
-    P v's first l entries along the last band's axis only, all that the band
-    recursion reads.
+    residual is at the rounding level of its betas, not of v. pinv(A) v is
+    solved band by band on the coefficients so far, as block_alphas solves
+    it; the first band's solve reuses the class residual of v taken here.
+    Only keep="P" forms the last band's projection, which the norms do not
+    read.
     """
     sq = np.zeros(len(x))
+    alpha = x
     bands = _bands(cfg)
     for i, (axis, k) in enumerate(bands):
         beta, m, q = _class_residual(x, k, axis)
         sq += (m + 1) * _row_squares(beta[_at(axis, 0, q)])
         sq += m * _row_squares(beta[_at(axis, q, k)])
-        stop = x.shape[axis] - (k - 1 if truncate and i == len(bands) - 1 else 0)
-        x = _minus_classes(x, beta, axis, stop)
-    return x, np.sqrt(sq)
+        if keep == "alpha":
+            alpha = _band_solve(alpha, k, axis, None if i else beta)
+        if keep == "P" or i < len(bands) - 1:
+            x = _minus_classes(x, beta, axis, x.shape[axis])
+    return {"P": x, "alpha": alpha}.get(keep), np.sqrt(sq)
 
 
 def _frozen(a):
@@ -273,8 +283,7 @@ def block_alphas(flat, cfg: StructuredConfig) -> np.ndarray:
     x = np.asarray(flat, dtype=np.float64).reshape(-1, cfg.C, cfg.N, cfg.N)
     out = x
     for axis, k in _bands(cfg):
-        beta = _class_residual(out, k, axis)[0]
-        out = _band_recursion(_minus_classes(out, beta, axis, out.shape[axis] - k + 1), k, axis)
+        out = _band_solve(out, k, axis)
     return (out if out is not x else x.copy()).reshape(len(x), cfg.basis_size)
 
 
@@ -299,37 +308,38 @@ def reconstruct(alpha, cfg: StructuredConfig) -> np.ndarray:
     return _reconstruct_stack(alpha, cfg)
 
 
-def _worst_block_residual(flat, cfg: StructuredConfig):
+def _worst_block_residual(flat, cfg: StructuredConfig, solve=True):
     """(worst, residual, alphas) for flat, one vectorized kernel per row: the
     row and relative residual of the kernel farthest from the structured
     subspace, (-1, 0.0) when every kernel is exactly structured (zero rows
-    are), and every kernel's least-squares coefficients, one row each.
+    are), and with solve every kernel's least-squares coefficients, one row
+    each (None without).
 
-    One projection sweep gives both. Each band's class residual is taken
-    once, its squared norm summed and its classes subtracted, only over the
-    first l entries along the last band, and the band recursion on those
-    projected kernels is pinv(A) v, since pinv(B) P = pinv(B). A kernel whose
-    squared norm is not a finite normal number (it overflows or underflows)
-    is first divided by its largest |entry| rounded to a power of two, which
-    is exact and leaves the residual as it is, and its coefficients are
-    scaled back.
+    One sweep (_projection) gives both: each band's class residual is taken
+    once for the norms, and the first band's also starts the coefficients,
+    which take the same bits as block_alphas. A nonzero kernel whose squared
+    norm is not a finite normal number (it overflows or underflows) is first
+    divided by its largest |entry| rounded to a power of two, which is exact
+    and leaves the residual as it is, and its coefficients are scaled back.
     """
     flat = np.asarray(flat, dtype=np.float64)
     sq = _row_squares(flat)
+    rescale = ~np.isfinite(sq)
+    low = sq < np.finfo(np.float64).tiny
+    rescale[low] = flat[low].any(axis=1)
     scale = np.ones(len(flat))
-    rescale = ~(np.isfinite(sq) & (sq >= np.finfo(np.float64).tiny))
     if rescale.any():
         scale[rescale] = np.ldexp(1.0, np.frexp(np.max(np.abs(flat[rescale]), axis=1))[1])
         flat = flat / scale[:, np.newaxis]
         sq[rescale] = _row_squares(flat[rescale])
     norms = np.sqrt(sq)
-    p, resid = _projection(flat.reshape(-1, cfg.C, cfg.N, cfg.N), cfg, truncate=True)
-    for axis, k in _bands(cfg):
-        p = _band_recursion(p[_at(axis, 0, cfg.c if axis == 1 else cfg.n)], k, axis)
-    alphas = p.reshape(len(flat), cfg.basis_size)
-    # With no band, p is flat itself, which the coefficients must not share.
-    if rescale.any() or np.may_share_memory(alphas, flat):
-        alphas = alphas * scale[:, np.newaxis]
+    p, resid = _projection(flat.reshape(-1, cfg.C, cfg.N, cfg.N), cfg, "alpha" if solve else None)
+    alphas = None
+    if solve:
+        alphas = p.reshape(len(flat), cfg.basis_size)
+        # With no band, p is flat itself, which the coefficients must not share.
+        if rescale.any() or np.may_share_memory(alphas, flat):
+            alphas = alphas * scale[:, np.newaxis]
     res = resid / np.where(norms > 0.0, norms, 1.0)
     worst = int(np.argmax(res)) if res.size else -1
     if worst < 0 or res[worst] == 0.0:
@@ -342,7 +352,7 @@ def worst_kernel_residual(weights, cfg: StructuredConfig) -> float:
     a linear layer, channel planes for depthwise)."""
     weights = np.asarray(weights, dtype=np.float64)
     flat = weights.reshape(-1, cfg.C * cfg.N * cfg.N)
-    return _worst_block_residual(flat, cfg)[1]
+    return _worst_block_residual(flat, cfg, solve=False)[1]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -292,17 +293,19 @@ def test_decompose_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
 
 def test_decompose_evaluates_each_kernel_once(tmp_path, monkeypatch, capsys):
     # One residual evaluation per layer, over all of its kernels, which also
-    # gives the coefficients: one class residual per band of each layer, and
-    # no block_alphas call while the layers are built and written.
+    # gives the coefficients: one class residual per band of each layer for
+    # the norms, the first band's shared with the coefficients, one more per
+    # later band for the coefficients, and no block_alphas call while the
+    # layers are built and written.
     cfg = write_config(tmp_path)
     wdir = write_weight_dir(tmp_path)
     evaluate = structured._worst_block_residual
     class_residual = structured._class_residual
     kernels, bands = [], []
 
-    def spy(flat, cfg):
+    def spy(flat, cfg, *rest):
         kernels.append(len(flat))
-        return evaluate(flat, cfg)
+        return evaluate(flat, cfg, *rest)
 
     def count_bands(x, k, axis):
         bands.append(k)
@@ -319,7 +322,7 @@ def test_decompose_evaluates_each_kernel_once(tmp_path, monkeypatch, capsys):
     assert rc == 0, capsys.readouterr().err
     assert kernels == [spec["cout"] for spec in TINY_NET]
     specs = parse_network_spec(cfg)
-    assert len(bands) == sum(len(structured._bands(spec.cfg)) for spec in specs) == 7
+    assert len(bands) == sum(2 * len(structured._bands(spec.cfg)) - 1 for spec in specs) == 10
     assert all((out / f"layer_{i:03d}.json").exists() for i in range(1, len(TINY_NET) + 1))
 
 
@@ -400,6 +403,40 @@ def test_decompose_residual_failure_at_first_layer_reports_every_layer(tmp_path,
     assert "residual tolerance exceeded: layer 1" in captured.err
     assert saved == []
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("failing", [None, 3])
+def test_decompose_unwritable_staging_reports_every_residual(tmp_path, monkeypatch, capsys, failing):
+    # The temporary directory is made at the first save. If it cannot be
+    # made, the layers are still swept: a run with a failing layer reports
+    # every residual and exits 1, and only a run in which every layer passes
+    # reports the directory's error.
+    cfg = write_config(tmp_path)
+    wdir = write_weight_dir(tmp_path)
+    if failing:
+        w = structured_weights(TINY_NET[failing - 1], 6)
+        w[0, 0, 0, 0] += 0.5
+        write_tensor(os.path.join(wdir, f"layer_{failing:03d}.stcv"), w)
+
+    def unwritable(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(tmp_path))
+
+    monkeypatch.setattr(tempfile, "mkdtemp", unwritable)
+    before = _tree(tmp_path)
+    rc = cli.main(["decompose", "--weights", wdir, "--config", cfg,
+                   "--out", str(tmp_path / "made" / "out"), "--format", "json"])
+    captured = capsys.readouterr()
+    assert _tree(tmp_path) == before
+    if failing is None:
+        assert rc == 2
+        assert captured.err == f"error: [Errno 13] Permission denied: '{tmp_path}'\n"
+        assert captured.out == ""
+        return
+    assert rc == 1
+    payload = json.loads(captured.out)
+    assert [r["index"] for r in payload["layers"]] == [1, 2, 3, 4]
+    assert (payload["pass"], payload["worst_layer"]) == (False, 3)
+    assert "residual tolerance exceeded: layer 3" in captured.err
 
 
 def test_decompose_reports_the_earlier_layer_fault_first(tmp_path, capsys):

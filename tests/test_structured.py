@@ -34,7 +34,6 @@ from structconv.structured import (
 )
 from structconv import structured
 from structconv.structured import (
-    _bands,
     _projection,
     _reconstruct_stack,
     _row_squares,
@@ -514,26 +513,52 @@ def test_worst_block_residual_matches_per_kernel_loop():
 
 def test_sweep_matches_the_separate_residual_and_solve():
     # Every config with C <= 8 and N <= 5 on random unstructured kernels. The
-    # one sweep's coefficients match block_alphas, bit for bit when there is
-    # at most one band, and its residuals equal those of a full projection
-    # divided by the kernel norms, bit for bit.
+    # one sweep's coefficients equal block_alphas bit for bit, and its
+    # residuals, with or without the coefficients, equal those of a full
+    # projection divided by the kernel norms, bit for bit.
     for C in range(1, 9):
         for N in range(1, 6):
             for c in range(1, C + 1):
                 for n in range(1, N + 1):
                     cfg = StructuredConfig(C, N, c, n)
                     flat = np.array(random_tensor(C * 1000 + N * 100 + c * 10 + n, (3, C * N * N)))
-                    want = block_alphas(flat, cfg)
                     _, _, alphas = _worst_block_residual(flat, cfg)
-                    assert np.abs(alphas - want).max() <= 1e-12 * np.abs(want).max()
-                    if len(_bands(cfg)) <= 1:
-                        np.testing.assert_array_equal(alphas, want)
+                    np.testing.assert_array_equal(alphas, block_alphas(flat, cfg))
+                    assert not np.may_share_memory(alphas, flat)
                     for v in flat:
                         v = v[np.newaxis]
                         resid = _projection(v.reshape(1, C, N, N), cfg)[1]
                         ref = resid / np.sqrt(_row_squares(v))
                         idx, got, _ = _worst_block_residual(v, cfg)
                         assert (got == ref[0]) if ref[0] > 0.0 else ((idx, got) == (-1, 0.0))
+                        assert _worst_block_residual(v, cfg, solve=False) == (idx, got, None)
+
+
+def test_zero_kernels_take_no_rescale(monkeypatch):
+    # A zero kernel is exactly structured as it stands; only a nonzero kernel
+    # whose squared norm underflows is rescaled, which squares its rows again.
+    cfg = StructuredConfig(C=6, N=1, c=3, n=1)
+    flat = np.array(random_tensor(16, (4, 6)))
+    row_squares = structured._row_squares
+    calls = []
+
+    def count(a):
+        calls.append(len(a))
+        return row_squares(a)
+
+    monkeypatch.setattr(structured, "_row_squares", count)
+    want = _worst_block_residual(flat, cfg)
+    plain = list(calls)
+    flat[2] = 0.0
+    calls.clear()
+    got = _worst_block_residual(flat, cfg)
+    assert calls == plain
+    np.testing.assert_array_equal(got[2][[0, 1, 3]], want[2][[0, 1, 3]])
+    assert not got[2][2].any()
+    flat[2, 0] = 1e-170
+    calls.clear()
+    _worst_block_residual(flat, cfg)
+    assert calls == plain[:1] + [1] + plain[1:]
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-170])
@@ -552,7 +577,14 @@ def test_decompose_conv_layer_residual_is_scale_free(scale):
     np.testing.assert_allclose(layer.alpha, alphas * scale, rtol=1e-12, atol=0)
 
 
-def test_decompose_conv_layer_sweeps_each_band_once(monkeypatch):
+@pytest.mark.parametrize("cfg, want", [
+    (StructuredConfig(6, 1, 3, 1), [4]),
+    (StructuredConfig(4, 3, 2, 2), [3, 2, 2, 2, 2]),
+])
+def test_decompose_conv_layer_shares_the_first_class_residual(monkeypatch, cfg, want):
+    # The norms take one class residual per band; the coefficients reuse the
+    # first and take one per later band, on the coefficients so far. No
+    # block_alphas call.
     class_residual = structured._class_residual
     bands = []
 
@@ -565,10 +597,9 @@ def test_decompose_conv_layer_sweeps_each_band_once(monkeypatch):
 
     monkeypatch.setattr(structured, "_class_residual", count_bands)
     monkeypatch.setattr(structured, "block_alphas", no_second_solve)
-    cfg = StructuredConfig(4, 3, 2, 2)
-    alphas = np.array(random_tensor(15, (5, 2, 2, 2)))
+    alphas = np.array(random_tensor(15, (5, cfg.c, cfg.n, cfg.n)))
     layer = decompose_conv_layer(_reconstruct_stack(alphas, cfg), cfg)
-    assert bands == [3, 2, 2]
+    assert bands == want
     np.testing.assert_allclose(layer.alpha, alphas, rtol=0, atol=1e-12)
 
 
