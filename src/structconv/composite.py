@@ -104,7 +104,8 @@ def compose_kernel(kernel: CompositeKernel) -> np.ndarray:
 
 
 def conv_composite(x, kernel: CompositeKernel, geom: ConvGeometry = ConvGeometry()):
-    """Convolve via the composite evaluation: per-support sums, then scale.
+    """Convolve one C x H x W map via the composite evaluation: per-support
+    sums, then scale.
 
     Each basis element's support sum is evaluated independently (no sharing
     across elements) and results accumulate in ascending element order; that
@@ -113,7 +114,7 @@ def conv_composite(x, kernel: CompositeKernel, geom: ConvGeometry = ConvGeometry
     """
     out = None
     for m in range(kernel.basis.size):
-        support_sum = conv(x, kernel.basis.elements[m][np.newaxis], geom)[..., 0, :, :]
+        support_sum = conv(x, kernel.basis.elements[m][np.newaxis], geom)[0]
         term = kernel.alphas[m] * support_sum
         out = term if out is None else out + term
     return out

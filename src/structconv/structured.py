@@ -259,14 +259,15 @@ def project(w, cfg: StructuredConfig) -> tuple[np.ndarray, float]:
     """Orthogonal projection onto the structured subspace.
 
     Returns (w_hat, residual) with residual = ||w - w_hat|| / ||w||, or 0 for
-    a zero kernel (which is exactly structured).
+    a zero kernel (which is exactly structured), at any finite scale: the
+    kernel is projected at unit scale (_unit_rows).
     """
     w = _check_kernel(w, cfg)
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
+    flat, scale, norms = _unit_rows(w.reshape(1, -1))
+    if norms[0] == 0.0:
         return np.zeros_like(w), 0.0
-    w_hat, resid = _projection(w[np.newaxis], cfg)
-    return np.array(w_hat[0]), float(resid[0] / norm)
+    w_hat, resid = _projection(flat.reshape(1, cfg.C, cfg.N, cfg.N), cfg)
+    return w_hat[0] * scale[0], float(resid[0] / norms[0])
 
 
 def extract_alpha(w, cfg: StructuredConfig) -> np.ndarray:
@@ -308,21 +309,11 @@ def reconstruct(alpha, cfg: StructuredConfig) -> np.ndarray:
     return _reconstruct_stack(alpha, cfg)
 
 
-def _worst_block_residual(flat, cfg: StructuredConfig, solve=True):
-    """(worst, residual, alphas) for flat, one vectorized kernel per row: the
-    row and relative residual of the kernel farthest from the structured
-    subspace, (-1, 0.0) when every kernel is exactly structured (zero rows
-    are), and with solve every kernel's least-squares coefficients, one row
-    each (None without).
-
-    One sweep (_projection) gives both: each band's class residual is taken
-    once for the norms, and the first band's also starts the coefficients,
-    which take the same bits as block_alphas. A nonzero kernel whose squared
-    norm is not a finite normal number (it overflows or underflows) is first
-    divided by its largest |entry| rounded to a power of two, which is exact
-    and leaves the residual as it is, and its coefficients are scaled back.
-    """
-    flat = np.asarray(flat, dtype=np.float64)
+def _unit_rows(flat):
+    # (flat, scale, norms), one kernel per row: a nonzero row whose squared
+    # norm overflows or underflows is divided by its scale, its largest |entry|
+    # rounded to a power of two, which is exact and keeps its residual. Other
+    # rows keep scale 1; norms are those of the rows returned.
     sq = _row_squares(flat)
     rescale = ~np.isfinite(sq)
     low = sq < np.finfo(np.float64).tiny
@@ -332,13 +323,28 @@ def _worst_block_residual(flat, cfg: StructuredConfig, solve=True):
         scale[rescale] = np.ldexp(1.0, np.frexp(np.max(np.abs(flat[rescale]), axis=1))[1])
         flat = flat / scale[:, np.newaxis]
         sq[rescale] = _row_squares(flat[rescale])
-    norms = np.sqrt(sq)
+    return flat, scale, np.sqrt(sq)
+
+
+def _worst_block_residual(flat, cfg: StructuredConfig, solve=True):
+    """(worst, residual, alphas) for flat, one vectorized kernel per row: the
+    row and relative residual of the kernel farthest from the structured
+    subspace, (-1, 0.0) when every kernel is exactly structured (zero rows
+    are), and with solve every kernel's least-squares coefficients, one row
+    each (None without).
+
+    One sweep (_projection) gives both: each band's class residual is taken
+    once for the norms, and the first band's also starts the coefficients,
+    which take the same bits as block_alphas. The kernels are taken at unit
+    scale (_unit_rows), and their coefficients are scaled back.
+    """
+    flat, scale, norms = _unit_rows(np.asarray(flat, dtype=np.float64))
     p, resid = _projection(flat.reshape(-1, cfg.C, cfg.N, cfg.N), cfg, "alpha" if solve else None)
     alphas = None
     if solve:
         alphas = p.reshape(len(flat), cfg.basis_size)
         # With no band, p is flat itself, which the coefficients must not share.
-        if rescale.any() or np.may_share_memory(alphas, flat):
+        if np.may_share_memory(alphas, flat) or (scale != 1.0).any():
             alphas = alphas * scale[:, np.newaxis]
     res = resid / np.where(norms > 0.0, norms, 1.0)
     worst = int(np.argmax(res)) if res.size else -1
@@ -479,9 +485,10 @@ def forward_decomposed(x, layer) -> np.ndarray:
     """Pool, then the small kernel, then bias, for a conv, depthwise or fully
     connected decomposed layer.
 
-    A linear layer sums x over windows of layer.window entries and applies
-    its small matrix. A conv or depthwise layer sum-pools x and runs the
-    small conv, grouped per channel for a depthwise layer. A pool whose
+    A linear layer sums x, a vector, over windows of layer.window entries
+    and applies its small matrix. A conv or depthwise layer sum-pools x, one
+    C x H x W map, and runs the small conv, grouped per channel for a
+    depthwise layer; any other rank raises. A pool whose
     windows are all 1 only pads, so it is skipped and the conv pads instead:
     the same bits, without a padded copy the dense path does not make. The
     output extents match the dense path for every admissible input, which is
@@ -494,11 +501,13 @@ def forward_decomposed(x, layer) -> np.ndarray:
             raise ShapeError(f"input shape {x.shape} does not match ({layer.in_features},)")
         out = layer.small @ window_sum(x, layer.window, 0)
     else:
+        if x.ndim != 3:
+            raise ShapeError(f"input must be rank 3 (C x H x W), got rank {x.ndim}")
         sg, groups = layer.small_geom, 1
         if isinstance(layer, DecomposedDepthwiseLayer):
             groups = layer.channels
-            if x.ndim in (3, 4) and x.shape[-3] != groups:
-                raise ShapeError(f"input has {x.shape[-3]} channels, layer expects {groups}")
+            if len(x) != groups:
+                raise ShapeError(f"input has {len(x)} channels, layer expects {groups}")
         ph, pw = layer.pool_geom.padding
         if max(layer.pool_dims) == 1:
             # An identity pool only pads, and the conv pads with the same bits.
@@ -507,12 +516,12 @@ def forward_decomposed(x, layer) -> np.ndarray:
             pooled, pad = sum_pool3d(x, layer.pool_dims, layer.pool_geom), sg.padding
         out = conv(pooled, layer.alpha, ConvGeometry(sg.stride, pad, sg.dilation, groups))
         expect = (
-            out_extent(x.shape[-2], layer.cfg.N, sg.stride[0], ph, sg.dilation[0]),
-            out_extent(x.shape[-1], layer.cfg.N, sg.stride[1], pw, sg.dilation[1]),
+            out_extent(x.shape[1], layer.cfg.N, sg.stride[0], ph, sg.dilation[0]),
+            out_extent(x.shape[2], layer.cfg.N, sg.stride[1], pw, sg.dilation[1]),
         )
-        if out.shape[-2:] != expect:
+        if out.shape[1:] != expect:
             raise GeometryError(
-                f"decomposed output extents {out.shape[-2:]} diverged from dense-path "
+                f"decomposed output extents {out.shape[1:]} diverged from dense-path "
                 f"extents {expect}; this indicates an internal bug"
             )
     if layer.bias is not None:

@@ -1,27 +1,27 @@
 """Dense tensor substrate.
 
 Float64 tensors in channel-major, row-major layout (feature maps C x H x W,
-kernels C_out x C_in x K_h x K_w). Provides cross-correlation style
-convolution; the 1D all-ones window pair that 3D sum-pooling and every
-structured operation are built from, window_sum and its adjoint
-window_spread, which add strided slices for windows of up to 4 entries and
-take differences of running sums for longer ones; linear maps; a
-counter-based seeded random generator; and a bit-exact binary file
-container.
+kernels C_out x C_in x K_h x K_w). A batch has one layout, C x H x W x B
+with the batch last: im2col, col2im, zero_pad and sum_pool3d take it, and
+training runs on it. Provides cross-correlation style convolution; the 1D
+all-ones window pair that 3D sum-pooling and every structured operation are
+built from, window_sum and its adjoint window_spread, which add strided
+slices for windows of up to 4 entries and take differences of running sums
+for longer ones; linear maps; a counter-based seeded random generator; and
+a bit-exact binary file container.
 
 Convolution is cross-correlation: no kernel flip, zero padding only. It
-computes one map (C x H x W); a batch (B x C x H x W) is its samples, each
-convolved on its own. It takes one of three paths, picked from the layer's
-shapes: one matrix product for a 1x1 kernel with one group, shift-and-add
-over contiguous slices for a depthwise layer, and for every other layer one
-matrix product per group with the column matrix that im2col fills tap by
-tap. The depthwise path splits the padded input into phase buffers, one per
-residue of a tap's offset modulo the stride, so that every tap reads one
-contiguous 1-D slice of each channel's flat buffer. It computes the output on
-the buffers' row pitch and crops it, and walks the channels in blocks of
-about _DEPTHWISE_BLOCK_BYTES = 256 KB of that output, so that each block
-stays in cache across all its taps. zero_pad is the one padding helper: it
-writes the phase buffers and every other padded map.
+computes one map (C x H x W) and takes one of three paths, picked from the
+layer's shapes: one matrix product for a 1x1 kernel with one group,
+shift-and-add over contiguous slices for a depthwise layer, and for every
+other layer one matrix product per group with the column matrix that im2col
+fills tap by tap. The depthwise path splits the padded input into phase
+buffers, one per residue of a tap's offset modulo the stride, so that every
+tap reads one contiguous 1-D slice of each channel's flat buffer. It
+computes the output on the buffers' row pitch and crops it, and walks the
+channels in blocks of about _DEPTHWISE_BLOCK_BYTES = 256 KB of that output,
+so that each block stays in cache across all its taps. zero_pad is the one
+padding helper: it writes the phase buffers and every other padded map.
 
 im2col of a padded C x H x W x B map gives (C*K_h*K_w, H'*W'*B) columns, the
 batch last: conv gathers one map, and training its whole batch, which one
@@ -34,8 +34,8 @@ The window pair indexes the summed axis where it is: np.moveaxis costs about
 along an axis whose rows (the slices across that axis) are C-contiguous and
 hold at least _PLANE_SUM_MIN_SIZE = 512 entries as one add per row, plane by
 plane, and every other running sum in one call along the axis. Both give the
-same bits. The docstrings of conv and
-window_sum give the measurements behind each constant.
+same bits. The docstrings of conv and window_sum give the measurements
+behind each constant.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ def out_extent(size: int, kernel: int, stride: int, padding: int, dilation: int)
     return span // stride + 1
 
 
-def _check_map(x):
+def _check_map(x, batch=False):
+    # A C x H x W map, or with batch also a C x H x W x B batch.
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (3, 4):
-        raise ShapeError(
-            f"input must be rank 3 (C x H x W) or 4 (B x C x H x W), got rank {x.ndim}"
-        )
+    if x.ndim != 3 and not (batch and x.ndim == 4):
+        ranks = "3 (C x H x W) or 4 (C x H x W x B)" if batch else "3 (C x H x W)"
+        raise ShapeError(f"input must be rank {ranks}, got rank {x.ndim}")
     return x
 
 
@@ -212,9 +212,8 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
 
     Cross-correlation with zero padding; returns C_out x H' x W'. With
     groups=g, input and output channels are split into g contiguous blocks and
-    block i of the output sees only block i of the input. A batch
-    x (B x C x H x W) gives B x C_out x H' x W': its samples, each convolved
-    on its own.
+    block i of the output sees only block i of the input. Any other rank
+    than 3 raises: a batch goes through im2col, which takes it batch last.
 
     No patches are copied for a 1x1 kernel with g=1 (one matrix product over
     a strided view of the input) or for a depthwise layer, g=C=C_out (a sum
@@ -282,7 +281,7 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 4:
         raise ShapeError(f"kernel must be rank 4, got rank {kernel.ndim}")
-    c_in, h, w = x.shape[-3:]
+    c_in, h, w = x.shape
     c_out, c_k, kh, kw = kernel.shape
     g = geom.groups
     if c_in % g != 0 or c_out % g != 0:
@@ -293,29 +292,17 @@ def conv(x, kernel, geom: ConvGeometry = ConvGeometry()):
         )
     ho = out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
     wo = out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
-    if x.ndim == 3:
-        return _conv_map(x, kernel, (ho, wo), geom)
-    out = np.empty((len(x), c_out, ho, wo))
-    for i, sample in enumerate(x):
-        out[i] = _conv_map(sample, kernel, (ho, wo), geom)
-    return out
-
-
-def _conv_map(x, kernel, out_hw, geom):
-    # conv on one checked C x H x W map.
-    c_out, _, kh, kw = kernel.shape
-    c_in, g = len(x), geom.groups
     if g == c_in == c_out and not kh == kw == g == 1:
-        return _depthwise_conv(x, kernel[:, 0], out_hw, geom)
+        return _depthwise_conv(x, kernel[:, 0], (ho, wo), geom)
     ph, pw = geom.padding
     xp = zero_pad(x, ph, pw) if ph or pw else x
     if kh == kw == 1 and g == 1:
-        view = xp[(slice(None),) + _tap_slices(0, 0, out_hw, geom.stride, geom.dilation)]
+        view = xp[(slice(None),) + _tap_slices(0, 0, (ho, wo), geom.stride, geom.dilation)]
         out = kernel.reshape(c_out, c_in) @ view.reshape(c_in, -1)
     else:
         cols = im2col(xp[..., np.newaxis], (kh, kw), geom.stride, geom.dilation)
         out = kernel.reshape(g, c_out // g, -1) @ cols.reshape(g, -1, cols.shape[-1])
-    return out.reshape((c_out,) + out_hw)
+    return out.reshape(c_out, ho, wo)
 
 
 # The longest window the window pair sums as slice-adds; window_sum's
@@ -379,7 +366,8 @@ def window_sum(x, k: int, axis: int, stride: int = 1, dilation: int = 1):
     0.58 against 0.49 ms on (192, 28, 28), 2.07 against 0.76 ms on
     (144, 56, 56) and 8.97 against 1.02 ms on (96, 112, 112). A dilated
     window keeps np.cumsum, and so do rows that are not contiguous, such as a
-    batched (B, C, H, W) input summed over C, or a map summed along H or W.
+    map summed along H or W, or a C x H x W x B view of a batch stored sample
+    by sample, summed over C.
     """
     x = np.asarray(x, dtype=np.float64)
     pre, n, d = _axis_prefix(x.ndim, axis), x.shape[axis], dilation
@@ -442,12 +430,13 @@ def window_spread(x, k: int, axis: int):
     return out
 
 
-def zero_pad(x, ph, pw, stride=(1, 1), phase=(0, 0), extent=None, axis=-2):
+def zero_pad(x, ph, pw, stride=(1, 1), phase=(0, 0), extent=None):
     """x with ph rows of zeros above and below and pw columns of zeros on
-    either side of axes (axis, axis + 1), by default its last two: zeros
-    plus one copy, since np.pad's own cost dominates on small maps. Zeroing
-    only the border of an empty array was slower: 0.18 against 0.16 ms on a
-    (192, 28, 28) map (2 shared cores, min of 40 calls).
+    either side of axes 1 and 2, H and W of a C x H x W map or of a
+    C x H x W x B batch: zeros plus one copy, since np.pad's own cost
+    dominates on small maps. Zeroing only the border of an empty array was
+    slower: 0.18 against 0.16 ms on a (192, 28, 28) map (2 shared cores, min
+    of 40 calls).
 
     With a stride (s_h, s_w) and a phase (a, b), the result keeps only rows
     a, a + s_h, ... and columns b, b + s_w, ... of the padded map: conv's
@@ -455,48 +444,45 @@ def zero_pad(x, ph, pw, stride=(1, 1), phase=(0, 0), extent=None, axis=-2):
     by default all the kept rows and columns, sets the result's extents on
     the two axes; entries past the padded map are zero too.
     """
-    i = axis % x.ndim
-    (h, w), (sh, sw), (a, b) = x.shape[i : i + 2], stride, phase
+    (h, w), (sh, sw), (a, b) = x.shape[1:3], stride, phase
     # Kept rows r0..r1-1 hold x[a + sh*r0 - ph], x[a + sh*(r0+1) - ph], ...
     # and kept columns c0..c1-1 likewise.
     r0, c0 = max(0, -((a - ph) // sh)), max(0, -((b - pw) // sw))
     r1, c1 = max(r0, (h - 1 + ph - a) // sh + 1), max(c0, (w - 1 + pw - b) // sw + 1)
     if extent is None:
         extent = (-(-(h + 2 * ph - a) // sh), -(-(w + 2 * pw - b) // sw))
-    out = np.zeros(x.shape[:i] + tuple(extent) + x.shape[i + 2 :])
-    pre = (slice(None),) * i
+    out = np.zeros(x.shape[:1] + tuple(extent) + x.shape[3:])
     rows = slice(a + sh * r0 - ph, a + sh * r1 - ph, sh)
     cols = slice(b + sw * c0 - pw, b + sw * c1 - pw, sw)
-    out[pre + (slice(r0, r1), slice(c0, c1))] = x[pre + (rows, cols)]
+    out[:, r0:r1, c0:c1] = x[:, rows, cols]
     return out
 
 
 def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
-    """Sliding-window sum over (channel, height, width) of x (C x H x W), or
-    of each sample of a batch x (B x C x H x W).
+    """Sliding-window sum over the (channel, height, width) axes of x, a
+    C x H x W map or a C x H x W x B batch, which pools each sample.
 
-    The channel window slides with stride 1 and no padding or dilation; the
-    spatial axes use geom's stride, zero padding, and dilation. Equivalent to
-    convolving with an all-ones kernel of shape pool_dims slid over channels
-    and space.
+    The channel window slides with stride 1 and no padding or dilation, and
+    goes first, since it usually shrinks the map most; the spatial axes use
+    geom's stride, zero padding, and dilation. Equivalent to convolving with
+    an all-ones kernel of shape pool_dims, so pool dims (1, 1, 1) only pad.
     """
-    x = _check_map(x)
+    x = _check_map(x, batch=True)
     kc, kh, kw = (int(d) for d in pool_dims)
     if min(kc, kh, kw) < 1:
         raise ShapeError(f"pool dims must be >= 1, got {pool_dims}")
-    c_in, h, w = x.shape[-3:]
+    c_in, h, w = x.shape[:3]
     if kc > c_in:
         raise ShapeError(f"channel window {kc} exceeds {c_in} input channels")
     # out_extent raises when a spatial window does not fit the padded input.
     out_extent(h, kh, geom.stride[0], geom.padding[0], geom.dilation[0])
     out_extent(w, kw, geom.stride[1], geom.padding[1], geom.dilation[1])
-    # The channel window usually shrinks the map most, so it goes first.
-    out = window_sum(x, kc, -3)
+    out = window_sum(x, kc, 0)
     ph, pw = geom.padding
     if ph or pw:
         out = zero_pad(out, ph, pw)
-    out = window_sum(out, kh, -2, geom.stride[0], geom.dilation[0])
-    return window_sum(out, kw, -1, geom.stride[1], geom.dilation[1])
+    out = window_sum(out, kh, 1, geom.stride[0], geom.dilation[0])
+    return window_sum(out, kw, 2, geom.stride[1], geom.dilation[1])
 
 
 def linear(weight, x):

@@ -100,16 +100,17 @@ def test_conv_composite_one_hot_is_plain_conv():
     np.testing.assert_allclose(conv_composite(x, k), want, rtol=1e-12)
 
 
-def test_conv_composite_on_a_batch_is_its_samples():
-    # The support sums keep the batch axis and drop only the output channel.
+def test_conv_composite_rejects_a_batch():
+    # One map gives one H' x W' plane, the dense conv's; a batch is refused.
     basis = generate_structured_basis(StructuredConfig(C=3, N=3, c=2, n=2))
     k = CompositeKernel(basis, random_tensor(11, (basis.size,)))
-    x = random_tensor(12, (2, 3, 6, 6))
-    got = conv_composite(x, k)
-    want = conv(x, compose_kernel(k)[np.newaxis])[:, 0]
-    assert got.shape == want.shape == (2, 4, 4)
+    x = random_tensor(12, (3, 6, 6, 2))
+    got = conv_composite(x[..., 0], k)
+    want = conv(x[..., 0], compose_kernel(k)[np.newaxis])[0]
+    assert got.shape == want.shape == (4, 4)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1 + np.abs(want).max()))
-    np.testing.assert_array_equal(got, np.stack([conv_composite(xi, k) for xi in x]))
+    with pytest.raises(ShapeError, match="got rank 4"):
+        conv_composite(x, k)
 
 
 def test_conv_composite_zero_alphas_zero_output():

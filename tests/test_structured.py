@@ -577,6 +577,20 @@ def test_decompose_conv_layer_residual_is_scale_free(scale):
     np.testing.assert_allclose(layer.alpha, alphas * scale, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-200, 1e-310])
+def test_project_is_scale_free(scale):
+    # A squared norm that overflows (1e200) or underflows (1e-170 and below,
+    # subnormal entries at 1e-310): the projection scales with the kernel and
+    # the residual is that of the unit-scale kernel, neither NaN nor 0.
+    cfg = StructuredConfig(C=3, N=3, c=2, n=2)
+    w = np.array(random_tensor(18, (3, 3, 3)))
+    want_hat, want = project(w, cfg)
+    assert want > 1e-3
+    w_hat, got = project(w * scale, cfg)
+    assert abs(got - want) <= 1e-12 * want
+    np.testing.assert_allclose(w_hat / scale, want_hat, rtol=0, atol=1e-12 * np.abs(want_hat).max())
+
+
 @pytest.mark.parametrize("cfg, want", [
     (StructuredConfig(6, 1, 3, 1), [4]),
     (StructuredConfig(4, 3, 2, 2), [3, 2, 2, 2, 2]),
@@ -635,18 +649,19 @@ def test_depthwise_decomposition_with_bias():
     assert rel_err(forward_decomposed(x, layer), want) <= 1e-10
 
 
-def test_depthwise_forward_takes_a_batch():
-    # The channel check reads the channel axis, not the batch axis.
+def test_depthwise_forward_rejects_a_batch():
+    # The forward takes one C x H x W map; a batch and a map with the wrong
+    # channel count are refused.
     cfg = StructuredConfig(1, 3, 1, 2)
     w = _reconstruct_stack(random_tensor(50, (4, 1, 2, 2)), cfg)
     layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=4),
                                  bias=random_tensor(51, (4,)))
-    x = random_tensor(52, (2, 4, 6, 6))
-    got = forward_decomposed(x, layer)
-    assert got.shape == (2, 4, 6, 6)
-    np.testing.assert_array_equal(got, np.stack([forward_decomposed(xi, layer) for xi in x]))
+    x = random_tensor(52, (4, 6, 6, 2))
+    assert forward_decomposed(x[..., 0], layer).shape == (4, 6, 6)
+    with pytest.raises(ShapeError, match="got rank 4"):
+        forward_decomposed(x, layer)
     with pytest.raises(ShapeError, match="input has 3 channels, layer expects 4"):
-        forward_decomposed(random_tensor(53, (4, 3, 6, 6)), layer)
+        forward_decomposed(random_tensor(53, (3, 6, 6)), layer)
 
 
 @pytest.mark.parametrize(
@@ -666,14 +681,20 @@ def test_identity_pool_is_skipped_and_equals_the_dense_conv(cfg, groups, geom, b
     geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups)
     alphas = random_tensor(60, (4, cfg.c, 3, 3))
     layer = decomposed_layer(alphas, cfg, geom, bias=random_tensor(61, (4,)))
-    x = random_tensor(62, (batch or 1, 4 if groups > 1 else 3, 9, 8))
-    x = x if batch else x[0]
-    want = conv(x, alphas, geom) + layer.bias[:, None, None]
+    x = random_tensor(62, (4 if groups > 1 else 3, 9, 8, batch or 1))
+    x = x if batch else x[..., 0]
 
     def no_pool(*args, **kwargs):
         raise AssertionError("an identity pool called sum_pool3d")
 
     monkeypatch.setattr(structconv.structured, "sum_pool3d", no_pool)
+    if batch:
+        # Both paths refuse a C x H x W x B batch.
+        for run in (lambda: conv(x, alphas, geom), lambda: forward_decomposed(x, layer)):
+            with pytest.raises(ShapeError, match="got rank 4"):
+                run()
+        return
+    want = conv(x, alphas, geom) + layer.bias[:, None, None]
     np.testing.assert_array_equal(forward_decomposed(x, layer), want)
 
 

@@ -241,29 +241,30 @@ def test_conv_without_padding_is_bit_identical_to_padded_path():
     [((5, 4, 1, 1), 1), ((4, 1, 3, 2), 4), ((5, 4, 3, 2), 1), ((6, 2, 3, 2), 2)],
     ids=["1x1", "depthwise", "general", "grouped-general"],
 )
-def test_batched_conv_is_bit_identical_to_per_sample_calls(kernel_shape, groups, geom):
+def test_conv_rejects_a_batch(kernel_shape, groups, geom):
+    # conv computes one map on every path: a C x H x W x B batch goes
+    # through im2col, and conv refuses it before any work.
     geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=groups)
-    x = random_tensor(43, (3, 4, 9, 8))
+    x = random_tensor(43, (4, 9, 8, 3))
     kernel = random_tensor(44, kernel_shape)
-    got = conv(x, kernel, geom)
-    want = np.stack([conv(xi, kernel, geom) for xi in x])
-    assert got.shape == want.shape
-    np.testing.assert_array_equal(got, want)
+    with pytest.raises(ShapeError, match="got rank 4"):
+        conv(x, kernel, geom)
 
 
-def test_batched_depthwise_blocks_are_bit_identical_to_per_sample_calls():
-    # Two samples of 32x32 outputs: two full channel blocks and a remainder.
-    b = 2
-    step = _DEPTHWISE_BLOCK_BYTES // (8 * 32 * 32 * b)
+def test_depthwise_blocks_take_one_map_not_a_batch():
+    # Each sample is one map of two full channel blocks and a remainder, which
+    # the unblocked sum gives bit for bit; the batch of them is refused.
+    step = depthwise_block(32, 66, ConvGeometry(stride=(1, 2), padding=(1, 2)))
     c = 2 * step + step // 3
     geom = ConvGeometry(stride=(1, 2), padding=(1, 2), groups=c)
-    x = random_tensor(47, (b, c, 32, 66))
+    x = random_tensor(47, (c, 32, 66, 2))
     kernel = random_tensor(48, (c, 1, 3, 2))
-    got = conv(x, kernel, geom)
-    assert got.shape == (b, c, 32, 35)
-    for xi, gi in zip(x, got):
-        np.testing.assert_array_equal(gi, conv(xi, kernel, geom))
-        np.testing.assert_array_equal(gi, depthwise_taps_reference(xi, kernel, geom))
+    with pytest.raises(ShapeError, match="got rank 4"):
+        conv(x, kernel, geom)
+    for i in range(2):
+        got = conv(x[..., i], kernel, geom)
+        assert got.shape == (c, 32, 35)
+        np.testing.assert_array_equal(got, depthwise_taps_reference(x[..., i], kernel, geom))
 
 
 @pytest.mark.parametrize(
@@ -291,16 +292,17 @@ def test_depthwise_taps_in_several_phases(hw, geom, k_hw):
     )
 
 
-def test_batched_depthwise_at_stride_2_is_bit_identical_to_per_sample_calls():
+def test_depthwise_at_stride_2_takes_one_map_not_a_batch():
     c = 6
     geom = ConvGeometry(stride=2, padding=1, groups=c)
-    x = random_tensor(51, (3, c, 11, 10))
+    x = random_tensor(51, (c, 11, 10, 3))
     kernel = random_tensor(52, (c, 1, 3, 3))
-    got = conv(x, kernel, geom)
-    assert got.shape == (3, c, 6, 5)
-    for xi, gi in zip(x, got):
-        np.testing.assert_array_equal(gi, conv(xi, kernel, geom))
-        np.testing.assert_array_equal(gi, depthwise_taps_reference(xi, kernel, geom))
+    with pytest.raises(ShapeError, match="got rank 4"):
+        conv(x, kernel, geom)
+    for i in range(3):
+        got = conv(x[..., i], kernel, geom)
+        assert got.shape == (c, 6, 5)
+        np.testing.assert_array_equal(got, depthwise_taps_reference(x[..., i], kernel, geom))
 
 
 @pytest.mark.parametrize("dilation", [1, 2])
@@ -336,10 +338,16 @@ def test_depthwise_reads_an_unpadded_contiguous_map_in_place(dilation, monkeypat
 def test_depthwise_never_writes_or_aliases_its_input(geom, batch):
     c = 5
     geom = ConvGeometry(geom.stride, geom.padding, geom.dilation, groups=c)
-    x = np.array(random_tensor(55, (batch or 1, c, 12, 11)))
-    x = x if batch else x[0]
+    x = np.array(random_tensor(55, (c, 12, 11, batch or 1)))
+    x = x if batch else x[..., 0]
     before = x.copy()
     kernel = random_tensor(56, (c, 1, 3, 3))
+    if batch:
+        # A C x H x W x B batch is refused, and left as it was.
+        with pytest.raises(ShapeError, match="got rank 4"):
+            conv(x, kernel, geom)
+        np.testing.assert_array_equal(x, before)
+        return
     # Finite inputs never raise, though the pitch lanes multiply border zeros
     # and entries that wrap around from the next row.
     with np.errstate(all="raise"):
@@ -365,7 +373,7 @@ def test_depthwise_restores_the_ufunc_buffer_size():
     "shape,pad,stride,phase",
     [
         ((3, 5, 4), (1, 2), (1, 1), (0, 0)),
-        ((2, 3, 5, 4), (0, 1), (1, 1), (0, 0)),
+        ((3, 5, 4, 2), (0, 1), (1, 1), (0, 0)),
         ((3, 7, 6), (1, 1), (2, 2), (1, 0)),
         ((3, 7, 6), (2, 1), (3, 2), (2, 1)),
         ((3, 1, 2), (2, 2), (3, 3), (0, 0)),
@@ -375,7 +383,8 @@ def test_depthwise_restores_the_ufunc_buffer_size():
 def test_zero_pad_keeps_one_phase_of_the_padded_map(shape, pad, stride, phase):
     x = random_tensor(57, shape)
     (ph, pw), (sh, sw), (a, b) = pad, stride, phase
-    want = np.pad(x, ((0, 0),) * (x.ndim - 2) + ((ph, ph), (pw, pw)))[..., a::sh, b::sw]
+    # Axes 1 and 2 are H and W of a C x H x W map and of a C x H x W x B batch.
+    want = np.pad(x, ((0, 0), (ph, ph), (pw, pw)) + ((0, 0),) * (x.ndim - 3))[:, a::sh, b::sw]
     got = zero_pad(x, ph, pw, stride, phase)
     assert got.flags.c_contiguous
     np.testing.assert_array_equal(got, want)
@@ -384,7 +393,7 @@ def test_zero_pad_keeps_one_phase_of_the_padded_map(shape, pad, stride, phase):
 def test_zero_pad_on_inner_axes_with_a_larger_extent():
     # Inner axes of a C x H x W x B map, with zeros past the padded map.
     x = random_tensor(58, (3, 7, 6, 2))
-    got = zero_pad(x, 1, 2, (2, 3), (1, 2), (6, 5), axis=1)
+    got = zero_pad(x, 1, 2, (2, 3), (1, 2), (6, 5))
     kept = np.pad(x, ((0, 0), (1, 1), (2, 2), (0, 0)))[:, 1::2, 2::3]
     assert kept.shape == (3, 4, 3, 2)
     want = np.zeros((3, 6, 5, 2))
@@ -533,9 +542,10 @@ def test_sum_pool3d_rejects_bad_windows():
 
 @pytest.mark.parametrize("pool_dims", [(1, 2, 2), (3, 2, 1), (5, 3, 3)])
 def test_sum_pool3d_batch_equals_stacked_samples(pool_dims):
-    x = random_tensor(11, (4, 6, 7, 7))
+    # A C x H x W x B batch pools each sample, bit for bit.
+    x = random_tensor(11, (6, 7, 7, 4))
     geom = ConvGeometry(stride=(1, 2), padding=1, dilation=(2, 1))
-    want = np.stack([sum_pool3d(sample, pool_dims, geom) for sample in x])
+    want = np.stack([sum_pool3d(x[..., i], pool_dims, geom) for i in range(4)], axis=-1)
     np.testing.assert_array_equal(sum_pool3d(x, pool_dims, geom), want)
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from structconv import cli, training
-from structconv.structured import StructuredConfig, structure_matrix
-from structconv.structured import _reconstruct_stack, decomposed_layer, forward_decomposed
+from structconv.structured import ResidualError, StructuredConfig, structure_matrix
+from structconv.structured import _reconstruct_stack, decompose_conv_layer, decomposed_layer
+from structconv.structured import forward_decomposed
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, sum_pool3d
 from structconv.training import (
     Conv,
@@ -582,6 +583,45 @@ def test_decompose_model_rejects_unstructured():
     assert "layer" in str(info.value)
 
 
+def test_decompose_model_gates_on_the_worst_kernel():
+    # Three large structured kernels and one small unstructured one: the
+    # whole layer is within the tolerance, the small kernel is not. The gate
+    # is per kernel, as in decompose_conv_layer.
+    spec = ToyModelSpec(layers=(Conv(out_channels=4, kernel=3, c=2, n=2),), input_shape=(3, 5, 5))
+    model = ToyModel(spec, seed=15)
+    layer = model.layers[0]
+    w = 1e3 * _reconstruct_stack(random_tensor(16, (4, 2, 2, 2)), layer.cfg)
+    w[3] = 1e-3 * np.array(random_tensor(17, (3, 3, 3)))
+    layer.w = w
+    assert layer.residual() <= 1e-6
+    with pytest.raises(ResidualError, match=r"output channel 3 has residual"):
+        decompose_conv_layer(w, layer.cfg)
+    with pytest.raises(ResidualError, match=r"layer 0 \(conv2d\) kernel 3 has residual"):
+        decompose_model(model)
+    twin = decompose_model(model, residual_tol=1.0)
+    np.testing.assert_array_equal(
+        twin.layers[0].w, decompose_conv_layer(w, layer.cfg, residual_tol=1.0).alpha
+    )
+
+
+def test_every_structured_forward_pools_once(monkeypatch):
+    # Training pads and pools through tensor.sum_pool3d, one call per layer
+    # forward, with windows of 1 in dense mode.
+    calls = []
+
+    def spy(x, pool_dims, geom):
+        calls.append(tuple(pool_dims))
+        return sum_pool3d(x, pool_dims, geom)
+
+    monkeypatch.setattr(training, "sum_pool3d", spy)
+    for direct in (False, True):
+        model = ToyModel(TINY_SPEC, seed=18, direct=direct)
+        calls.clear()
+        model.forward(np.array(random_tensor(19, (4, 3, 6, 6))))
+        want = [l.cfg.pool_dims if direct else (1, 1, 1) for l in model.structured_layers()]
+        assert calls == want
+
+
 def test_decompose_model_projects_under_loose_tolerance():
     model = ToyModel(TINY_SPEC, seed=13)
     twin = decompose_model(model, residual_tol=1.0)
@@ -634,7 +674,8 @@ def einsum_reference(layer, x, g):
     x = x.reshape(x.shape[:2] + (x.shape[2:] or (1, 1)))
     map_shape, p = x.shape, layer.padding
     if layer.direct:
-        x, p = sum_pool3d(x, layer.cfg.pool_dims, ConvGeometry(padding=p)), 0
+        pool_geom = ConvGeometry(padding=p)
+        x, p = np.stack([sum_pool3d(xi, layer.cfg.pool_dims, pool_geom) for xi in x]), 0
     b, cin, h, w = x.shape
     k, s, grp = layer.w.shape[-1], layer.stride, layer.groups
     ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
