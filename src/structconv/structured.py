@@ -501,6 +501,7 @@ def forward_decomposed(x, layer) -> np.ndarray:
             raise ShapeError(f"input shape {x.shape} does not match ({layer.in_features},)")
         out = layer.small @ window_sum(x, layer.window, 0)
     else:
+        # Checked before the pool: sum_pool3d would pool a C x H x W x B batch.
         if x.ndim != 3:
             raise ShapeError(f"input must be rank 3 (C x H x W), got rank {x.ndim}")
         sg, groups = layer.small_geom, 1

@@ -104,12 +104,10 @@ def out_extent(size: int, kernel: int, stride: int, padding: int, dilation: int)
     return span // stride + 1
 
 
-def _check_map(x, batch=False):
-    # A C x H x W map, or with batch also a C x H x W x B batch.
+def _check_map(x):
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 and not (batch and x.ndim == 4):
-        ranks = "3 (C x H x W) or 4 (C x H x W x B)" if batch else "3 (C x H x W)"
-        raise ShapeError(f"input must be rank {ranks}, got rank {x.ndim}")
+    if x.ndim != 3:
+        raise ShapeError(f"input must be rank 3 (C x H x W), got rank {x.ndim}")
     return x
 
 
@@ -467,7 +465,9 @@ def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
     geom's stride, zero padding, and dilation. Equivalent to convolving with
     an all-ones kernel of shape pool_dims, so pool dims (1, 1, 1) only pad.
     """
-    x = _check_map(x, batch=True)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (3, 4):
+        raise ShapeError(f"input must be a C x H x W map or C x H x W x B batch, got rank {x.ndim}")
     kc, kh, kw = (int(d) for d in pool_dims)
     if min(kc, kh, kw) < 1:
         raise ShapeError(f"pool dims must be >= 1, got {pool_dims}")
