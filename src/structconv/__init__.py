@@ -27,10 +27,8 @@ from .structured import (
     SidecarError,
     StructuredConfig,
     StructureMatrix,
-    DecomposedConvLayer,
-    DecomposedDepthwiseLayer,
-    DecomposedLinearLayer,
-    decompose_conv_layer,
+    DecomposedLayer,
+    decompose,
     decomposed_layer,
     extract_alpha,
     forward_decomposed,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .structured import StructuredConfig, _reconstruct_stack
+from .structured import StructuredConfig, reconstruct
 from .tensor import ConvGeometry, GeometryError, out_extent, random_tensor
 
 _KINDS = ("conv", "pwconv", "dwconv", "linear")
@@ -385,7 +385,7 @@ def count_ops_instrumented(spec: LayerSpec, seed: int = 0) -> dict:
     decomposed = OpCounts()
     cfg = spec.cfg
     alphas = np.asarray(random_tensor(seed, (spec.cout, cfg.c, cfg.n, cfg.n)))
-    w = _reconstruct_stack(alphas, cfg)
+    w = reconstruct(alphas, cfg)
     if spec.kind == "dwconv":
         x = random_tensor(seed + 1, (spec.cout, *spec.in_hw))
         outs_d, outs_p = [], []

@@ -45,7 +45,7 @@ def _verify_layer(spec, seed, trials, corrupt):
     for t in range(trials):
         s = seed * 1000003 + spec.index * 7919 + t
         alphas = np.array(tensor.random_tensor(s, (spec.cout, cfg.c, cfg.n, cfg.n)))
-        dense = structured._reconstruct_stack(alphas, cfg)
+        dense = structured.reconstruct(alphas, cfg)
         if corrupt and t == 0:
             alphas[0, 0, 0, 0] += 1e-3
         if spec.kind == "linear":
@@ -186,9 +186,8 @@ def _expected_weight_shape(spec):
 
 
 def _decompose_layer(spec, path, tol):
-    # One layer's read, checks and sweep: (residual, layer), where layer is
-    # the decomposed layer if tol is given and the residual is within it,
-    # None otherwise. The weights are freed on return.
+    # One layer's read, checks and sweep: (layer, residual), where layer is
+    # None if the residual is above tol. The weights are freed on return.
     w = tensor.read_tensor(path)
     expect = _expected_weight_shape(spec)
     if w.shape != expect:
@@ -197,14 +196,10 @@ def _decompose_layer(spec, path, tol):
         )
     if not np.all(np.isfinite(w)):
         raise ValueError(f"layer {spec.index}: weights contain NaN or infinite values")
-    cfg = spec.cfg
-    flat = w.reshape(len(w), -1)
-    residual, alphas = structured._worst_block_residual(flat, cfg, tol is not None)[1:]
-    if tol is None or not residual <= tol:
-        return residual, None
-    if spec.kind != "linear":
-        alphas = alphas.reshape(len(w), cfg.c, cfg.n, cfg.n)
-    return residual, structured.decomposed_layer(alphas, cfg, spec.geom)
+    try:
+        return structured.decompose(w, spec.cfg, spec.geom, residual_tol=tol)
+    except structured.ResidualError as e:
+        return None, e.residual
 
 
 def _staging_dir(out):
@@ -241,13 +236,12 @@ def cmd_decompose(args) -> int:
     tmp = fault = None
     with contextlib.ExitStack() as stack:
         for spec, path in zip(layers, files):
-            build = ok and fault is None
-            residual, layer = _decompose_layer(spec, path, args.tol if build else None)
+            layer, residual = _decompose_layer(spec, path, args.tol)
             results.append({"index": spec.index, "kind": spec.kind, "residual": residual})
-            ok = ok and residual <= args.tol
+            ok = ok and layer is not None
             if residual > worst[1]:
                 worst = (spec.index, residual)
-            if layer is not None:
+            if ok and fault is None:
                 try:
                     tmp = tmp or stack.enter_context(_staging_dir(args.out))
                 except OSError as e:

@@ -8,10 +8,11 @@ c x n x n convolution, which is where the parameter and op savings come from.
 
 This module generates the basis, projects arbitrary kernels onto the
 structured subspace, measures their residuals, and decomposes conv, depthwise
-and fully connected layers into their pooled form, which the one
-forward_decomposed runs for all three. Vectorization order is fixed
-everywhere: channel-major, then kernel row, then kernel column (a plain
-row-major flatten of a (C, N, N) array).
+and fully connected layers alike: decompose gives one DecomposedLayer, which
+the one forward_decomposed runs and one sidecar format stores whatever its
+kind, and reconstruct maps any stack of coefficients back to kernels.
+Vectorization order is fixed everywhere: channel-major, then kernel row, then
+kernel column (a plain row-major flatten of a (C, N, N) array).
 
 The structure matrix A, whose columns are the vectorized basis elements, is
 the Kronecker product of one L x l all-ones band B per kernel axis (window
@@ -22,12 +23,13 @@ per class, and pinv(B) v follows from p = P v by the recursion
 alpha_j = alpha_{j-k} + p_j - p_{j-1}. No inverse or SVD is formed; the dense
 A, its pseudoinverse and the projector are built on first access only.
 
-Decomposing a layer takes one sweep over its kernels (_worst_block_residual):
-each band's class residual is taken once for the residual norms, and the
-first band's also starts the coefficients, which are solved band by band as
-block_alphas solves them (a later band's class residual is taken on the
-coefficients so far), so both give the same bits. A single-band layer takes
-one class residual in all, and the temporaries are of the layer's own size.
+Decomposing a layer (decompose) takes one sweep over its kernels
+(_worst_block_residual): each band's class residual is taken once for the
+residual norms, and the first band's also starts the coefficients, which are
+solved band by band as block_alphas solves them (a later band's class
+residual is taken on the coefficients so far), so both give the same bits.
+A single-band layer takes one class residual in all, and the temporaries are
+of the layer's own size.
 """
 
 from __future__ import annotations
@@ -59,7 +61,14 @@ class ConfigError(ValueError):
 
 
 class ResidualError(ValueError):
-    """Weights are farther from the structured subspace than the tolerance."""
+    """Weights are farther from the structured subspace than the tolerance:
+    kernel is the index of the farthest kernel, residual its residual (NaN
+    for a kernel with a NaN entry)."""
+
+    def __init__(self, message, kernel, residual):
+        super().__init__(message)
+        self.kernel = kernel
+        self.residual = residual
 
 
 class SidecarError(ValueError):
@@ -217,7 +226,7 @@ class StructureMatrix:
     def A(self) -> np.ndarray:
         cfg = self.cfg
         eye = np.eye(cfg.basis_size).reshape(-1, cfg.c, cfg.n, cfg.n)
-        return _frozen(_reconstruct_stack(eye, cfg).reshape(cfg.basis_size, -1).T)
+        return _frozen(reconstruct(eye, cfg).reshape(cfg.basis_size, -1).T)
 
     @cached_property
     def pinv(self) -> np.ndarray:
@@ -288,25 +297,23 @@ def block_alphas(flat, cfg: StructuredConfig) -> np.ndarray:
     return (out if out is not x else x.copy()).reshape(len(x), cfg.basis_size)
 
 
-def _reconstruct_stack(alphas, cfg: StructuredConfig):
-    # alphas (..., c, n, n) -> kernels (..., C, N, N): each kernel axis is
-    # spread over its pool window, the channel axis last since it grows most.
-    # window_spread never aliases its input, so only a config whose windows
-    # are all 1 copies to keep the result apart from alphas.
+def reconstruct(alphas, cfg: StructuredConfig) -> np.ndarray:
+    """Spread a (..., c, h, w) stack over cfg's pool windows, to
+    (..., C, h + N - n, w + N - n).
+
+    On coefficients (..., c, n, n) this gives the dense kernels A @ alpha; on
+    the gradient of a stride-1 pool's output it is that pool's adjoint. Each
+    axis is spread over its window, the channel axis last since it grows
+    most. window_spread never aliases its input, so only a config whose
+    windows are all 1 copies to keep the result apart from alphas.
+    """
     out = np.asarray(alphas, dtype=np.float64)
+    if out.ndim < 3 or out.shape[-3] != cfg.c:
+        raise ShapeError(f"alpha shape {out.shape} does not match (..., {cfg.c}, h, w)")
     for axis, k in zip((-1, -2, -3), cfg.pool_dims[::-1]):
         if k > 1:
             out = window_spread(out, k, axis)
     return out if max(cfg.pool_dims) > 1 else out.copy()
-
-
-def reconstruct(alpha, cfg: StructuredConfig) -> np.ndarray:
-    """Dense (C, N, N) kernel from coefficients alpha (c, n, n)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    expect = (cfg.c, cfg.n, cfg.n)
-    if alpha.shape != expect:
-        raise ShapeError(f"alpha shape {alpha.shape} does not match config dims {expect}")
-    return _reconstruct_stack(alpha, cfg)
 
 
 def _unit_rows(flat):
@@ -362,58 +369,39 @@ def worst_kernel_residual(weights, cfg: StructuredConfig) -> float:
 
 
 @dataclass(frozen=True)
-class DecomposedConvLayer:
-    """Conv layer refactored as sum-pool (window pool_dims, stride 1, original
-    padding and dilation) followed by a small conv (original stride and
-    dilation, no padding), with the bias untouched."""
+class DecomposedLayer:
+    """A conv, depthwise or fully connected layer refactored as a sum-pool
+    with cfg's windows followed by the small kernels alpha, then the bias.
+
+    kind follows from alpha's rank and geom.groups: rank-2 alpha (P, R) is a
+    fully connected layer ("linear"), which sums windows of cfg.pool_dims[0]
+    entries of its input vector; rank-4 alpha (C_out, c, n, n) is a conv
+    ("conv", groups 1) or a depthwise conv ("dwconv", one group per channel
+    and C = 1). A conv's dense geometry geom splits into pool_geom (stride 1,
+    its padding and dilation) and small_geom (its stride, dilation and
+    groups, no padding); a linear layer has neither. Built by
+    decomposed_layer only, which checks the shapes.
+    """
 
     cfg: StructuredConfig
-    pool_dims: tuple[int, int, int]
-    pool_geom: ConvGeometry
     alpha: np.ndarray
-    small_geom: ConvGeometry
-    bias: np.ndarray | None = None
+    geom: ConvGeometry
+    bias: np.ndarray | None
+    kind: str
+    pool_geom: ConvGeometry | None
+    small_geom: ConvGeometry | None
 
 
-@dataclass(frozen=True)
-class DecomposedDepthwiseLayer:
-    """Depthwise conv refactored per channel: each channel pools its own plane
-    spatially (window (N-n+1)^2, stride 1) and applies its own n x n kernel.
-    Nothing is shared across channels."""
-
-    cfg: StructuredConfig
-    channels: int
-    pool_dims: tuple[int, int, int]
-    pool_geom: ConvGeometry
-    alpha: np.ndarray
-    small_geom: ConvGeometry
-    bias: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class DecomposedLinearLayer:
-    """Fully connected layer (P x Q) refactored as a length-(Q-R+1) sliding
-    window sum producing R values, then a small P x R matrix."""
-
-    in_features: int
-    R: int
-    small: np.ndarray
-    bias: np.ndarray | None = None
-
-    @property
-    def window(self) -> int:
-        return self.in_features - self.R + 1
-
-
-def decomposed_layer(alphas, cfg: StructuredConfig, geom: ConvGeometry = ConvGeometry(), bias=None):
+def decomposed_layer(
+    alphas, cfg: StructuredConfig, geom: ConvGeometry = ConvGeometry(), bias=None
+) -> DecomposedLayer:
     """The decomposed layer that runs the small kernels alphas after cfg's pool.
 
     Rank-2 alphas (P, R) give a fully connected layer, which needs N = 1 and
     the default geom. Rank-4 alphas (C_out, c, n, n) give a conv when
     geom.groups = 1 and a depthwise conv of geom.groups channels, which needs
-    C = 1, otherwise. The dense layer's geom splits into the pool's part
-    (stride 1, its padding and dilation) and the small kernel's part (its
-    stride and dilation, no padding).
+    C = 1, otherwise. Its kind and its pool and small-conv geometries are
+    derived here, once per layer.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     linear = alphas.ndim == 2
@@ -433,34 +421,34 @@ def decomposed_layer(alphas, cfg: StructuredConfig, geom: ConvGeometry = ConvGeo
         if bias.shape != outputs:
             raise ShapeError(f"bias shape {bias.shape} does not match {expect[0]} outputs")
     if linear:
-        return DecomposedLinearLayer(in_features=cfg.C, R=cfg.c, small=alphas, bias=bias)
-    parts = dict(
-        cfg=cfg,
-        pool_dims=cfg.pool_dims,
+        return DecomposedLayer(cfg, alphas, geom, bias, "linear", None, None)
+    return DecomposedLayer(
+        cfg,
+        alphas,
+        geom,
+        bias,
+        kind="dwconv" if geom.groups > 1 else "conv",
         pool_geom=ConvGeometry(stride=1, padding=geom.padding, dilation=geom.dilation),
-        alpha=alphas,
-        small_geom=ConvGeometry(stride=geom.stride, padding=0, dilation=geom.dilation),
-        bias=bias,
+        small_geom=ConvGeometry(stride=geom.stride, dilation=geom.dilation, groups=geom.groups),
     )
-    if geom.groups > 1:
-        return DecomposedDepthwiseLayer(channels=geom.groups, **parts)
-    return DecomposedConvLayer(**parts)
 
 
-def decompose_conv_layer(
+def decompose(
     weights,
     cfg: StructuredConfig,
     geom: ConvGeometry = ConvGeometry(),
     bias=None,
     residual_tol: float = 1e-6,
-):
-    """Split a conv, depthwise or fully connected layer into its pooled form.
+) -> tuple[DecomposedLayer, float]:
+    """(layer, residual): a conv, depthwise or fully connected layer split
+    into its pooled form, and the largest residual of its kernels.
 
     weights are (C_out, C, N, N) for a conv (geom.groups = 1) and for a
     depthwise conv (cfg (1, N, 1, n), geom.groups = C_out), and (P, Q) for a
-    fully connected layer (cfg (Q, 1, R, 1), default geom). Every output's
-    kernel must lie within residual_tol of the structured subspace; the worst
-    offender is reported otherwise.
+    fully connected layer (cfg (Q, 1, R, 1), default geom). One sweep gives
+    every kernel's residual and coefficients. If the largest residual is
+    above residual_tol, or NaN, ResidualError names that kernel and its
+    residual.
     """
     weights = np.asarray(weights, dtype=np.float64)
     # A (P, Q) fully connected layer holds P kernels of shape (Q, 1, 1).
@@ -470,55 +458,48 @@ def decompose_conv_layer(
             f"weights shape {weights.shape} does not match config dims "
             f"(C_out, {', '.join(map(str, dims))})"
         )
-    flat = weights.reshape(len(weights), -1)
-    worst_idx, worst_res, alphas = _worst_block_residual(flat, cfg)
-    if not worst_res <= residual_tol:
+    worst, residual, alphas = _worst_block_residual(weights.reshape(len(weights), -1), cfg)
+    if not residual <= residual_tol:
         raise ResidualError(
-            f"output channel {worst_idx} has residual {worst_res:.3e} "
-            f"> tolerance {residual_tol:.3e}"
+            f"output channel {worst} has residual {residual:.3e} > tolerance {residual_tol:.3e}",
+            worst,
+            residual,
         )
     small = (cfg.c, cfg.n, cfg.n)[: len(dims)]
-    return decomposed_layer(alphas.reshape((len(weights),) + small), cfg, geom, bias)
+    return decomposed_layer(alphas.reshape((len(weights),) + small), cfg, geom, bias), residual
 
 
-def forward_decomposed(x, layer) -> np.ndarray:
-    """Pool, then the small kernel, then bias, for a conv, depthwise or fully
-    connected decomposed layer.
+def forward_decomposed(x, layer: DecomposedLayer) -> np.ndarray:
+    """Pool, then the small kernel, then bias, for a layer of any kind.
 
-    A linear layer sums x, a vector, over windows of layer.window entries
-    and applies its small matrix. A conv or depthwise layer sum-pools x, one
-    C x H x W map, and runs the small conv, grouped per channel for a
-    depthwise layer; any other rank raises. A pool whose
-    windows are all 1 only pads, so it is skipped and the conv pads instead:
-    the same bits, without a padded copy the dense path does not make. The
+    A linear layer sums x, a vector, over its windows and applies its small
+    matrix. A conv or depthwise layer sum-pools x, one C x H x W map, and
+    runs the small conv, grouped per channel for a depthwise layer; any
+    other rank raises. A pool whose windows are all 1 only pads, so it is
+    skipped and the small conv runs with the dense geometry instead: the
+    same bits, without a padded copy the dense path does not make. The
     output extents match the dense path for every admissible input, which is
     asserted, not assumed.
     """
     x = np.asarray(x, dtype=np.float64)
-    linear = isinstance(layer, DecomposedLinearLayer)
-    if linear:
-        if x.shape != (layer.in_features,):
-            raise ShapeError(f"input shape {x.shape} does not match ({layer.in_features},)")
-        out = layer.small @ window_sum(x, layer.window, 0)
+    cfg, geom = layer.cfg, layer.geom
+    if layer.kind == "linear":
+        if x.shape != (cfg.C,):
+            raise ShapeError(f"input shape {x.shape} does not match ({cfg.C},)")
+        out = layer.alpha @ window_sum(x, cfg.pool_dims[0], 0)
     else:
         # Checked before the pool: sum_pool3d would pool a C x H x W x B batch.
         if x.ndim != 3:
             raise ShapeError(f"input must be rank 3 (C x H x W), got rank {x.ndim}")
-        sg, groups = layer.small_geom, 1
-        if isinstance(layer, DecomposedDepthwiseLayer):
-            groups = layer.channels
-            if len(x) != groups:
-                raise ShapeError(f"input has {len(x)} channels, layer expects {groups}")
-        ph, pw = layer.pool_geom.padding
-        if max(layer.pool_dims) == 1:
-            # An identity pool only pads, and the conv pads with the same bits.
-            pooled, pad = x, (ph + sg.padding[0], pw + sg.padding[1])
+        if layer.kind == "dwconv" and len(x) != geom.groups:
+            raise ShapeError(f"input has {len(x)} channels, layer expects {geom.groups}")
+        if max(cfg.pool_dims) == 1:
+            out = conv(x, layer.alpha, geom)
         else:
-            pooled, pad = sum_pool3d(x, layer.pool_dims, layer.pool_geom), sg.padding
-        out = conv(pooled, layer.alpha, ConvGeometry(sg.stride, pad, sg.dilation, groups))
-        expect = (
-            out_extent(x.shape[1], layer.cfg.N, sg.stride[0], ph, sg.dilation[0]),
-            out_extent(x.shape[2], layer.cfg.N, sg.stride[1], pw, sg.dilation[1]),
+            out = conv(sum_pool3d(x, cfg.pool_dims, layer.pool_geom), layer.alpha, layer.small_geom)
+        expect = tuple(
+            out_extent(x.shape[1 + i], cfg.N, geom.stride[i], geom.padding[i], geom.dilation[i])
+            for i in (0, 1)
         )
         if out.shape[1:] != expect:
             raise GeometryError(
@@ -526,13 +507,8 @@ def forward_decomposed(x, layer) -> np.ndarray:
                 f"extents {expect}; this indicates an internal bug"
             )
     if layer.bias is not None:
-        out = out + (layer.bias if linear else layer.bias[:, np.newaxis, np.newaxis])
+        out = out + (layer.bias if layer.kind == "linear" else layer.bias[:, np.newaxis, np.newaxis])
     return out
-
-
-# perfbench/ still calls the per-kind names; the benchmark change that moves it
-# to forward_decomposed removes them.
-forward_decomposed_depthwise = forward_decomposed_linear = forward_decomposed
 
 
 def _geom_to_json(g: ConvGeometry) -> dict:
@@ -574,44 +550,35 @@ def _geom_from_json(sidecar, key) -> ConvGeometry:
     return ConvGeometry(*(_ints_field(d, f, 2, key) for f in ("stride", "padding", "dilation")))
 
 
-def save_decomposed_layer(out_dir, name: str, layer) -> dict:
-    """Write alpha (or the small matrix), optional bias, and a JSON sidecar.
+def save_decomposed_layer(out_dir, name: str, layer: DecomposedLayer) -> dict:
+    """Write alpha, optional bias, and a JSON sidecar.
 
     Returns the sidecar dict; files land in out_dir as {name}.json,
     {name}_alpha.stcv, and {name}_bias.stcv when a bias is present.
     """
     os.makedirs(out_dir, exist_ok=True)
-    alpha_file = f"{name}_alpha.stcv"
-    bias_file = f"{name}_bias.stcv" if layer.bias is not None else None
-    if isinstance(layer, (DecomposedConvLayer, DecomposedDepthwiseLayer)):
-        write_tensor(os.path.join(out_dir, alpha_file), layer.alpha)
-        sidecar = {
-            "kind": "dwconv" if isinstance(layer, DecomposedDepthwiseLayer) else "conv",
-            "config": {"C": layer.cfg.C, "N": layer.cfg.N, "c": layer.cfg.c, "n": layer.cfg.n},
-            "pool_dims": list(layer.pool_dims),
-            "pool_geom": _geom_to_json(layer.pool_geom),
-            "small_geom": _geom_to_json(layer.small_geom),
-            "alpha_file": alpha_file,
-            "bias_file": bias_file,
-        }
-        if isinstance(layer, DecomposedDepthwiseLayer):
-            sidecar["channels"] = layer.channels
-    elif isinstance(layer, DecomposedLinearLayer):
-        write_tensor(os.path.join(out_dir, alpha_file), layer.small)
-        sidecar = {
-            "kind": "linear",
-            "in_features": layer.in_features,
-            "R": layer.R,
-            "alpha_file": alpha_file,
-            "bias_file": bias_file,
-        }
+    cfg = layer.cfg
+    sidecar = {
+        "kind": layer.kind,
+        "alpha_file": f"{name}_alpha.stcv",
+        "bias_file": f"{name}_bias.stcv" if layer.bias is not None else None,
+    }
+    if layer.kind == "linear":
+        sidecar.update(in_features=cfg.C, R=cfg.c)
     else:
-        raise TypeError(f"not a decomposed layer: {type(layer).__name__}")
-    if bias_file is not None:
-        write_tensor(os.path.join(out_dir, bias_file), layer.bias)
+        sidecar.update(
+            config={"C": cfg.C, "N": cfg.N, "c": cfg.c, "n": cfg.n},
+            pool_dims=list(cfg.pool_dims),
+            pool_geom=_geom_to_json(layer.pool_geom),
+            small_geom=_geom_to_json(layer.small_geom),
+        )
+    if layer.kind == "dwconv":
+        sidecar["channels"] = layer.geom.groups
+    write_tensor(os.path.join(out_dir, sidecar["alpha_file"]), layer.alpha)
+    if layer.bias is not None:
+        write_tensor(os.path.join(out_dir, sidecar["bias_file"]), layer.bias)
     with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return sidecar
 
 
@@ -667,3 +634,31 @@ def load_decomposed_layer(sidecar_path):
     if (alpha.ndim == 2) != (kind == "linear"):
         raise ShapeError(f"alpha shape {alpha.shape} does not fit a {kind} layer")
     return decomposed_layer(alpha, cfg, geom, bias)
+
+
+# Compatibility block.
+# The benchmark in perfbench/ still builds layers by the per-kind names below
+# and reads a linear layer's coefficients as .small. The benchmark change that
+# moves it onto decomposed_layer, forward_decomposed and reconstruct deletes
+# this block.
+
+
+def DecomposedConvLayer(cfg, pool_dims, pool_geom, alpha, small_geom, bias=None, channels=1):
+    # pool_dims always equal cfg.pool_dims.
+    geom = ConvGeometry(small_geom.stride, pool_geom.padding, small_geom.dilation, channels)
+    return decomposed_layer(alpha, cfg, geom, bias)
+
+
+def DecomposedDepthwiseLayer(channels, **parts):
+    return DecomposedConvLayer(channels=channels, **parts)
+
+
+def DecomposedLinearLayer(in_features, R, small, bias=None):
+    return decomposed_layer(small, StructuredConfig(C=in_features, N=1, c=R, n=1), bias=bias)
+
+
+DecomposedLayer.small = property(lambda layer: layer.alpha)
+_reconstruct_stack = reconstruct
+forward_decomposed_depthwise = forward_decomposed_linear = forward_decomposed
+
+# End of the compatibility block.

@@ -541,7 +541,8 @@ _MAX_ELEMS = 1 << 40
 
 
 def write_tensor(path, x) -> None:
-    """Write x to the binary container at path."""
+    """Write x to the binary container at path, from x's own buffer: a
+    C-contiguous little-endian float64 array is not copied."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim < 1 or x.ndim > _MAX_RANK:
         raise ShapeError(f"container supports rank 1..{_MAX_RANK}, got {x.ndim}")
@@ -551,7 +552,7 @@ def write_tensor(path, x) -> None:
         f.write(_MAGIC)
         f.write(struct.pack("<II", _VERSION, x.ndim))
         f.write(struct.pack(f"<{x.ndim}I", *x.shape))
-        f.write(x.astype("<f8", copy=False).tobytes())
+        f.write(memoryview(x.astype("<f8", copy=False)).cast("B"))
 
 
 def read_tensor(path) -> np.ndarray:

@@ -27,13 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structured import (
-    ResidualError,
-    StructuredConfig,
-    _reconstruct_stack,
-    _worst_block_residual,
-    structure_matrix,
-)
+from .structured import ResidualError, StructuredConfig, decompose, reconstruct, structure_matrix
 from .tensor import ConvGeometry, col2im, im2col, random_tensor, sum_pool3d
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
@@ -247,15 +241,18 @@ class _Structured(_Layer):
         dxp = col2im(dcols, self.pad_shape, (k, k), (s, s)).transpose(3, 0, 1, 2)
         if self.direct:
             # The stride-1 pool's adjoint spreads each axis over its window,
-            # which is the reconstruction A @ alpha applied to every sample.
-            dxp = _reconstruct_stack(dxp, self.cfg)
+            # which is the reconstruction A @ alpha applied to every sample's
+            # every group of c channels.
+            b, _, h, w = dxp.shape
+            dxp = reconstruct(dxp.reshape(b, grp, -1, h, w), self.cfg)
+            dxp = dxp.reshape((b, -1) + dxp.shape[3:])
         return dxp[:, :, p : dxp.shape[2] - p, p : dxp.shape[3] - p].reshape(self.x_shape)
 
     def params(self):
         return [(self.w, self.gw), (self.b, self.gb)]
 
     def effective_weight(self):
-        return _reconstruct_stack(self.w, self.cfg) if self.direct else self.w
+        return reconstruct(self.w, self.cfg) if self.direct else self.w
 
     def residual(self):
         return layer_residual(self.effective_weight(), self.cfg)
@@ -508,7 +505,7 @@ def save_train_log(path, log: TrainLog) -> None:
 def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
     """Rebuild the model in decomposed form (pool + small kernels).
 
-    Dense layers are projected in decompose_conv_layer's one sweep; a kernel
+    Dense layers are projected in structured.decompose's one sweep; a kernel
     whose residual exceeds residual_tol aborts the conversion. A model
     already in direct form just has its parameters copied.
     """
@@ -520,13 +517,16 @@ def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
             dst.w = src.w.copy()
             dst.b = src.b.copy()
         else:
-            worst, r, alphas = _worst_block_residual(_blocks(src.w, src.cfg), src.cfg)
-            if not r <= residual_tol:
+            try:
+                layer = decompose(src.w, src.cfg, residual_tol=residual_tol)[0]
+            except ResidualError as e:
                 raise ResidualError(
-                    f"layer {i} ({src.name}) kernel {worst} has residual {r:.3e} "
-                    f"> tolerance {residual_tol:.3e}"
-                )
-            dst.w = alphas.reshape(dst.w.shape)
+                    f"layer {i} ({src.name}) kernel {e.kernel} has residual {e.residual:.3e} "
+                    f"> tolerance {residual_tol:.3e}",
+                    e.kernel,
+                    e.residual,
+                ) from None
+            dst.w = layer.alpha.reshape(dst.w.shape)
             dst.b = src.b.copy()
         dst.gw = np.zeros_like(dst.w)
         dst.gb = np.zeros_like(dst.b)

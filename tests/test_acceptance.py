@@ -26,14 +26,13 @@ from structconv.analyzer import (
 from structconv.composite import count_composite_ops
 from structconv.structured import (
     StructuredConfig,
-    decompose_conv_layer,
+    decompose,
     forward_decomposed,
     generate_structured_basis,
     load_decomposed_layer,
     reconstruct,
     save_decomposed_layer,
     structure_matrix,
-    _reconstruct_stack,
 )
 from structconv.tensor import (
     ConvGeometry,
@@ -93,8 +92,8 @@ def test_acceptance_1_conv_decomposition_equivalence():
             for trial in range(5):
                 seed = 7919 * case + trial
                 alphas = np.array(random_tensor(seed, (3, cfg.c, cfg.n, cfg.n)))
-                dense = _reconstruct_stack(alphas, cfg)
-                layer = decompose_conv_layer(dense, cfg, geom)
+                dense = reconstruct(alphas, cfg)
+                layer, _ = decompose(dense, cfg, geom)
                 x = random_tensor(seed + 1, (cfg.C, hw, hw))
                 worst = max(worst, rel_err(forward_decomposed(x, layer), conv(x, dense, geom)))
             case += 1
@@ -116,8 +115,8 @@ def test_acceptance_2_linear_decomposition_equivalence():
             for p in range(1, 33):
                 seed = 104729 * q + 491 * r + p
                 rows = np.array(random_tensor(seed, (p, r, 1, 1)))
-                dense = _reconstruct_stack(rows, cfg).reshape(p, q)
-                layer = decompose_conv_layer(dense, cfg)
+                dense = reconstruct(rows, cfg).reshape(p, q)
+                layer, _ = decompose(dense, cfg)
                 x = random_tensor(seed + 1, (q,))
                 worst = max(worst, rel_err(forward_decomposed(x, layer), linear(dense, x)))
                 cases += 1
@@ -322,8 +321,8 @@ def test_acceptance_9_round_trips_and_determinism(tmp_path):
     # Decomposed-layer files: coefficients survive bit-for-bit and the
     # reloaded layer reproduces the forward pass exactly.
     cfg = StructuredConfig(C=4, N=3, c=2, n=2)
-    dense = _reconstruct_stack(np.array(random_tensor(3, (5, 2, 2, 2))), cfg)
-    layer = decompose_conv_layer(dense, cfg, ConvGeometry(padding=1))
+    dense = reconstruct(np.array(random_tensor(3, (5, 2, 2, 2))), cfg)
+    layer, _ = decompose(dense, cfg, ConvGeometry(padding=1))
     save_decomposed_layer(str(tmp_path), "layer_rt", layer)
     reloaded = load_decomposed_layer(str(tmp_path / "layer_rt.json"))
     x = random_tensor(4, (4, 6, 6))

@@ -15,7 +15,7 @@ from structconv.structured import (
     StructuredConfig,
     forward_decomposed,
     load_decomposed_layer,
-    _reconstruct_stack,
+    reconstruct,
 )
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, write_tensor
 
@@ -48,14 +48,14 @@ def structured_weights(spec, seed):
     if spec["kind"] == "linear":
         cfg = StructuredConfig(C=spec["cin"], N=1, c=spec["c"], n=1)
         rows = np.array(random_tensor(seed, (spec["cout"], spec["c"], 1, 1)))
-        return _reconstruct_stack(rows, cfg).reshape(spec["cout"], spec["cin"])
+        return reconstruct(rows, cfg).reshape(spec["cout"], spec["cin"])
     if spec["kind"] == "dwconv":
         cfg = StructuredConfig(C=1, N=spec["k"], c=1, n=spec["n"])
         alphas = np.array(random_tensor(seed, (spec["cout"], 1, spec["n"], spec["n"])))
-        return _reconstruct_stack(alphas, cfg)
+        return reconstruct(alphas, cfg)
     cfg = StructuredConfig(C=spec["cin"], N=spec["k"], c=spec["c"], n=spec["n"])
     alphas = np.array(random_tensor(seed, (spec["cout"], spec["c"], spec["n"], spec["n"])))
-    return _reconstruct_stack(alphas, cfg)
+    return reconstruct(alphas, cfg)
 
 
 def write_weight_dir(tmp_path, layers=TINY_NET, seed=5):

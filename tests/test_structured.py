@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import tracemalloc
@@ -13,14 +14,12 @@ from structconv.analyzer import parse_network_spec
 from structconv.composite import CompositeKernel, check_linear_independence, compose_kernel
 from structconv.structured import (
     ConfigError,
-    DecomposedConvLayer,
-    DecomposedDepthwiseLayer,
-    DecomposedLinearLayer,
+    DecomposedLayer,
     ResidualError,
     SidecarError,
     StructuredConfig,
     block_alphas,
-    decompose_conv_layer,
+    decompose,
     decomposed_layer,
     extract_alpha,
     forward_decomposed,
@@ -35,7 +34,6 @@ from structconv.structured import (
 from structconv import structured
 from structconv.structured import (
     _projection,
-    _reconstruct_stack,
     _row_squares,
     _worst_block_residual,
 )
@@ -167,8 +165,8 @@ def test_band_pinv_at_fixture_scale():
     assert np.abs(sm.pinv - want).max() <= 1e-10 * np.abs(want).max()
     np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(cfg.basis_size), rtol=0, atol=1e-10)
     alphas = np.array(random_tensor(29, (8, cfg.c, 1, 1)))
-    dense = _reconstruct_stack(alphas, cfg)
-    got = _reconstruct_stack(block_alphas(dense.reshape(8, -1), cfg).reshape(alphas.shape), cfg)
+    dense = reconstruct(alphas, cfg)
+    got = reconstruct(block_alphas(dense.reshape(8, -1), cfg).reshape(alphas.shape), cfg)
     assert rel_err(got, dense) <= 1e-10
 
 
@@ -178,13 +176,13 @@ def test_matrix_free_operators_at_fixture_scale():
     # layer of struct_effnet.
     cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
     alphas = np.array(random_tensor(30, (8, cfg.c, 1, 1)))
-    dense = _reconstruct_stack(alphas, cfg)
+    dense = reconstruct(alphas, cfg)
     got = block_alphas(dense.reshape(8, -1), cfg).reshape(alphas.shape)
     assert np.abs(got - alphas).max() <= 1e-12 * np.abs(alphas).max()
     effnet = os.path.join(os.path.dirname(structconv.__file__), "fixtures", "struct_effnet.json")
     for spec in parse_network_spec(effnet):
         cfg = spec.cfg
-        w = _reconstruct_stack(random_tensor(spec.index, (spec.cout, cfg.c, cfg.n, cfg.n)), cfg)
+        w = reconstruct(random_tensor(spec.index, (spec.cout, cfg.c, cfg.n, cfg.n)), cfg)
         assert worst_kernel_residual(w, cfg) <= 1e-14, spec.index
 
 
@@ -192,17 +190,17 @@ def test_decompose_builds_no_dense_structure_matrix():
     # struct_effnet's (320, 1920, 1, 1) pwconv: 4.9 MB of weights, against the
     # 29.5 MB its dense projector alone would take.
     cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
-    w = _reconstruct_stack(random_tensor(31, (320, cfg.c, 1, 1)), cfg)
+    w = reconstruct(random_tensor(31, (320, cfg.c, 1, 1)), cfg)
     structure_matrix.cache_clear()
     tracemalloc.start()
     try:
-        layer = decompose_conv_layer(w, cfg)
+        layer, _ = decompose(w, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * w.nbytes
     assert structure_matrix.cache_info().currsize == 0  # never looked up
-    assert rel_err(_reconstruct_stack(layer.alpha, cfg), w) <= 1e-12
+    assert rel_err(reconstruct(layer.alpha, cfg), w) <= 1e-12
     sm = structure_matrix(cfg)
     assert not any(isinstance(v, np.ndarray) for v in vars(sm).values())
     small = structure_matrix(StructuredConfig(4, 3, 2, 2))
@@ -354,6 +352,34 @@ def test_extract_reconstruct_round_trip():
     )
 
 
+def test_reconstruct_takes_any_stack():
+    # A (3, 4) stack of coefficients gives each kernel's own bits; (B, c, H, W)
+    # maps give the bits they gave when reconstruct took one kernel and a
+    # private helper took stacks (sha256 of the C-order bytes).
+    cfg = StructuredConfig(5, 4, 2, 2)
+    alphas = np.array(random_tensor(91, (3, 4, 2, 2, 2)))
+    got = reconstruct(alphas, cfg)
+    assert got.shape == (3, 4, 5, 4, 4)
+    for i in range(3):
+        for j in range(4):
+            assert reconstruct(alphas[i, j], cfg).tobytes() == got[i, j].tobytes()
+    x = random_tensor(72, (3, 2, 7, 6))
+    for cfg, shape, digest in [
+        (StructuredConfig(5, 4, 2, 2), (3, 5, 9, 8),
+         "44a547862956b184213a5a2c2c6335ddcca436e0880a4ea25b15490d4e51d8be"),
+        (StructuredConfig(4, 7, 2, 2), (3, 4, 12, 11),
+         "7c52a0093bf03b31400f95a34ea3e572a80e9e6c4b68c36b54ebb9b2c35fc2cf"),
+        (StructuredConfig(2, 3, 2, 3), (3, 2, 7, 6),
+         "1edf6b6ce82e8f67078ddc607f49b833b602764f9172474846691cf39071cbcb"),
+    ]:
+        out = reconstruct(x, cfg)
+        assert out.shape == shape and hashlib.sha256(out.tobytes()).hexdigest() == digest
+    assert not np.may_share_memory(reconstruct(x, StructuredConfig(2, 3, 2, 3)), x)
+    for bad in (np.zeros((3, 3, 2, 2)), np.zeros((2, 2))):
+        with pytest.raises(ShapeError, match="alpha shape"):
+            reconstruct(bad, StructuredConfig(5, 4, 2, 2))
+
+
 def rel_err(got, want):
     return np.abs(got - want).max() / max(1.0, np.abs(want).max())
 
@@ -362,28 +388,28 @@ def rel_err(got, want):
 def test_conv_decomposition_equivalence(stride, pad, dil):
     cfg = StructuredConfig(4, 3, 2, 2)
     alphas = random_tensor(8, (6, 2, 2, 2))
-    w = _reconstruct_stack(alphas, cfg)
+    w = reconstruct(alphas, cfg)
     geom = ConvGeometry(stride=stride, padding=pad, dilation=dil)
-    layer = decompose_conv_layer(w, cfg, geom)
+    layer, _ = decompose(w, cfg, geom)
     x = random_tensor(9, (4, 9, 9))
     assert rel_err(forward_decomposed(x, layer), conv(x, w, geom)) <= 1e-10
 
 
 def test_conv_decomposition_asymmetric_geometry():
     cfg = StructuredConfig(3, 3, 1, 2)
-    w = _reconstruct_stack(random_tensor(10, (4, 1, 2, 2)), cfg)
+    w = reconstruct(random_tensor(10, (4, 1, 2, 2)), cfg)
     geom = ConvGeometry(stride=(2, 1), padding=(1, 2), dilation=(1, 2))
-    layer = decompose_conv_layer(w, cfg, geom)
+    layer, _ = decompose(w, cfg, geom)
     x = random_tensor(11, (3, 10, 11))
     assert rel_err(forward_decomposed(x, layer), conv(x, w, geom)) <= 1e-10
 
 
 def test_conv_decomposition_with_bias():
     cfg = StructuredConfig(2, 3, 1, 2)
-    w = _reconstruct_stack(random_tensor(12, (3, 1, 2, 2)), cfg)
+    w = reconstruct(random_tensor(12, (3, 1, 2, 2)), cfg)
     bias = random_tensor(13, (3,))
     geom = ConvGeometry(padding=1)
-    layer = decompose_conv_layer(w, cfg, geom, bias=bias)
+    layer, _ = decompose(w, cfg, geom, bias=bias)
     x = random_tensor(14, (2, 6, 6))
     want = conv(x, w, geom) + bias[:, None, None]
     assert rel_err(forward_decomposed(x, layer), want) <= 1e-10
@@ -392,8 +418,8 @@ def test_conv_decomposition_with_bias():
 def test_conv_decomposition_identity_config():
     cfg = StructuredConfig(3, 3, 3, 3)
     w = random_tensor(15, (4, 3, 3, 3))  # every kernel is trivially structured
-    layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1))
-    assert layer.pool_dims == (1, 1, 1)
+    layer, _ = decompose(w, cfg, ConvGeometry(padding=1))
+    assert layer.cfg.pool_dims == (1, 1, 1)
     np.testing.assert_allclose(layer.alpha, w, atol=1e-10)
     x = random_tensor(16, (3, 5, 5))
     assert rel_err(forward_decomposed(x, layer), conv(x, w, ConvGeometry(padding=1))) <= 1e-10
@@ -401,18 +427,18 @@ def test_conv_decomposition_identity_config():
 
 def test_decomposed_layer_shares_one_pool():
     cfg = StructuredConfig(4, 3, 2, 2)
-    w = _reconstruct_stack(random_tensor(17, (7, 2, 2, 2)), cfg)
-    layer = decompose_conv_layer(w, cfg)
-    assert isinstance(layer, DecomposedConvLayer)
-    assert layer.pool_dims == (3, 2, 2)
+    w = reconstruct(random_tensor(17, (7, 2, 2, 2)), cfg)
+    layer, _ = decompose(w, cfg)
+    assert layer.kind == "conv"
+    assert layer.cfg.pool_dims == (3, 2, 2)
     assert layer.alpha.shape == (7, 2, 2, 2)
     assert layer.small_geom.padding == (0, 0)
 
 
 def test_decompose_zero_input_zero_output():
     cfg = StructuredConfig(2, 3, 1, 2)
-    w = _reconstruct_stack(random_tensor(18, (3, 1, 2, 2)), cfg)
-    layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1))
+    w = reconstruct(random_tensor(18, (3, 1, 2, 2)), cfg)
+    layer, _ = decompose(w, cfg, ConvGeometry(padding=1))
     out = forward_decomposed(np.zeros((2, 5, 5)), layer)
     np.testing.assert_array_equal(out, np.zeros_like(out))
 
@@ -421,34 +447,52 @@ def test_decompose_rejects_unstructured_weights():
     cfg = StructuredConfig(4, 3, 2, 2)
     w = np.array(random_tensor(19, (3, 4, 3, 3)))  # generic, not structured
     with pytest.raises(ResidualError, match="channel"):
-        decompose_conv_layer(w, cfg, residual_tol=1e-6)
+        decompose(w, cfg, residual_tol=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_residual_error_names_the_kernel_and_its_residual():
+    cfg = StructuredConfig(4, 3, 2, 2)
+    w = reconstruct(random_tensor(90, (5, 2, 2, 2)), cfg)
+    w[3, 0, 0, 0] += 0.5
+    want = worst_kernel_residual(w, cfg)
+    assert want > 1e-3
+    with pytest.raises(ResidualError, match=f"output channel 3 has residual {want:.3e}") as info:
+        decompose(w, cfg)
+    assert (info.value.kernel, info.value.residual) == (3, want)
+    layer, residual = decompose(w, cfg, residual_tol=1.0)
+    assert residual == want and layer.kind == "conv"
+    w[1, 0, 1, 1] = np.nan
+    with pytest.raises(ResidualError) as info:
+        decompose(w, cfg, residual_tol=np.inf)
+    assert info.value.kernel == 1 and np.isnan(info.value.residual)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["conv", "dwconv", "linear"])
 def test_decompose_rejects_non_finite_weights(kind):
     if kind == "conv":
-        w = _reconstruct_stack(random_tensor(30, (3, 2, 2, 2)), StructuredConfig(4, 3, 2, 2))
+        w = reconstruct(random_tensor(30, (3, 2, 2, 2)), StructuredConfig(4, 3, 2, 2))
         w[1, 0, 0, 0] = np.nan
-        call = lambda: decompose_conv_layer(w, StructuredConfig(4, 3, 2, 2))
+        call = lambda: decompose(w, StructuredConfig(4, 3, 2, 2))
     elif kind == "dwconv":
-        w = _reconstruct_stack(random_tensor(31, (3, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
+        w = reconstruct(random_tensor(31, (3, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
         w[1, 0, 1, 1] = np.inf
-        call = lambda: decompose_conv_layer(w, StructuredConfig(1, 3, 1, 2), ConvGeometry(groups=3))
+        call = lambda: decompose(w, StructuredConfig(1, 3, 1, 2), ConvGeometry(groups=3))
     else:
-        w = _reconstruct_stack(random_tensor(32, (3, 2, 1, 1)), StructuredConfig(5, 1, 2, 1))
+        w = reconstruct(random_tensor(32, (3, 2, 1, 1)), StructuredConfig(5, 1, 2, 1))
         w = w.reshape(3, 5)
         w[1, 2] = np.nan
-        call = lambda: decompose_conv_layer(w, StructuredConfig(5, 1, 2, 1))
+        call = lambda: decompose(w, StructuredConfig(5, 1, 2, 1))
     with pytest.raises(ResidualError, match="1 has residual nan"):
         call()
 
 
 def test_decompose_rejects_grouped_geometry():
     cfg = StructuredConfig(2, 3, 1, 2)
-    w = _reconstruct_stack(random_tensor(20, (4, 1, 2, 2)), cfg)
+    w = reconstruct(random_tensor(20, (4, 1, 2, 2)), cfg)
     with pytest.raises(ValueError):
-        decompose_conv_layer(w, cfg, ConvGeometry(groups=2))
+        decompose(w, cfg, ConvGeometry(groups=2))
 
 
 @pytest.mark.parametrize(
@@ -460,9 +504,9 @@ def test_decompose_rejects_groups_other_than_one_or_outputs(kind, groups):
     # A conv takes groups = 1 only; a depthwise layer (C = 1) takes groups = 1
     # or one group per output channel.
     cfg = StructuredConfig(2, 3, 1, 2) if kind == "conv" else StructuredConfig(1, 3, 1, 2)
-    w = _reconstruct_stack(random_tensor(20, (4, 1, 2, 2)), cfg)
+    w = reconstruct(random_tensor(20, (4, 1, 2, 2)), cfg)
     with pytest.raises(ShapeError):
-        decompose_conv_layer(w, cfg, ConvGeometry(groups=groups))
+        decompose(w, cfg, ConvGeometry(groups=groups))
 
 
 @pytest.mark.parametrize(
@@ -472,23 +516,25 @@ def test_decompose_rejects_groups_other_than_one_or_outputs(kind, groups):
 )
 def test_decompose_rejects_linear_with_geometry(geom):
     cfg = StructuredConfig(C=6, N=1, c=3, n=1)
-    w = _reconstruct_stack(random_tensor(40, (3, 3, 1, 1)), cfg).reshape(3, 6)
+    w = reconstruct(random_tensor(40, (3, 3, 1, 1)), cfg).reshape(3, 6)
     with pytest.raises(GeometryError, match="linear layer"):
-        decompose_conv_layer(w, cfg, geom)
+        decompose(w, cfg, geom)
 
 
 def test_decomposed_layer_picks_class_and_splits_geometry():
     geom = ConvGeometry(stride=2, padding=1, dilation=2)
     conv_layer = decomposed_layer(np.zeros((4, 2, 2, 2)), StructuredConfig(3, 3, 2, 2), geom)
-    assert isinstance(conv_layer, DecomposedConvLayer)
+    assert conv_layer.kind == "conv"
     assert conv_layer.pool_geom == ConvGeometry(padding=1, dilation=2)
     assert conv_layer.small_geom == ConvGeometry(stride=2, dilation=2)
     dw_geom = ConvGeometry(stride=2, padding=1, dilation=2, groups=4)
     dw = decomposed_layer(np.zeros((4, 1, 2, 2)), StructuredConfig(1, 3, 1, 2), dw_geom)
-    assert isinstance(dw, DecomposedDepthwiseLayer) and dw.channels == 4
-    assert (dw.pool_geom, dw.small_geom) == (conv_layer.pool_geom, conv_layer.small_geom)
+    assert dw.kind == "dwconv" and dw.geom.groups == 4
+    assert dw.pool_geom == conv_layer.pool_geom
+    assert dw.small_geom == ConvGeometry(stride=2, dilation=2, groups=4)
     lin = decomposed_layer(np.zeros((3, 2)), StructuredConfig(5, 1, 2, 1))
-    assert isinstance(lin, DecomposedLinearLayer) and lin.window == 4
+    assert lin.kind == "linear" and lin.cfg.pool_dims[0] == 4
+    assert (lin.pool_geom, lin.small_geom) == (None, None)
     with pytest.raises(ShapeError, match="bias shape"):
         decomposed_layer(np.zeros((3, 2)), StructuredConfig(5, 1, 2, 1), bias=np.zeros(2))
 
@@ -496,7 +542,7 @@ def test_decomposed_layer_picks_class_and_splits_geometry():
 def test_worst_block_residual_matches_per_kernel_loop():
     cfg = StructuredConfig(4, 3, 2, 2)
     sm = structure_matrix(cfg)
-    flat = _reconstruct_stack(random_tensor(25, (6, 2, 2, 2)), cfg).reshape(6, -1)
+    flat = reconstruct(random_tensor(25, (6, 2, 2, 2)), cfg).reshape(6, -1)
     assert _worst_block_residual(flat, cfg)[1] < 1e-14
     flat[1] += np.array(random_tensor(26, (36,))) * 1e-3
     flat[4] += np.array(random_tensor(27, (36,))) * 1e-2
@@ -571,9 +617,9 @@ def test_decompose_conv_layer_residual_is_scale_free(scale):
     assert want > 1e-3
     assert abs(worst_kernel_residual(w * scale, cfg) - want) <= 1e-12 * want
     with pytest.raises(ResidualError, match=f"{want:.3e}"):
-        decompose_conv_layer(w * scale, cfg)
+        decompose(w * scale, cfg)
     alphas = np.array(random_tensor(14, (4, 3, 1, 1)))
-    layer = decompose_conv_layer(_reconstruct_stack(alphas, cfg) * scale, cfg)
+    layer, _ = decompose(reconstruct(alphas, cfg) * scale, cfg)
     np.testing.assert_allclose(layer.alpha, alphas * scale, rtol=1e-12, atol=0)
 
 
@@ -612,14 +658,14 @@ def test_decompose_conv_layer_shares_the_first_class_residual(monkeypatch, cfg, 
     monkeypatch.setattr(structured, "_class_residual", count_bands)
     monkeypatch.setattr(structured, "block_alphas", no_second_solve)
     alphas = np.array(random_tensor(15, (5, cfg.c, cfg.n, cfg.n)))
-    layer = decompose_conv_layer(_reconstruct_stack(alphas, cfg), cfg)
+    layer, _ = decompose(reconstruct(alphas, cfg), cfg)
     assert bands == want
     np.testing.assert_allclose(layer.alpha, alphas, rtol=0, atol=1e-12)
 
 
 def test_worst_kernel_residual_reports_max():
     cfg = StructuredConfig(4, 3, 2, 2)
-    good = _reconstruct_stack(random_tensor(21, (3, 2, 2, 2)), cfg)
+    good = reconstruct(random_tensor(21, (3, 2, 2, 2)), cfg)
     assert worst_kernel_residual(good, cfg) <= 1e-12
     spoiled = good.copy()
     spoiled[1, 0, 0, 0] += 0.5
@@ -631,9 +677,9 @@ def test_depthwise_decomposition_equivalence():
     n = 2
     cfg = StructuredConfig(1, 3, 1, n)
     alphas = random_tensor(22, (6, 1, n, n))
-    w = _reconstruct_stack(alphas, cfg)
+    w = reconstruct(alphas, cfg)
     geom = ConvGeometry(stride=2, padding=1)
-    layer = decompose_conv_layer(w, cfg, ConvGeometry(stride=2, padding=1, groups=6))
+    layer, _ = decompose(w, cfg, ConvGeometry(stride=2, padding=1, groups=6))
     x = random_tensor(23, (6, 9, 9))
     want = conv(x, w, ConvGeometry(stride=2, padding=1, groups=6))
     assert rel_err(forward_decomposed(x, layer), want) <= 1e-10
@@ -641,9 +687,9 @@ def test_depthwise_decomposition_equivalence():
 
 def test_depthwise_decomposition_with_bias():
     cfg = StructuredConfig(1, 3, 1, 2)
-    w = _reconstruct_stack(random_tensor(24, (4, 1, 2, 2)), cfg)
+    w = reconstruct(random_tensor(24, (4, 1, 2, 2)), cfg)
     bias = random_tensor(25, (4,))
-    layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=4), bias=bias)
+    layer, _ = decompose(w, cfg, ConvGeometry(padding=1, groups=4), bias=bias)
     x = random_tensor(26, (4, 6, 6))
     want = conv(x, w, ConvGeometry(padding=1, groups=4)) + bias[:, None, None]
     assert rel_err(forward_decomposed(x, layer), want) <= 1e-10
@@ -653,8 +699,8 @@ def test_depthwise_forward_rejects_a_batch():
     # The forward takes one C x H x W map; a batch and a map with the wrong
     # channel count are refused.
     cfg = StructuredConfig(1, 3, 1, 2)
-    w = _reconstruct_stack(random_tensor(50, (4, 1, 2, 2)), cfg)
-    layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=4),
+    w = reconstruct(random_tensor(50, (4, 1, 2, 2)), cfg)
+    layer, _ = decompose(w, cfg, ConvGeometry(padding=1, groups=4),
                                  bias=random_tensor(51, (4,)))
     x = random_tensor(52, (4, 6, 6, 2))
     assert forward_decomposed(x[..., 0], layer).shape == (4, 6, 6)
@@ -700,7 +746,7 @@ def test_identity_pool_is_skipped_and_equals_the_dense_conv(cfg, groups, geom, b
 
 def test_depthwise_rejects_bad_shapes():
     with pytest.raises(ShapeError):
-        decompose_conv_layer(
+        decompose(
             random_tensor(27, (4, 2, 3, 3)), StructuredConfig(1, 3, 1, 2), ConvGeometry(groups=4)
         )
 
@@ -711,7 +757,7 @@ def test_forward_rejects_a_layer_whose_geometry_diverges_from_dense(groups):
     # would come out (., 8, 8) where the dense conv gives (., 6, 6).
     cfg = StructuredConfig(4 if groups == 1 else 1, 3, 2 if groups == 1 else 1, 2)
     good = decomposed_layer(np.zeros((4, cfg.c, 2, 2)), cfg, ConvGeometry(padding=1, groups=groups))
-    layer = dataclasses.replace(good, small_geom=ConvGeometry(padding=1))
+    layer = dataclasses.replace(good, small_geom=ConvGeometry(padding=1, groups=groups))
     assert forward_decomposed(np.zeros((4, 6, 6)), good).shape == (4, 6, 6)
     with pytest.raises(GeometryError, match="diverged from dense-path extents"):
         forward_decomposed(np.zeros((4, 6, 6)), layer)
@@ -719,9 +765,9 @@ def test_forward_rejects_a_layer_whose_geometry_diverges_from_dense(groups):
 
 def test_linear_decomposition_r_equals_q():
     w = random_tensor(28, (3, 5))
-    layer = decompose_conv_layer(w, StructuredConfig(5, 1, 5, 1))
-    assert layer.window == 1
-    np.testing.assert_allclose(layer.small, w, atol=1e-10)
+    layer, _ = decompose(w, StructuredConfig(5, 1, 5, 1))
+    assert layer.cfg.pool_dims[0] == 1
+    np.testing.assert_allclose(layer.alpha, w, atol=1e-10)
     x = random_tensor(29, (5,))
     np.testing.assert_allclose(forward_decomposed(x, layer), linear(w, x), atol=1e-12)
 
@@ -730,9 +776,9 @@ def test_linear_decomposition_structured_rows():
     p_dim, q_dim, r_dim = 3, 4, 2
     cfg = StructuredConfig(C=q_dim, N=1, c=r_dim, n=1)
     alpha_rows = random_tensor(30, (p_dim, r_dim, 1, 1))
-    w = _reconstruct_stack(alpha_rows, cfg).reshape(p_dim, q_dim)
-    layer = decompose_conv_layer(w, cfg)
-    assert layer.window == q_dim - r_dim + 1
+    w = reconstruct(alpha_rows, cfg).reshape(p_dim, q_dim)
+    layer, _ = decompose(w, cfg)
+    assert layer.cfg.pool_dims[0] == q_dim - r_dim + 1
     x = random_tensor(31, (q_dim,))
     got = forward_decomposed(x, layer)
     assert rel_err(got, linear(w, x)) <= 1e-10
@@ -744,18 +790,18 @@ def test_linear_all_ones_edge_windows():
     # overlapping windows double-count interior entries.
     w = np.ones((3, 6))
     for r_dim in (1, 6):
-        layer = decompose_conv_layer(w, StructuredConfig(6, 1, r_dim, 1))
+        layer, _ = decompose(w, StructuredConfig(6, 1, r_dim, 1))
         x = random_tensor(32 + r_dim, (6,))
         assert rel_err(forward_decomposed(x, layer), linear(w, x)) <= 1e-10
     with pytest.raises(ResidualError):
-        decompose_conv_layer(w, StructuredConfig(6, 1, 3, 1), residual_tol=1e-6)
+        decompose(w, StructuredConfig(6, 1, 3, 1), residual_tol=1e-6)
 
 
 def test_linear_decomposition_with_bias():
     cfg = StructuredConfig(C=6, N=1, c=3, n=1)
-    w = _reconstruct_stack(random_tensor(40, (2, 3, 1, 1)), cfg).reshape(2, 6)
+    w = reconstruct(random_tensor(40, (2, 3, 1, 1)), cfg).reshape(2, 6)
     bias = random_tensor(41, (2,))
-    layer = decompose_conv_layer(w, cfg, bias=bias)
+    layer, _ = decompose(w, cfg, bias=bias)
     x = random_tensor(42, (6,))
     np.testing.assert_allclose(
         forward_decomposed(x, layer), linear(w, x) + bias, atol=1e-10
@@ -765,47 +811,141 @@ def test_linear_decomposition_with_bias():
 def test_linear_rejects_unstructured_rows():
     w = np.array(random_tensor(43, (3, 6)))
     with pytest.raises(ResidualError):
-        decompose_conv_layer(w, StructuredConfig(6, 1, 2, 1), residual_tol=1e-6)
+        decompose(w, StructuredConfig(6, 1, 2, 1), residual_tol=1e-6)
 
 
 @pytest.mark.parametrize("kind", ["conv", "dwconv", "linear"])
 def test_sidecar_round_trip(tmp_path, kind):
     if kind == "conv":
         cfg = StructuredConfig(3, 3, 2, 2)
-        w = _reconstruct_stack(random_tensor(50, (4, 2, 2, 2)), cfg)
-        layer = decompose_conv_layer(w, cfg, ConvGeometry(stride=2, padding=1),
+        w = reconstruct(random_tensor(50, (4, 2, 2, 2)), cfg)
+        layer, _ = decompose(w, cfg, ConvGeometry(stride=2, padding=1),
                                      bias=random_tensor(51, (4,)))
         x = random_tensor(52, (3, 7, 7))
     elif kind == "dwconv":
         cfg = StructuredConfig(1, 3, 1, 2)
-        w = _reconstruct_stack(random_tensor(53, (5, 1, 2, 2)), cfg)
-        layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1, groups=5))
+        w = reconstruct(random_tensor(53, (5, 1, 2, 2)), cfg)
+        layer, _ = decompose(w, cfg, ConvGeometry(padding=1, groups=5))
         x = random_tensor(54, (5, 6, 6))
     else:
         cfg = StructuredConfig(C=8, N=1, c=4, n=1)
-        w = _reconstruct_stack(random_tensor(55, (3, 4, 1, 1)), cfg).reshape(3, 8)
-        layer = decompose_conv_layer(w, cfg, bias=random_tensor(56, (3,)))
+        w = reconstruct(random_tensor(55, (3, 4, 1, 1)), cfg).reshape(3, 8)
+        layer, _ = decompose(w, cfg, bias=random_tensor(56, (3,)))
         x = random_tensor(57, (8,))
     save_decomposed_layer(tmp_path, "layer", layer)
     back = load_decomposed_layer(tmp_path / "layer.json")
     np.testing.assert_array_equal(forward_decomposed(x, back), forward_decomposed(x, layer))
 
 
+@pytest.mark.parametrize("name", ["Conv", "Depthwise", "Linear"])
+def test_compatibility_constructors_build_the_one_layer(name):
+    # The per-kind constructors, given the keywords the benchmark passes,
+    # build the layer decomposed_layer builds, field by field.
+    build = getattr(structured, f"Decomposed{name}Layer")
+    if name == "Linear":
+        cfg, geom = StructuredConfig(8, 1, 4, 1), ConvGeometry()
+        alphas = np.array(random_tensor(80, (3, 4)))
+        got = build(in_features=8, R=4, small=alphas)
+        assert getattr(got, "small") is got.alpha
+    else:
+        groups = 5 if name == "Depthwise" else 1
+        cfg = StructuredConfig(1, 3, 1, 2) if groups > 1 else StructuredConfig(3, 3, 2, 2)
+        geom = ConvGeometry(stride=2, padding=(1, 2), dilation=(1, 2), groups=groups)
+        alphas = np.array(random_tensor(80, (5, cfg.c, 2, 2)))
+        parts = dict(
+            cfg=cfg,
+            pool_dims=cfg.pool_dims,
+            pool_geom=ConvGeometry(stride=1, padding=geom.padding, dilation=geom.dilation),
+            alpha=alphas,
+            small_geom=ConvGeometry(stride=geom.stride, padding=0, dilation=geom.dilation),
+        )
+        got = build(channels=groups, **parts) if groups > 1 else build(**parts)
+    want = decomposed_layer(alphas, cfg, geom)
+    assert type(got) is DecomposedLayer
+    for field in dataclasses.fields(DecomposedLayer):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        else:
+            assert a == b, field.name
+
+
+_GEOM_JSON = {"stride": [1, 1], "padding": [0, 0], "dilation": [1, 1]}
+# Sidecars as the per-kind layer classes wrote them, by kind: (sidecar
+# without its file fields, alpha shape, kind of the loaded layer).
+_OLD_SIDECARS = {
+    "conv": (
+        {
+            "kind": "conv",
+            "config": {"C": 3, "N": 3, "c": 2, "n": 2},
+            "pool_dims": [2, 2, 2],
+            "pool_geom": {"stride": [1, 1], "padding": [1, 1], "dilation": [1, 2]},
+            "small_geom": {"stride": [2, 2], "padding": [0, 0], "dilation": [1, 2]},
+        },
+        (4, 2, 2, 2),
+        "conv",
+    ),
+    "pwconv": (
+        {
+            "kind": "conv",
+            "config": {"C": 6, "N": 1, "c": 3, "n": 1},
+            "pool_dims": [4, 1, 1],
+            "pool_geom": _GEOM_JSON,
+            "small_geom": _GEOM_JSON,
+        },
+        (4, 3, 1, 1),
+        "conv",
+    ),
+    "dwconv": (
+        {
+            "kind": "dwconv",
+            "channels": 5,
+            "config": {"C": 1, "N": 3, "c": 1, "n": 2},
+            "pool_dims": [1, 2, 2],
+            "pool_geom": dict(_GEOM_JSON, padding=[1, 1]),
+            "small_geom": _GEOM_JSON,
+        },
+        (5, 1, 2, 2),
+        "dwconv",
+    ),
+    "linear": ({"kind": "linear", "in_features": 8, "R": 4}, (3, 4), "linear"),
+}
+
+
+@pytest.mark.parametrize("bias", [False, True], ids=["no-bias", "bias"])
+@pytest.mark.parametrize("name", list(_OLD_SIDECARS))
+def test_old_sidecars_load_and_save_byte_identically(tmp_path, name, bias):
+    doc, shape, kind = _OLD_SIDECARS[name]
+    src, dst = tmp_path / "src", tmp_path / "dst"
+    src.mkdir()
+    doc = dict(doc, alpha_file="layer_alpha.stcv", bias_file="layer_bias.stcv" if bias else None)
+    (src / "layer.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_tensor(src / "layer_alpha.stcv", random_tensor(70, shape))
+    if bias:
+        write_tensor(src / "layer_bias.stcv", random_tensor(71, shape[:1]))
+    layer = load_decomposed_layer(src / "layer.json")
+    assert type(layer) is DecomposedLayer and layer.kind == kind
+    assert save_decomposed_layer(dst, "layer", layer) == doc
+    assert sorted(os.listdir(dst)) == sorted(os.listdir(src))
+    for f in os.listdir(src):
+        assert (dst / f).read_bytes() == (src / f).read_bytes(), f
+
+
 def _saved_layer(tmp_path, kind):
     if kind == "linear":
-        w = _reconstruct_stack(random_tensor(60, (3, 4, 1, 1)), StructuredConfig(8, 1, 4, 1))
-        layer = decompose_conv_layer(
+        w = reconstruct(random_tensor(60, (3, 4, 1, 1)), StructuredConfig(8, 1, 4, 1))
+        layer, _ = decompose(
             w.reshape(3, 8), StructuredConfig(8, 1, 4, 1), bias=random_tensor(61, (3,))
         )
     elif kind == "dwconv":
-        w = _reconstruct_stack(random_tensor(64, (5, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
-        layer = decompose_conv_layer(
+        w = reconstruct(random_tensor(64, (5, 1, 2, 2)), StructuredConfig(1, 3, 1, 2))
+        layer, _ = decompose(
             w, StructuredConfig(1, 3, 1, 2), ConvGeometry(groups=5), bias=random_tensor(65, (5,))
         )
     else:
         cfg = StructuredConfig(3, 3, 2, 2)
-        w = _reconstruct_stack(random_tensor(62, (4, 2, 2, 2)), cfg)
-        layer = decompose_conv_layer(w, cfg, ConvGeometry(padding=1), bias=random_tensor(63, (4,)))
+        w = reconstruct(random_tensor(62, (4, 2, 2, 2)), cfg)
+        layer, _ = decompose(w, cfg, ConvGeometry(padding=1), bias=random_tensor(63, (4,)))
     sidecar = save_decomposed_layer(tmp_path, "layer", layer)
     return tmp_path / "layer.json", sidecar
 
@@ -865,9 +1005,9 @@ def test_load_rejects_inconsistent_geometry(tmp_path, kind, change):
 
 def test_one_channel_depthwise_round_trips_as_conv(tmp_path):
     cfg = StructuredConfig(1, 3, 1, 2)
-    w = _reconstruct_stack(random_tensor(66, (1, 1, 2, 2)), cfg)
+    w = reconstruct(random_tensor(66, (1, 1, 2, 2)), cfg)
     geom = ConvGeometry(stride=2, padding=1, groups=1)
-    layer = decompose_conv_layer(w, cfg, geom, bias=random_tensor(67, (1,)))
+    layer, _ = decompose(w, cfg, geom, bias=random_tensor(67, (1,)))
     assert save_decomposed_layer(tmp_path, "layer", layer)["kind"] == "conv"
     back = load_decomposed_layer(tmp_path / "layer.json")
     x = random_tensor(68, (1, 7, 7))
@@ -977,9 +1117,9 @@ def test_equivalence_property(C, N, data):
     seed = data.draw(st.integers(0, 2**32))
     cfg = StructuredConfig(C, N, c, n)
     cout = data.draw(st.integers(1, 3))
-    w = _reconstruct_stack(random_tensor(seed, (cout, c, n, n)), cfg)
+    w = reconstruct(random_tensor(seed, (cout, c, n, n)), cfg)
     geom = ConvGeometry(stride=stride, padding=pad, dilation=dil)
     h = N * dil + 4
     x = random_tensor(seed + 1, (C, h, h))
-    layer = decompose_conv_layer(w, cfg, geom)
+    layer, _ = decompose(w, cfg, geom)
     assert rel_err(forward_decomposed(x, layer), conv(x, w, geom)) <= 1e-10

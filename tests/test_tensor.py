@@ -920,6 +920,22 @@ def test_container_extent_overflow(tmp_path):
         read_tensor(p)
 
 
+def test_write_takes_no_copy_of_the_payload(tmp_path):
+    # 1,000,000 float64 entries: 8 MB that a bytes copy of the array would
+    # allocate. The file holds the same bytes as that copy.
+    x = np.array(random_tensor(5, (1000, 1000)))
+    p = tmp_path / "t.stcv"
+    tracemalloc.start()
+    try:
+        write_tensor(p, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert p.read_bytes()[-x.nbytes :] == x.tobytes()
+    np.testing.assert_array_equal(read_tensor(p), x)
+
+
 def test_write_rejects_unsupported_rank(tmp_path):
     with pytest.raises(ShapeError):
         write_tensor(tmp_path / "t.stcv", np.zeros((1,) * 33))

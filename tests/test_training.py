@@ -7,7 +7,7 @@ import pytest
 
 from structconv import cli, training
 from structconv.structured import ResidualError, StructuredConfig, structure_matrix
-from structconv.structured import _reconstruct_stack, decompose_conv_layer, decomposed_layer
+from structconv.structured import decompose, decomposed_layer, reconstruct
 from structconv.structured import forward_decomposed
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, sum_pool3d
 from structconv.training import (
@@ -45,7 +45,7 @@ def dense_residual(w, cfg):
 
 def test_residual_zero_for_structured():
     cfg = StructuredConfig(4, 3, 2, 2)
-    w = _reconstruct_stack(random_tensor(1, (5, 2, 2, 2)), cfg)
+    w = reconstruct(random_tensor(1, (5, 2, 2, 2)), cfg)
     assert layer_residual(w, cfg) <= 1e-12
 
 
@@ -115,7 +115,7 @@ def test_sr_grad_matches_central_differences(seed):
 
 def test_sr_grad_near_zero_for_structured():
     cfg = StructuredConfig(4, 3, 2, 2)
-    w = _reconstruct_stack(random_tensor(6, (3, 2, 2, 2)), cfg)
+    w = reconstruct(random_tensor(6, (3, 2, 2, 2)), cfg)
     g = sr_grad(w, cfg)
     # smoothed zero: scale set by sqrt(eps) = 1e-6
     assert np.linalg.norm(g) <= 1e-5
@@ -263,15 +263,15 @@ def pool3d_backward_loops(g, x_shape, dims, padding):
 def test_pool3d_backward_matches_loop_reference(dims, padding):
     # Training's direct-mode backward spreads the pooled gradient with the
     # reconstruction, whose windows are a config's square pool_dims, and
-    # crops the padding.
-    cfg = StructuredConfig(C=dims[0], N=dims[1], c=1, n=1)
-    assert cfg.pool_dims == dims
+    # crops the padding. The pooled map has c = cin - dims[0] + 1 channels.
     x_shape = (2, 5, 4, 6)
     b, cin, h, w = x_shape
+    cfg = StructuredConfig(C=cin, N=dims[1], c=cin - dims[0] + 1, n=1)
+    assert cfg.pool_dims == dims
     g_shape = (b, cin - dims[0] + 1, h + 2 * padding - dims[1] + 1, w + 2 * padding - dims[2] + 1)
     g = np.array(random_tensor(24, g_shape))
     np.testing.assert_allclose(
-        _reconstruct_stack(g, cfg)[:, :, padding : padding + h, padding : padding + w],
+        reconstruct(g, cfg)[:, :, padding : padding + h, padding : padding + w],
         pool3d_backward_loops(g, x_shape, dims, padding),
         rtol=0,
         atol=1e-12,
@@ -303,7 +303,7 @@ def test_input_gradient_matches_numeric():
 @pytest.mark.parametrize("mode", ["plain", "direct"])
 def test_train_never_builds_the_first_layers_input_gradient(monkeypatch, mode):
     # Every input gradient of a structured layer goes through col2im or the
-    # linear product's reshape, and in direct mode through _reconstruct_stack;
+    # linear product's reshape, and in direct mode through reconstruct;
     # the spies record which layer's backward each scatter and spread ran in.
     ds = make_toy_dataset(4)
     running, backwards, scatters = [], [], []
@@ -327,7 +327,7 @@ def test_train_never_builds_the_first_layers_input_gradient(monkeypatch, mode):
 
     monkeypatch.setattr(training._Structured, "backward", backward)
     monkeypatch.setattr(training, "col2im", spy(training.col2im))
-    monkeypatch.setattr(training, "_reconstruct_stack", spy(training._reconstruct_stack))
+    monkeypatch.setattr(training, "reconstruct", spy(training.reconstruct))
     small = training.ToyDataset(ds.train_x[:64], ds.train_y[:64], ds.test_x[:32], ds.test_y[:32],
                                 ds.teacher, ds.seed)
     cfg = TrainingConfig(lam=0.0, lr=0.2, epochs=1, batch_size=32, seed=9, mode=mode)
@@ -586,21 +586,22 @@ def test_decompose_model_rejects_unstructured():
 def test_decompose_model_gates_on_the_worst_kernel():
     # Three large structured kernels and one small unstructured one: the
     # whole layer is within the tolerance, the small kernel is not. The gate
-    # is per kernel, as in decompose_conv_layer.
+    # is per kernel, as in structured.decompose.
     spec = ToyModelSpec(layers=(Conv(out_channels=4, kernel=3, c=2, n=2),), input_shape=(3, 5, 5))
     model = ToyModel(spec, seed=15)
     layer = model.layers[0]
-    w = 1e3 * _reconstruct_stack(random_tensor(16, (4, 2, 2, 2)), layer.cfg)
+    w = 1e3 * reconstruct(random_tensor(16, (4, 2, 2, 2)), layer.cfg)
     w[3] = 1e-3 * np.array(random_tensor(17, (3, 3, 3)))
     layer.w = w
     assert layer.residual() <= 1e-6
     with pytest.raises(ResidualError, match=r"output channel 3 has residual"):
-        decompose_conv_layer(w, layer.cfg)
-    with pytest.raises(ResidualError, match=r"layer 0 \(conv2d\) kernel 3 has residual"):
+        decompose(w, layer.cfg)
+    with pytest.raises(ResidualError, match=r"layer 0 \(conv2d\) kernel 3 has residual") as info:
         decompose_model(model)
+    assert info.value.kernel == 3 and info.value.residual > 1e-6
     twin = decompose_model(model, residual_tol=1.0)
     np.testing.assert_array_equal(
-        twin.layers[0].w, decompose_conv_layer(w, layer.cfg, residual_tol=1.0).alpha
+        twin.layers[0].w, decompose(w, layer.cfg, residual_tol=1.0)[0].alpha
     )
 
 
