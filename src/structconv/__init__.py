@@ -37,7 +37,6 @@ from .structured import (
     project,
     reconstruct,
     save_decomposed_layer,
-    structure_matrix,
     worst_kernel_residual,
 )
 from .analyzer import (

@@ -23,6 +23,10 @@ from .structured import StructuredConfig, reconstruct
 from .tensor import ConvGeometry, GeometryError, out_extent, random_tensor
 
 _KINDS = ("conv", "pwconv", "dwconv", "linear")
+# The exact integer counts that a CostReport and a NetworkCostReport share.
+COUNT_FIELDS = (
+    "params_before", "params_after", "mults_before", "mults_after", "adds_before", "adds_after",
+)
 
 
 class NetworkSpecError(ValueError):
@@ -184,23 +188,13 @@ def aggregate(reports) -> NetworkCostReport:
     reports = tuple(reports)
     if not reports:
         raise NetworkSpecError("no layers to aggregate")
-    pb = sum(r.params_before for r in reports)
-    pa = sum(r.params_after for r in reports)
-    mb = sum(r.mults_before for r in reports)
-    ma = sum(r.mults_after for r in reports)
-    ab = sum(r.adds_before for r in reports)
-    aa = sum(r.adds_after for r in reports)
+    totals = {f: sum(getattr(r, f) for r in reports) for f in COUNT_FIELDS}
     return NetworkCostReport(
         layers=reports,
-        params_before=pb,
-        params_after=pa,
-        mults_before=mb,
-        mults_after=ma,
-        adds_before=ab,
-        adds_after=aa,
-        param_ratio=Fraction(pa, pb),
-        mult_ratio=Fraction(ma, mb),
-        add_ratio=Fraction(aa, ab),
+        **totals,
+        param_ratio=Fraction(totals["params_after"], totals["params_before"]),
+        mult_ratio=Fraction(totals["mults_after"], totals["mults_before"]),
+        add_ratio=Fraction(totals["adds_after"], totals["adds_before"]),
     )
 
 

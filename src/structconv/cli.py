@@ -118,24 +118,14 @@ def cmd_analyze(args) -> int:
                 "kind": r.kind,
                 "out_h": r.out_h,
                 "out_w": r.out_w,
-                "params_before": r.params_before,
-                "params_after": r.params_after,
-                "mults_before": r.mults_before,
-                "mults_after": r.mults_after,
-                "adds_before": r.adds_before,
-                "adds_after": r.adds_after,
+                **{f: getattr(r, f) for f in analyzer.COUNT_FIELDS},
                 **_ratio_fields("param_ratio", r.param_ratio),
                 **_ratio_fields("mult_ratio", r.mult_ratio),
             }
             for r in net.layers
         ],
         "totals": {
-            "params_before": net.params_before,
-            "params_after": net.params_after,
-            "mults_before": net.mults_before,
-            "mults_after": net.mults_after,
-            "adds_before": net.adds_before,
-            "adds_after": net.adds_after,
+            **{f: getattr(net, f) for f in analyzer.COUNT_FIELDS},
             **_ratio_fields("param_ratio", net.param_ratio),
             **_ratio_fields("mult_ratio", net.mult_ratio),
             **_ratio_fields("add_ratio", net.add_ratio),

@@ -20,8 +20,11 @@ k = L - l + 1), and every operator runs one axis at a time without it: a
 vector lies in span(B) exactly when its k residue-class sums (over entries
 with equal index mod k) are equal, so the projection subtracts one constant
 per class, and pinv(B) v follows from p = P v by the recursion
-alpha_j = alpha_{j-k} + p_j - p_{j-1}. No inverse or SVD is formed; the dense
-A, its pseudoinverse and the projector are built on first access only.
+alpha_j = alpha_{j-k} + p_j - p_{j-1}. No inverse or SVD is formed. The dense
+A, its pseudoinverse and the projector belong to a StructureMatrix, which
+builds each on first access; nothing caches them for the process, so they
+live as long as the StructureMatrix's owner holds it (each structured
+training layer holds its own).
 
 Decomposing a layer (decompose) takes one sweep over its kernels
 (_worst_block_residual): each band's class residual is taken once for the
@@ -38,7 +41,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -218,7 +221,9 @@ class StructureMatrix:
     apply it matrix-free, band by band; the dense forms are built on first
     access, by applying those same operators to an identity: A
     (C*N^2 x c*n^2) with the vectorized basis elements as columns, its
-    pseudoinverse, and the orthogonal projector A @ pinv onto its column span."""
+    pseudoinverse, and the orthogonal projector A @ pinv onto its column span.
+    Each instance builds each form at most once and keeps it, read-only, for
+    as long as its owner holds the instance; no module-level cache does."""
 
     cfg: StructuredConfig
 
@@ -241,18 +246,9 @@ class StructureMatrix:
         return _frozen(rows.reshape(d, d).T)
 
 
-def _build_structure_matrix(cfg: StructuredConfig) -> StructureMatrix:
-    return StructureMatrix(cfg)
-
-
-@lru_cache(maxsize=128)
-def structure_matrix(cfg: StructuredConfig) -> StructureMatrix:
-    return _build_structure_matrix(cfg)
-
-
 def generate_structured_basis(cfg: StructuredConfig) -> CompositeBasis:
     """The c*n*n shifted all-ones cuboids, in lexicographic (i, j, k) order."""
-    A = structure_matrix(cfg).A
+    A = StructureMatrix(cfg).A
     return CompositeBasis(A.T.reshape(cfg.basis_size, cfg.C, cfg.N, cfg.N))
 
 
@@ -368,10 +364,12 @@ def worst_kernel_residual(weights, cfg: StructuredConfig) -> float:
     return _worst_block_residual(flat, cfg, solve=False)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecomposedLayer:
     """A conv, depthwise or fully connected layer refactored as a sum-pool
     with cfg's windows followed by the small kernels alpha, then the bias.
+    Layers compare and hash by identity: two layers with equal coefficients
+    are still two layers.
 
     kind follows from alpha's rank and geom.groups: rank-2 alpha (P, R) is a
     fully connected layer ("linear"), which sums windows of cfg.pool_dims[0]
@@ -638,9 +636,12 @@ def load_decomposed_layer(sidecar_path):
 
 # Compatibility block.
 # The benchmark in perfbench/ still builds layers by the per-kind names below
-# and reads a linear layer's coefficients as .small. The benchmark change that
-# moves it onto decomposed_layer, forward_decomposed and reconstruct deletes
-# this block.
+# and reads a linear layer's coefficients as .small, and its DecomposeWorkload
+# warms structure_matrix and calls cache_clear() on it. The benchmark change
+# that moves it onto decomposed_layer, forward_decomposed, reconstruct and
+# StructureMatrix deletes this block.
+
+from functools import lru_cache
 
 
 def DecomposedConvLayer(cfg, pool_dims, pool_geom, alpha, small_geom, bias=None, channels=1):
@@ -659,6 +660,7 @@ def DecomposedLinearLayer(in_features, R, small, bias=None):
 
 DecomposedLayer.small = property(lambda layer: layer.alpha)
 _reconstruct_stack = reconstruct
+structure_matrix = lru_cache(maxsize=128)(StructureMatrix)
 forward_decomposed_depthwise = forward_decomposed_linear = forward_decomposed
 
 # End of the compatibility block.

