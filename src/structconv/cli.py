@@ -342,7 +342,6 @@ def default_toy_model_spec() -> training.ToyModelSpec:
             training.Linear(out_features=4, R=8),
         ),
         input_shape=(3, 8, 8),
-        num_classes=4,
     )
 
 

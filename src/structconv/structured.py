@@ -26,13 +26,15 @@ builds each on first access; nothing caches them for the process, so they
 live as long as the StructureMatrix's owner holds it (each structured
 training layer holds its own).
 
-Decomposing a layer (decompose) takes one sweep over its kernels
-(_worst_block_residual): each band's class residual is taken once for the
-residual norms, and the first band's also starts the coefficients, which are
-solved band by band as block_alphas solves them (a later band's class
-residual is taken on the coefficients so far), so both give the same bits.
-A single-band layer takes one class residual in all, and the temporaries are
-of the layer's own size.
+Every structure operator is one sweep over a stack of kernels
+(_worst_block_residual), which takes them at unit scale: each band's class
+residual is taken once for the residual norms, and the sweep keeps the
+coefficients (decompose, block_alphas, extract_alpha and the pseudoinverse),
+the projection (project and the projector) or nothing (worst_kernel_residual).
+The first band's class residual also starts the coefficients, which are
+solved band by band (a later band's class residual is taken on the
+coefficients so far). A single-band layer takes one class residual in all,
+and the temporaries are of the layer's own size.
 """
 
 from __future__ import annotations
@@ -190,10 +192,10 @@ def _projection(x, cfg: StructuredConfig, keep="P"):
     P_1 P_2 (I - P_3) v, whose squared norms are each band's
     sum_r n_r beta_r^2. v - P v is never formed, so a structured kernel's
     residual is at the rounding level of its betas, not of v. pinv(A) v is
-    solved band by band on the coefficients so far, as block_alphas solves
-    it; the first band's solve reuses the class residual of v taken here.
-    Only keep="P" forms the last band's projection, which the norms do not
-    read.
+    the Kronecker product of the bands' pseudoinverses, so it is solved band
+    by band on the coefficients so far; the first band's solve reuses the
+    class residual of v taken here. Only keep="P" forms the last band's
+    projection, which the norms do not read.
     """
     sq = np.zeros(len(x))
     alpha = x
@@ -240,10 +242,9 @@ class StructureMatrix:
 
     @cached_property
     def projector(self) -> np.ndarray:
-        cfg = self.cfg
-        d = cfg.C * cfg.N * cfg.N
-        rows = _projection(np.eye(d).reshape(d, cfg.C, cfg.N, cfg.N), cfg)[0]
-        return _frozen(rows.reshape(d, d).T)
+        # Row i of the sweep's projection of I is P @ e_i.
+        d = self.cfg.C * self.cfg.N**2
+        return _frozen(_worst_block_residual(np.eye(d), self.cfg, keep="P")[2].T)
 
 
 def generate_structured_basis(cfg: StructuredConfig) -> CompositeBasis:
@@ -265,14 +266,11 @@ def project(w, cfg: StructuredConfig) -> tuple[np.ndarray, float]:
 
     Returns (w_hat, residual) with residual = ||w - w_hat|| / ||w||, or 0 for
     a zero kernel (which is exactly structured), at any finite scale: the
-    kernel is projected at unit scale (_unit_rows).
+    sweep takes the kernel at unit scale.
     """
     w = _check_kernel(w, cfg)
-    flat, scale, norms = _unit_rows(w.reshape(1, -1))
-    if norms[0] == 0.0:
-        return np.zeros_like(w), 0.0
-    w_hat, resid = _projection(flat.reshape(1, cfg.C, cfg.N, cfg.N), cfg)
-    return w_hat[0] * scale[0], float(resid[0] / norms[0])
+    _, residual, w_hat = _worst_block_residual(w.reshape(1, -1), cfg, keep="P")
+    return w_hat.reshape(w.shape), residual
 
 
 def extract_alpha(w, cfg: StructuredConfig) -> np.ndarray:
@@ -283,14 +281,9 @@ def extract_alpha(w, cfg: StructuredConfig) -> np.ndarray:
 
 def block_alphas(flat, cfg: StructuredConfig) -> np.ndarray:
     """Least-squares coefficients of many kernels at once: flat holds one
-    vectorized kernel per row, the result one coefficient row per kernel.
-    pinv(A) is the Kronecker product of the bands' pseudoinverses, so each
-    kernel axis is solved in turn."""
-    x = np.asarray(flat, dtype=np.float64).reshape(-1, cfg.C, cfg.N, cfg.N)
-    out = x
-    for axis, k in _bands(cfg):
-        out = _band_solve(out, k, axis)
-    return (out if out is not x else x.copy()).reshape(len(x), cfg.basis_size)
+    vectorized kernel per row, the result one coefficient row per kernel,
+    as the sweep solves them."""
+    return _worst_block_residual(flat, cfg)[2]
 
 
 def reconstruct(alphas, cfg: StructuredConfig) -> np.ndarray:
@@ -329,39 +322,37 @@ def _unit_rows(flat):
     return flat, scale, np.sqrt(sq)
 
 
-def _worst_block_residual(flat, cfg: StructuredConfig, solve=True):
-    """(worst, residual, alphas) for flat, one vectorized kernel per row: the
+def _worst_block_residual(flat, cfg: StructuredConfig, keep="alpha"):
+    """(worst, residual, y) for flat, one vectorized kernel per row: the
     row and relative residual of the kernel farthest from the structured
     subspace, (-1, 0.0) when every kernel is exactly structured (zero rows
-    are), and with solve every kernel's least-squares coefficients, one row
-    each (None without).
+    are), and y, one row per kernel: its least-squares coefficients for
+    keep="alpha", its projection P v for keep="P", None for keep=None.
 
-    One sweep (_projection) gives both: each band's class residual is taken
-    once for the norms, and the first band's also starts the coefficients,
-    which take the same bits as block_alphas. The kernels are taken at unit
-    scale (_unit_rows), and their coefficients are scaled back.
+    This one sweep (_projection) is behind every structure operator: each
+    band's class residual is taken once for the norms, and the first band's
+    also starts the coefficients. The kernels are taken at unit scale
+    (_unit_rows), and y is scaled back.
     """
     flat, scale, norms = _unit_rows(np.asarray(flat, dtype=np.float64))
-    p, resid = _projection(flat.reshape(-1, cfg.C, cfg.N, cfg.N), cfg, "alpha" if solve else None)
-    alphas = None
-    if solve:
-        alphas = p.reshape(len(flat), cfg.basis_size)
-        # With no band, p is flat itself, which the coefficients must not share.
-        if np.may_share_memory(alphas, flat) or (scale != 1.0).any():
-            alphas = alphas * scale[:, np.newaxis]
+    y, resid = _projection(flat.reshape(-1, cfg.C, cfg.N, cfg.N), cfg, keep)
+    if y is not None:
+        y = y.reshape(len(flat), cfg.basis_size if keep == "alpha" else flat.shape[1])
+        # With no band, y is flat itself, which the result must not share.
+        if np.may_share_memory(y, flat) or (scale != 1.0).any():
+            y = y * scale[:, np.newaxis]
     res = resid / np.where(norms > 0.0, norms, 1.0)
     worst = int(np.argmax(res)) if res.size else -1
     if worst < 0 or res[worst] == 0.0:
-        return -1, 0.0, alphas
-    return worst, float(res[worst]), alphas
+        return -1, 0.0, y
+    return worst, float(res[worst]), y
 
 
 def worst_kernel_residual(weights, cfg: StructuredConfig) -> float:
     """Largest per-kernel residual across a layer's output channels (rows for
     a linear layer, channel planes for depthwise)."""
-    weights = np.asarray(weights, dtype=np.float64)
-    flat = weights.reshape(-1, cfg.C * cfg.N * cfg.N)
-    return _worst_block_residual(flat, cfg, solve=False)[1]
+    flat = np.reshape(weights, (-1, cfg.C * cfg.N * cfg.N))
+    return _worst_block_residual(flat, cfg, keep=None)[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,10 @@
 
 Small stack of hand-differentiated layers (conv, depthwise conv, relu, global
 average pool, linear) trained with plain mini-batch SGD on softmax cross
-entropy. The conv, depthwise and linear layers are one structured layer type
-that gathers its batch's im2col columns once for both passes; a depthwise
-conv has a group per channel, a linear layer a 1x1 map. Three modes:
+entropy. The conv, depthwise and linear layers are one structured layer type,
+built from its descriptor's analyzer.LayerSpec, that gathers its batch's
+im2col columns once for both passes; a depthwise conv has a group per
+channel, a linear layer a 1x1 map. Three modes:
 
   regularized  adds lam * sum of per-layer structural residuals to the loss,
                pulling dense weights toward the structured subspace
@@ -30,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .structured import ResidualError, StructuredConfig, StructureMatrix, decompose, reconstruct
+from .analyzer import LayerSpec
+from .structured import ResidualError, StructureMatrix, decompose, reconstruct
 from .tensor import ConvGeometry, col2im, im2col, random_tensor, sum_pool3d
 
 _SR_EPS = 1e-12  # smoothing inside the residual-norm factors of sr_grad
@@ -84,7 +86,8 @@ def sr_grad(w, sm: StructureMatrix) -> np.ndarray:
 
 
 # Layer descriptors. Structure dims ride along with each trainable layer;
-# input channel counts are resolved when the model is built.
+# input channel counts are resolved when the model is built, by layer_spec,
+# whose index is the descriptor's position in ToyModelSpec.layers.
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,13 @@ class Conv(object):
     stride: int = 1
     padding: int = 0
 
+    def layer_spec(self, index, in_channels) -> LayerSpec:
+        return LayerSpec(
+            index, "pwconv" if self.kernel == 1 else "conv", cout=self.out_channels,
+            cin=in_channels, k=self.kernel, c=self.c, n=self.n, stride=self.stride,
+            pad=self.padding,
+        )
+
 
 @dataclass(frozen=True)
 class DepthwiseConv(object):
@@ -103,6 +113,12 @@ class DepthwiseConv(object):
     n: int
     stride: int = 1
     padding: int = 0
+
+    def layer_spec(self, index, in_channels) -> LayerSpec:
+        return LayerSpec(
+            index, "dwconv", cout=in_channels, cin=1, k=self.kernel, c=1, n=self.n,
+            stride=self.stride, pad=self.padding,
+        )
 
 
 @dataclass(frozen=True)
@@ -120,12 +136,16 @@ class Linear(object):
     out_features: int
     R: int
 
+    def layer_spec(self, index, in_channels) -> LayerSpec:
+        return LayerSpec(
+            index, "linear", cout=self.out_features, cin=in_channels, k=1, c=self.R, n=1
+        )
+
 
 @dataclass(frozen=True)
 class ToyModelSpec:
     layers: tuple
     input_shape: tuple[int, int, int] = (3, 8, 8)
-    num_classes: int = 4
 
 
 @dataclass(frozen=True)
@@ -162,6 +182,10 @@ def _as_map(x):
     return x.reshape(x.shape[:2] + (x.shape[2:] or (1, 1)))
 
 
+# The layer names that training logs and errors use, by LayerSpec kind.
+_NAMES = {"conv": "conv2d", "pwconv": "conv2d", "dwconv": "depthwiseconv2d", "linear": "linear"}
+
+
 class _Layer:
     cfg = cols = None
 
@@ -170,14 +194,16 @@ class _Layer:
 
 
 class _Structured(_Layer):
-    """A structured conv, depthwise conv or linear layer.
+    """A structured conv, depthwise conv or linear layer, built from its
+    LayerSpec's cfg, geom and cout.
 
     One weight per output, laid out (out, C, N, N) when dense and
     (out, c, n, n) when direct, where direct mode sum-pools the input with
-    cfg.pool_dims before the small kernel. Input channels split into `groups`
-    blocks as in tensor.conv: a depthwise conv has groups = channels and
-    C = c = 1. A linear layer has N = n = 1 and reads (B, Q) inputs as 1x1 maps.
-    sm is the layer's StructureMatrix, whose projector the regularizer reads.
+    cfg.pool_dims before the small kernel. Input channels split into
+    geom.groups blocks as in tensor.conv: a depthwise conv has one group per
+    channel and C = c = 1. A linear layer has N = n = 1 and reads (B, Q)
+    inputs as 1x1 maps. sm is the layer's StructureMatrix, whose projector
+    the regularizer reads.
 
     The forward pads and, in direct mode, pools the batch as a (C, H, W, B)
     map in one sum_pool3d call, gathers its im2col columns and runs one
@@ -188,27 +214,25 @@ class _Structured(_Layer):
     group with them and input gradient one product per group and one col2im.
     """
 
-    def __init__(self, name, cfg, out_channels, groups, stride, padding, seed, direct):
-        self.name = name
-        self.cfg = cfg
+    def __init__(self, spec: LayerSpec, seed, direct):
+        self.name = _NAMES[spec.kind]
+        self.cfg = cfg = spec.cfg
         self.sm = StructureMatrix(cfg)
-        self.groups = groups
-        self.stride = stride
-        self.padding = padding
+        # Each geometry is built once: a ConvGeometry costs about 5 us.
+        self.geom = spec.geom
         self.direct = direct
-        # The pool's geometry is built once: a ConvGeometry costs about 5 us.
         self.pool_dims = cfg.pool_dims if direct else (1, 1, 1)
-        self.pool_geom = ConvGeometry(padding=padding)
+        self.pool_geom = ConvGeometry(padding=self.geom.padding)
         dims = (cfg.c, cfg.n) if direct else (cfg.C, cfg.N)
-        self.w = _he_init(seed, (out_channels, dims[0], dims[1], dims[1]))
-        self.b = np.zeros(out_channels)
+        self.w = _he_init(seed, (spec.cout, dims[0], dims[1], dims[1]))
+        self.b = np.zeros(spec.cout)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
 
     def forward(self, x):
         self.x_shape = x.shape
         xt = sum_pool3d(_as_map(x).transpose(1, 2, 3, 0), self.pool_dims, self.pool_geom)
-        k, s, grp = self.w.shape[-1], self.stride, self.groups
+        k, s, grp = self.w.shape[-1], self.geom.stride[0], self.geom.groups
         self.pad_shape, cols = xt.shape, im2col(xt, (k, k), (s, s))
         self.cols = cols.reshape(grp, -1, cols.shape[-1])
         out = self.w.reshape(grp, len(self.w) // grp, -1) @ self.cols
@@ -221,7 +245,7 @@ class _Structured(_Layer):
         input_grad, return the gradient with respect to the layer's input."""
         g = _as_map(g)
         self.gb += g.sum(axis=(0, 2, 3))
-        grp, k, s, p = self.groups, self.w.shape[-1], self.stride, self.padding
+        grp, k, s, p = self.geom.groups, self.w.shape[-1], self.geom.stride[0], self.geom.padding[0]
         gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(grp, -1, self.cols.shape[-1])
         self.gw += np.matmul(gt, self.cols.transpose(0, 2, 1)).reshape(self.w.shape)
         self.cols = None  # the input gradient needs only gt and the weights
@@ -286,27 +310,14 @@ class ToyModel:
         channels = spec.input_shape[0]
         layers = []
         for i, desc in enumerate(spec.layers):
-            lseed = seed + 101 * i + 1
-            if isinstance(desc, Conv):
-                cfg = StructuredConfig(C=channels, N=desc.kernel, c=desc.c, n=desc.n)
-                layer = _Structured(
-                    "conv2d", cfg, desc.out_channels, 1, desc.stride, desc.padding, lseed, direct
-                )
-                channels = desc.out_channels
-            elif isinstance(desc, DepthwiseConv):
-                cfg = StructuredConfig(C=1, N=desc.kernel, c=1, n=desc.n)
-                layer = _Structured(
-                    "depthwiseconv2d", cfg, channels, channels, desc.stride, desc.padding,
-                    lseed, direct,
-                )
+            if isinstance(desc, (Conv, DepthwiseConv, Linear)):
+                layer_spec = desc.layer_spec(i, channels)
+                layer = _Structured(layer_spec, seed + 101 * i + 1, direct)
+                channels = layer_spec.cout
             elif isinstance(desc, Relu):
                 layer = _Relu()
             elif isinstance(desc, GlobalAvgPool):
                 layer = _GlobalAvgPool()
-            elif isinstance(desc, Linear):
-                cfg = StructuredConfig(C=channels, N=1, c=desc.R, n=1)
-                layer = _Structured("linear", cfg, desc.out_features, 1, 1, 0, lseed, direct)
-                channels = desc.out_features
             else:
                 raise TypeError(f"unknown layer descriptor {desc!r}")
             layers.append(layer)
@@ -389,7 +400,6 @@ _TEACHER_SPEC = ToyModelSpec(
         Linear(out_features=4, R=8),
     ),
     input_shape=(3, 8, 8),
-    num_classes=4,
 )
 
 _N_TRAIN, _N_TEST = 2048, 512
@@ -452,18 +462,14 @@ def make_toy_dataset(seed: int = 0) -> ToyDataset:
 @dataclass(frozen=True)
 class EvalResult:
     accuracy: float
-    loss: float
 
 
 def evaluate(model: ToyModel, x, y, batch_size: int = 256) -> EvalResult:
-    losses, correct = [], 0
+    correct = 0
     for start in range(0, x.shape[0], batch_size):
-        xb, yb = x[start : start + batch_size], y[start : start + batch_size]
-        logits = model.predict(xb)
-        loss, _ = _softmax_ce(logits, yb)
-        losses.append(loss * xb.shape[0])
-        correct += int(np.sum(np.argmax(logits, axis=1) == yb))
-    return EvalResult(accuracy=correct / x.shape[0], loss=sum(losses) / x.shape[0])
+        logits = model.predict(x[start : start + batch_size])
+        correct += int(np.sum(np.argmax(logits, axis=1) == y[start : start + batch_size]))
+    return EvalResult(accuracy=correct / x.shape[0])
 
 
 @dataclass
@@ -518,7 +524,7 @@ def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
             dst.b = src.b.copy()
         else:
             try:
-                layer = decompose(src.w, src.cfg, residual_tol=residual_tol)[0]
+                layer = decompose(src.w, src.cfg, src.geom, residual_tol=residual_tol)[0]
             except ResidualError as e:
                 raise ResidualError(
                     f"layer {i} ({src.name}) kernel {e.kernel} has residual {e.residual:.3e} "

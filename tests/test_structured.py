@@ -594,7 +594,41 @@ def test_sweep_matches_the_separate_residual_and_solve():
                         ref = resid / np.sqrt(_row_squares(v))
                         idx, got, _ = _worst_block_residual(v, cfg)
                         assert (got == ref[0]) if ref[0] > 0.0 else ((idx, got) == (-1, 0.0))
-                        assert _worst_block_residual(v, cfg, solve=False) == (idx, got, None)
+                        assert _worst_block_residual(v, cfg, keep=None) == (idx, got, None)
+
+
+SWEEP_CFG = StructuredConfig(4, 3, 2, 2)
+SWEEP_KERNEL = np.array(random_tensor(34, (4, 3, 3)))
+OPERATORS = {
+    "project": lambda: project(SWEEP_KERNEL, SWEEP_CFG),
+    "extract_alpha": lambda: extract_alpha(SWEEP_KERNEL, SWEEP_CFG),
+    "block_alphas": lambda: block_alphas(SWEEP_KERNEL.reshape(1, -1), SWEEP_CFG),
+    "worst_kernel_residual": lambda: worst_kernel_residual(SWEEP_KERNEL[None], SWEEP_CFG),
+    "pinv": lambda: StructureMatrix(SWEEP_CFG).pinv,
+    "projector": lambda: StructureMatrix(SWEEP_CFG).projector,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+def test_every_operator_is_one_sweep(monkeypatch, name):
+    # Each structure operator reaches _projection once, inside one
+    # _worst_block_residual call, which keeps what the operator returns.
+    sweep, projection = structured._worst_block_residual, structured._projection
+    calls = []
+
+    def spy_sweep(*args, **kwargs):
+        calls.append("sweep")
+        return sweep(*args, **kwargs)
+
+    def spy_projection(*args, **kwargs):
+        assert calls == ["sweep"], calls
+        calls.append("projection")
+        return projection(*args, **kwargs)
+
+    monkeypatch.setattr(structured, "_worst_block_residual", spy_sweep)
+    monkeypatch.setattr(structured, "_projection", spy_projection)
+    OPERATORS[name]()
+    assert calls == ["sweep", "projection"]
 
 
 def test_zero_kernels_take_no_rescale(monkeypatch):

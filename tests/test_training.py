@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from structconv import cli, training
+from structconv.analyzer import NetworkSpecError, parse_network_spec
 from structconv.structured import ResidualError, StructuredConfig, StructureMatrix
 from structconv.structured import decompose, decomposed_layer, reconstruct
 from structconv.structured import forward_decomposed
@@ -181,7 +182,6 @@ def test_untrained_model_near_chance():
             Linear(out_features=4, R=4),
         ),
         input_shape=(3, 8, 8),
-        num_classes=4,
     )
     model = ToyModel(spec, seed=11)
     result = evaluate(model, ds.test_x, ds.test_y)
@@ -198,7 +198,6 @@ TINY_SPEC = ToyModelSpec(
         Linear(out_features=4, R=2),
     ),
     input_shape=(3, 6, 6),
-    num_classes=4,
 )
 
 
@@ -654,6 +653,73 @@ def test_decompose_model_projects_under_loose_tolerance():
     assert np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize("desc, message", [
+    (Conv(out_channels=4, kernel=3, c=2, n=2, stride=0), "stride must be >= 1"),
+    (Conv(out_channels=4, kernel=3, c=4, n=2), "c=4 exceeds input channels 3"),
+    (Conv(out_channels=4, kernel=3, c=2, n=4), "n=4 exceeds kernel size 3"),
+    (DepthwiseConv(kernel=3, n=2, stride=0), "stride must be >= 1"),
+    (DepthwiseConv(kernel=3, n=4), "n=4 exceeds kernel size 3"),
+    (Linear(out_features=4, R=4), "c=4 exceeds input channels 3"),
+])
+def test_model_build_rejects_a_bad_descriptor_by_its_layer(desc, message):
+    # The descriptor's LayerSpec checks it when the model is built, and names
+    # its position in spec.layers, as decompose_model's errors do.
+    spec = ToyModelSpec(layers=(Relu(), desc), input_shape=(3, 6, 6))
+    with pytest.raises(NetworkSpecError, match=f"^layer 1: {message}"):
+        ToyModel(spec, seed=0)
+
+
+def test_model_build_rejects_an_unknown_descriptor():
+    with pytest.raises(TypeError, match="unknown layer descriptor"):
+        ToyModel(ToyModelSpec(layers=(Relu(), "pool")), seed=0)
+
+
+# The structured layers of three toy networks as network descriptions.
+TOY_NETWORKS = {
+    "student": (cli.default_toy_model_spec(), [
+        {"kind": "conv", "cout": 8, "cin": 3, "k": 3, "c": 2, "n": 2, "stride": 1, "pad": 1},
+        {"kind": "conv", "cout": 16, "cin": 8, "k": 3, "c": 4, "n": 2, "stride": 2, "pad": 1},
+        {"kind": "dwconv", "cout": 16, "cin": 1, "k": 3, "c": 1, "n": 2, "stride": 1, "pad": 1},
+        {"kind": "linear", "cout": 4, "cin": 16, "k": 1, "c": 8, "n": 1},
+    ]),
+    "teacher": (training._TEACHER_SPEC, [
+        {"kind": "conv", "cout": 8, "cin": 3, "k": 3, "c": 3, "n": 3, "stride": 2, "pad": 1},
+        {"kind": "conv", "cout": 8, "cin": 8, "k": 3, "c": 8, "n": 3, "stride": 2, "pad": 1},
+        {"kind": "linear", "cout": 4, "cin": 8, "k": 1, "c": 8, "n": 1},
+    ]),
+    "tiny": (TINY_SPEC, [
+        {"kind": "conv", "cout": 3, "cin": 3, "k": 3, "c": 2, "n": 2, "stride": 2, "pad": 1},
+        {"kind": "dwconv", "cout": 3, "cin": 1, "k": 3, "c": 1, "n": 2, "stride": 1, "pad": 1},
+        {"kind": "linear", "cout": 4, "cin": 3, "k": 1, "c": 2, "n": 1},
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_NETWORKS))
+def test_structured_layers_take_the_analyzers_config_and_geometry(tmp_path, name):
+    spec, network = TOY_NETWORKS[name]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(network))
+    want = parse_network_spec(path, spec.input_shape[1:])
+    layers = ToyModel(spec, seed=0).structured_layers()
+    assert [(l.cfg, l.geom) for l in layers] == [(w.cfg, w.geom) for w in want]
+
+
+def test_decompose_model_passes_each_layers_geometry(monkeypatch):
+    # The stock student's depthwise layer decomposes as a depthwise layer,
+    # one group per channel, and its linear head as a 1x1 conv.
+    kinds = []
+
+    def spy(weights, cfg, geom, **kwargs):
+        out = decompose(weights, cfg, geom, **kwargs)
+        kinds.append((out[0].kind, geom.groups))
+        return out
+
+    monkeypatch.setattr(training, "decompose", spy)
+    decompose_model(ToyModel(cli.default_toy_model_spec(), seed=3), residual_tol=np.inf)
+    assert kinds == [("conv", 1), ("conv", 1), ("dwconv", 16), ("conv", 1)]
+
+
 # One model per structured kind: (spec, index of the layer under test, input shape).
 REFERENCE_LAYERS = {
     "conv": (ToyModelSpec(layers=(Conv(out_channels=5, kernel=3, c=2, n=2, stride=2, padding=1),),
@@ -695,12 +761,12 @@ def einsum_reference(layer, x, g):
     of the input gradient."""
     x_shape = x.shape
     x = x.reshape(x.shape[:2] + (x.shape[2:] or (1, 1)))
-    map_shape, p = x.shape, layer.padding
+    map_shape, p = x.shape, layer.geom.padding[0]
     if layer.direct:
         pool_geom = ConvGeometry(padding=p)
         x, p = np.stack([sum_pool3d(xi, layer.cfg.pool_dims, pool_geom) for xi in x]), 0
     b, cin, h, w = x.shape
-    k, s, grp = layer.w.shape[-1], layer.stride, layer.groups
+    k, s, grp = layer.w.shape[-1], layer.geom.stride[0], layer.geom.groups
     ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     rows = s * np.arange(ho)[:, None] + np.arange(k)[None, :]
@@ -719,7 +785,7 @@ def einsum_reference(layer, x, g):
             dxp[:, :, u : u + s * ho : s, v : v + s * wo : s] += taps[..., u, v]
     dx = dxp[:, :, p : p + h, p : p + w]
     if layer.direct:
-        dx = pool3d_backward_loops(dx, map_shape, layer.cfg.pool_dims, layer.padding)
+        dx = pool3d_backward_loops(dx, map_shape, layer.cfg.pool_dims, layer.geom.padding[0])
     return out.reshape(out.shape[: len(x_shape)]), gw, dx.reshape(x_shape)
 
 
@@ -763,8 +829,7 @@ def test_direct_forward_matches_forward_decomposed(case):
     if isinstance(desc, Linear):
         decomposed = decomposed_layer(layer.w.reshape(len(layer.w), -1), layer.cfg, bias=layer.b)
     else:
-        geom = ConvGeometry(stride=desc.stride, padding=desc.padding, groups=layer.groups)
-        decomposed = decomposed_layer(layer.w, layer.cfg, geom, layer.b)
+        decomposed = decomposed_layer(layer.w, layer.cfg, layer.geom, layer.b)
     got = layer.forward(x)
     want = np.stack([forward_decomposed(xi, decomposed) for xi in x])
     assert got.shape == want.shape
