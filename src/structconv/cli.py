@@ -402,16 +402,7 @@ def main(argv=None) -> int:
     except (structured.ResidualError, training.DivergenceError) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
-    except (
-        analyzer.NetworkSpecError,
-        structured.ConfigError,
-        tensor.ContainerError,
-        tensor.ShapeError,
-        tensor.GeometryError,
-        training.DegenerateWeightError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

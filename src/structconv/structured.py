@@ -53,7 +53,6 @@ from .tensor import (
     GeometryError,
     ShapeError,
     conv,
-    out_extent,
     read_tensor,
     sum_pool3d,
     window_spread,
@@ -362,23 +361,41 @@ class DecomposedLayer:
     Layers compare and hash by identity: two layers with equal coefficients
     are still two layers.
 
-    kind follows from alpha's rank and geom.groups: rank-2 alpha (P, R) is a
-    fully connected layer ("linear"), which sums windows of cfg.pool_dims[0]
-    entries of its input vector; rank-4 alpha (C_out, c, n, n) is a conv
-    ("conv", groups 1) or a depthwise conv ("dwconv", one group per channel
-    and C = 1). A conv's dense geometry geom splits into pool_geom (stride 1,
-    its padding and dilation) and small_geom (its stride, dilation and
-    groups, no padding); a linear layer has neither. Built by
-    decomposed_layer only, which checks the shapes.
+    Only cfg, alpha, geom and bias are stored. kind follows from alpha's
+    rank and geom.groups: rank-2 alpha (P, R) is a fully connected layer
+    ("linear"), which sums windows of cfg.pool_dims[0] entries of its input
+    vector; rank-4 alpha (C_out, c, n, n) is a conv ("conv", groups 1) or a
+    depthwise conv ("dwconv", one group per channel and C = 1). A conv's
+    geom splits into pool_geom (stride 1, its padding and dilation) and
+    small_geom (its stride, dilation and groups, no padding), each built on
+    first access; a linear layer has neither. Built by decomposed_layer
+    only, which checks the shapes.
     """
 
     cfg: StructuredConfig
     alpha: np.ndarray
     geom: ConvGeometry
     bias: np.ndarray | None
-    kind: str
-    pool_geom: ConvGeometry | None
-    small_geom: ConvGeometry | None
+
+    @property
+    def kind(self) -> str:
+        if self.alpha.ndim == 2:
+            return "linear"
+        return "dwconv" if self.geom.groups > 1 else "conv"
+
+    @cached_property
+    def pool_geom(self) -> ConvGeometry | None:
+        if self.alpha.ndim == 2:
+            return None
+        g = self.geom
+        return ConvGeometry(stride=1, padding=g.padding, dilation=g.dilation)
+
+    @cached_property
+    def small_geom(self) -> ConvGeometry | None:
+        if self.alpha.ndim == 2:
+            return None
+        g = self.geom
+        return ConvGeometry(stride=g.stride, dilation=g.dilation, groups=g.groups)
 
 
 def decomposed_layer(
@@ -389,8 +406,8 @@ def decomposed_layer(
     Rank-2 alphas (P, R) give a fully connected layer, which needs N = 1 and
     the default geom. Rank-4 alphas (C_out, c, n, n) give a conv when
     geom.groups = 1 and a depthwise conv of geom.groups channels, which needs
-    C = 1, otherwise. Its kind and its pool and small-conv geometries are
-    derived here, once per layer.
+    C = 1, otherwise. The layer derives its kind and its pool and small-conv
+    geometries from alphas and geom.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     linear = alphas.ndim == 2
@@ -409,17 +426,7 @@ def decomposed_layer(
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != outputs:
             raise ShapeError(f"bias shape {bias.shape} does not match {expect[0]} outputs")
-    if linear:
-        return DecomposedLayer(cfg, alphas, geom, bias, "linear", None, None)
-    return DecomposedLayer(
-        cfg,
-        alphas,
-        geom,
-        bias,
-        kind="dwconv" if geom.groups > 1 else "conv",
-        pool_geom=ConvGeometry(stride=1, padding=geom.padding, dilation=geom.dilation),
-        small_geom=ConvGeometry(stride=geom.stride, dilation=geom.dilation, groups=geom.groups),
-    )
+    return DecomposedLayer(cfg, alphas, geom, bias)
 
 
 def decompose(
@@ -466,9 +473,9 @@ def forward_decomposed(x, layer: DecomposedLayer) -> np.ndarray:
     runs the small conv, grouped per channel for a depthwise layer; any
     other rank raises. A pool whose windows are all 1 only pads, so it is
     skipped and the small conv runs with the dense geometry instead: the
-    same bits, without a padded copy the dense path does not make. The
-    output extents match the dense path for every admissible input, which is
-    asserted, not assumed.
+    same bits, without a padded copy the dense path does not make. Per axis
+    the pool leaves H + 2p - d(N - n), which the small conv takes to the
+    dense extent; a stage that does not fit raises GeometryError.
     """
     x = np.asarray(x, dtype=np.float64)
     cfg, geom = layer.cfg, layer.geom
@@ -486,15 +493,6 @@ def forward_decomposed(x, layer: DecomposedLayer) -> np.ndarray:
             out = conv(x, layer.alpha, geom)
         else:
             out = conv(sum_pool3d(x, cfg.pool_dims, layer.pool_geom), layer.alpha, layer.small_geom)
-        expect = tuple(
-            out_extent(x.shape[1 + i], cfg.N, geom.stride[i], geom.padding[i], geom.dilation[i])
-            for i in (0, 1)
-        )
-        if out.shape[1:] != expect:
-            raise GeometryError(
-                f"decomposed output extents {out.shape[1:]} diverged from dense-path "
-                f"extents {expect}; this indicates an internal bug"
-            )
     if layer.bias is not None:
         out = out + (layer.bias if layer.kind == "linear" else layer.bias[:, np.newaxis, np.newaxis])
     return out

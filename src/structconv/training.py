@@ -534,8 +534,6 @@ def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
                 ) from None
             dst.w = layer.alpha.reshape(dst.w.shape)
             dst.b = src.b.copy()
-        dst.gw = np.zeros_like(dst.w)
-        dst.gb = np.zeros_like(dst.b)
     return out
 
 

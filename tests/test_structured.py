@@ -546,6 +546,28 @@ def test_decomposed_layer_picks_class_and_splits_geometry():
         decomposed_layer(np.zeros((3, 2)), StructuredConfig(5, 1, 2, 1), bias=np.zeros(2))
 
 
+def test_decomposed_layer_stores_only_what_defines_it():
+    assert [f.name for f in dataclasses.fields(DecomposedLayer)] == ["cfg", "alpha", "geom", "bias"]
+
+
+@pytest.mark.parametrize("groups", [1, 4], ids=["conv", "dwconv"])
+def test_replaced_geometry_carries_its_split_and_kind(groups):
+    # kind and the pool/small-conv split are read from geom, so a layer
+    # rebuilt with another geom cannot run a stale split.
+    cfg = StructuredConfig(3, 3, 2, 2) if groups == 1 else StructuredConfig(1, 3, 1, 2)
+    alphas = np.array(random_tensor(92, (4, cfg.c, 2, 2)))
+    layer = decomposed_layer(alphas, cfg, ConvGeometry(groups=groups))
+    assert layer.pool_geom == ConvGeometry() and layer.small_geom == ConvGeometry(groups=groups)
+    geom = ConvGeometry(stride=2, padding=1)
+    moved = dataclasses.replace(layer, geom=geom)
+    assert moved.kind == "conv"
+    assert moved.pool_geom == ConvGeometry(padding=1)
+    assert moved.small_geom == ConvGeometry(stride=2)
+    x = random_tensor(93, (cfg.C, 7, 7))
+    want = conv(x, reconstruct(alphas, cfg), geom)
+    np.testing.assert_allclose(forward_decomposed(x, moved), want, rtol=1e-12, atol=1e-12)
+
+
 def test_decomposed_layers_compare_and_hash_by_identity():
     cfg = StructuredConfig(3, 3, 2, 2)
     alphas = np.array(random_tensor(90, (4, 2, 2, 2)))
@@ -802,18 +824,6 @@ def test_depthwise_rejects_bad_shapes():
         )
 
 
-@pytest.mark.parametrize("groups", [1, 4], ids=["conv", "dwconv"])
-def test_forward_rejects_a_layer_whose_geometry_diverges_from_dense(groups):
-    # A hand-built layer that pads the small conv too: a (4, 6, 6) input
-    # would come out (., 8, 8) where the dense conv gives (., 6, 6).
-    cfg = StructuredConfig(4 if groups == 1 else 1, 3, 2 if groups == 1 else 1, 2)
-    good = decomposed_layer(np.zeros((4, cfg.c, 2, 2)), cfg, ConvGeometry(padding=1, groups=groups))
-    layer = dataclasses.replace(good, small_geom=ConvGeometry(padding=1, groups=groups))
-    assert forward_decomposed(np.zeros((4, 6, 6)), good).shape == (4, 6, 6)
-    with pytest.raises(GeometryError, match="diverged from dense-path extents"):
-        forward_decomposed(np.zeros((4, 6, 6)), layer)
-
-
 def test_linear_decomposition_r_equals_q():
     w = random_tensor(28, (3, 5))
     layer, _ = decompose(w, StructuredConfig(5, 1, 5, 1))
@@ -919,6 +929,9 @@ def test_compatibility_constructors_build_the_one_layer(name):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         else:
             assert a == b, field.name
+    # The derived kind and split, which are not fields.
+    for attr in ("kind", "pool_geom", "small_geom"):
+        assert getattr(got, attr) == getattr(want, attr), attr
 
 
 _GEOM_JSON = {"stride": [1, 1], "padding": [0, 0], "dilation": [1, 1]}
