@@ -20,21 +20,15 @@ k = L - l + 1), and every operator runs one axis at a time without it: a
 vector lies in span(B) exactly when its k residue-class sums (over entries
 with equal index mod k) are equal, so the projection subtracts one constant
 per class, and pinv(B) v follows from p = P v by the recursion
-alpha_j = alpha_{j-k} + p_j - p_{j-1}. No inverse or SVD is formed. The dense
-A, its pseudoinverse and the projector belong to a StructureMatrix, which
-builds each on first access; nothing caches them for the process, so they
-live as long as the StructureMatrix's owner holds it (each structured
-training layer holds its own).
+alpha_j = alpha_{j-k} + p_j - p_{j-1}. No inverse or SVD is formed, and
+neither is a dense A, pseudoinverse or projector: a StructureMatrix keeps the
+projector as its Kronecker factors P_C (x) P_S, C^2 + N^4 doubles at most
+against (C*N^2)^2, and applies them to rows of kernels.
 
-Every structure operator is one sweep over a stack of kernels
-(_worst_block_residual), which takes them at unit scale: each band's class
-residual is taken once for the residual norms, and the sweep keeps the
-coefficients (decompose, block_alphas, extract_alpha and the pseudoinverse),
-the projection (project and the projector) or nothing (worst_kernel_residual).
-The first band's class residual also starts the coefficients, which are
-solved band by band (a later band's class residual is taken on the
-coefficients so far). A single-band layer takes one class residual in all,
-and the temporaries are of the layer's own size.
+Every structure operator is one sweep over a stack of kernels at unit scale
+(_worst_block_residual), which keeps the coefficients (decompose,
+block_alphas, extract_alpha), the projection (project, and the projector's
+factors as the projection of an identity) or only the residual norms.
 """
 
 from __future__ import annotations
@@ -210,46 +204,52 @@ def _projection(x, cfg: StructuredConfig, keep="P"):
     return {"P": x, "alpha": alpha}.get(keep), np.sqrt(sq)
 
 
-def _frozen(a):
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
+def _axis_projector(cfg: StructuredConfig) -> np.ndarray:
+    # The read-only projector of a one-axis config, (C, 1, c, 1) or (1, N, 1, n),
+    # as the sweep's projection of I, whose row i is P @ e_i (P is symmetric).
+    p = _worst_block_residual(np.eye(cfg.C * cfg.N**2), cfg, keep="P")[2]
+    p.flags.writeable = False
+    return p
 
 
 @dataclass(frozen=True)
 class StructureMatrix:
-    """The structured subspace of one config. decompose and the residuals
-    apply it matrix-free, band by band; the dense forms are built on first
-    access, by applying those same operators to an identity: A
-    (C*N^2 x c*n^2) with the vectorized basis elements as columns, its
-    pseudoinverse, and the orthogonal projector A @ pinv onto its column span.
-    Each instance builds each form at most once and keeps it, read-only, for
-    as long as its owner holds the instance; no module-level cache does."""
+    """The orthogonal projector P onto one config's structured subspace, as
+    its Kronecker factors P = P_C (x) P_S: the channel band's C x C projector
+    and the spatial bands' N^2 x N^2 one. A factor whose window is 1 is the
+    identity and is never built; any other is built on first use, once, and
+    kept, read-only, for as long as the owner holds the instance."""
 
     cfg: StructuredConfig
 
     @cached_property
-    def A(self) -> np.ndarray:
-        cfg = self.cfg
-        eye = np.eye(cfg.basis_size).reshape(-1, cfg.c, cfg.n, cfg.n)
-        return _frozen(reconstruct(eye, cfg).reshape(cfg.basis_size, -1).T)
+    def channel_projector(self) -> np.ndarray | None:
+        C, c = self.cfg.C, self.cfg.c
+        return _axis_projector(StructuredConfig(C, 1, c, 1)) if c < C else None
 
     @cached_property
-    def pinv(self) -> np.ndarray:
-        # Row i of block_alphas(I) is pinv @ e_i.
-        return _frozen(block_alphas(np.eye(self.cfg.C * self.cfg.N**2), self.cfg).T)
+    def spatial_projector(self) -> np.ndarray | None:
+        N, n = self.cfg.N, self.cfg.n
+        return _axis_projector(StructuredConfig(1, N, 1, n)) if n < N else None
 
-    @cached_property
-    def projector(self) -> np.ndarray:
-        # Row i of the sweep's projection of I is P @ e_i.
-        d = self.cfg.C * self.cfg.N**2
-        return _frozen(_worst_block_residual(np.eye(d), self.cfg, keep="P")[2].T)
+    def project_rows(self, flat) -> np.ndarray:
+        """P applied to every row of flat, one vectorized kernel per row, as a
+        new array: one GEMM per factor, the channel factor's on channel-last
+        rows, with at most two arrays of flat's size alive besides flat."""
+        C, S = self.cfg.C, self.cfg.N**2
+        flat = np.asarray(flat, dtype=np.float64)
+        pc, ps = self.channel_projector, self.spatial_projector
+        y = flat if ps is None else flat.reshape(-1, S) @ ps
+        if pc is not None:
+            y = y.reshape(-1, C, S).transpose(0, 2, 1).reshape(-1, C)
+            y = (y @ pc).reshape(-1, S, C).transpose(0, 2, 1)
+        return flat.copy() if y is flat else y.reshape(flat.shape)
 
 
 def generate_structured_basis(cfg: StructuredConfig) -> CompositeBasis:
     """The c*n*n shifted all-ones cuboids, in lexicographic (i, j, k) order."""
-    A = StructureMatrix(cfg).A
-    return CompositeBasis(A.T.reshape(cfg.basis_size, cfg.C, cfg.N, cfg.N))
+    eye = np.eye(cfg.basis_size).reshape(-1, cfg.c, cfg.n, cfg.n)
+    return CompositeBasis(reconstruct(eye, cfg))
 
 
 def _check_kernel(w, cfg: StructuredConfig, name="kernel"):

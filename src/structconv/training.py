@@ -15,9 +15,9 @@ channel, a linear layer a 1x1 map. Three modes:
 
 The structural residual of a layer is ||(I - P) W||_F / ||W||_F with P the
 orthogonal projector onto the structured subspace, applied kernel by kernel.
-The regularizer takes the StructureMatrix whose projector P is: each
-structured layer builds one for its config and holds it, and its projector
-is built on first use and dropped with the layer.
+The regularizer takes the StructureMatrix that applies P: each structured
+layer builds one for its config and holds it. It keeps P as two Kronecker
+factors, C x C and N^2 x N^2, built on first use and dropped with the layer.
 Everything is float64 and every source of randomness is seeded, so training
 curves are reproducible bit for bit.
 """
@@ -54,12 +54,11 @@ def _residual_rows(w, sm: StructureMatrix):
     norm = float(np.linalg.norm(flat))
     if norm == 0.0:
         raise DegenerateWeightError("zero-norm weight tensor has no residual")
-    return flat, norm, flat - flat @ sm.projector.T
+    return flat, norm, flat - sm.project_rows(flat)
 
 
 def layer_residual(w, sm: StructureMatrix) -> float:
-    """||(I - P) W||_F / ||W||_F over the whole layer tensor, P being sm's
-    projector."""
+    """||(I - P) W||_F / ||W||_F over the whole layer tensor, sm applying P."""
     _, norm, resid = _residual_rows(w, sm)
     return float(np.linalg.norm(resid) / norm)
 
@@ -81,8 +80,9 @@ def sr_grad(w, sm: StructureMatrix) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     flat, nw, resid = _residual_rows(w, sm)
     nr = float(np.sqrt(np.sum(resid * resid) + _SR_EPS))
-    grad = resid / (nr * nw) - (nr / nw**3) * flat
-    return grad.reshape(w.shape)
+    resid /= nr * nw  # in place, so at most two arrays of W's size are alive
+    resid -= (nr / nw**3) * flat
+    return resid.reshape(w.shape)
 
 
 # Layer descriptors. Structure dims ride along with each trainable layer;
@@ -202,8 +202,8 @@ class _Structured(_Layer):
     cfg.pool_dims before the small kernel. Input channels split into
     geom.groups blocks as in tensor.conv: a depthwise conv has one group per
     channel and C = c = 1. A linear layer has N = n = 1 and reads (B, Q)
-    inputs as 1x1 maps. sm is the layer's StructureMatrix, whose projector
-    the regularizer reads.
+    inputs as 1x1 maps. sm is the layer's StructureMatrix, whose projection
+    of the kernel rows the regularizer reads.
 
     The forward pads and, in direct mode, pools the batch as a (C, H, W, B)
     map in one sum_pool3d call, gathers its im2col columns and runs one

@@ -27,6 +27,7 @@ from structconv.composite import count_composite_ops
 from structconv.structured import (
     StructuredConfig,
     StructureMatrix,
+    block_alphas,
     decompose,
     forward_decomposed,
     generate_structured_basis,
@@ -129,11 +130,15 @@ def test_acceptance_2_linear_decomposition_equivalence():
 
 
 def test_acceptance_3_projector_algebra():
+    # A from the generated basis, pinv(A) from the coefficients of an identity
+    # and P from the row projection of an identity: the library's operators.
     worst = 0.0
     for i, cfg in enumerate(SWEEP_CONFIGS):
-        sm = StructureMatrix(cfg)
-        proj = sm.A @ sm.pinv
-        worst = max(worst, float(np.max(np.abs(sm.pinv @ sm.A - np.eye(sm.A.shape[1])))))
+        eye = np.eye(cfg.C * cfg.N * cfg.N)
+        A = generate_structured_basis(cfg).elements.reshape(cfg.basis_size, -1).T
+        pinv = block_alphas(eye, cfg).T
+        proj = StructureMatrix(cfg).project_rows(eye).T
+        worst = max(worst, float(np.max(np.abs(pinv @ A - np.eye(cfg.basis_size)))))
         worst = max(worst, float(np.max(np.abs(proj @ proj - proj))))
         alpha = random_tensor(31 * i, (cfg.c, cfg.n, cfg.n))
         w = reconstruct(alpha, cfg).reshape(-1)
@@ -253,7 +258,7 @@ def test_acceptance_7_regularizer_gradient():
         StructuredConfig(4, 5, 2, 2), StructuredConfig(6, 3, 3, 2),
         StructuredConfig(2, 2, 1, 1), StructuredConfig(5, 3, 1, 3),
     ]
-    sms = [StructureMatrix(cfg) for cfg in cfgs]  # one projector build per config
+    sms = [StructureMatrix(cfg) for cfg in cfgs]  # each builds its factors once
     worst = 0.0
     pairs = 0
     for trial in range(2):

@@ -38,14 +38,22 @@ from structconv.structured import (
     _worst_block_residual,
 )
 from structconv.tensor import ConvGeometry, GeometryError, ShapeError, conv, linear, random_tensor, write_tensor
+from references import dense_projector, loop_structure_matrix, svd_pinv
 
 
-def svd_pinv(a):
-    # Pseudoinverse assembled by hand from a full SVD; independent of the
-    # library's route.
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    inv = np.where(s > 1e-12 * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return vt.T @ np.diag(inv) @ u.T
+# The three dense forms, each from the library operator that replaces it: A
+# from the generated basis (reconstruct of an identity), pinv(A) from the
+# coefficients of an identity, and P from the row projection of an identity.
+def basis_matrix(cfg):
+    return generate_structured_basis(cfg).elements.reshape(cfg.basis_size, -1).T
+
+
+def pinv_of(cfg):
+    return block_alphas(np.eye(cfg.C * cfg.N**2), cfg).T
+
+
+def projector_of(cfg):
+    return StructureMatrix(cfg).project_rows(np.eye(cfg.C * cfg.N**2)).T
 
 
 # Flat (C-order) one-positions of each column of A for cfg (1,3,1,2): the
@@ -54,31 +62,31 @@ A_132_COLUMNS = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
 
 
 def test_structure_matrix_1312_literal():
-    sm = StructureMatrix(StructuredConfig(C=1, N=3, c=1, n=2))
+    cfg = StructuredConfig(C=1, N=3, c=1, n=2)
     want = np.zeros((9, 4))
     for col, rows in enumerate(A_132_COLUMNS):
         for r in rows:
             want[r, col] = 1.0
-    np.testing.assert_array_equal(sm.A, want)
-    np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(4), atol=1e-10)
+    np.testing.assert_array_equal(basis_matrix(cfg), want)
+    np.testing.assert_allclose(pinv_of(cfg) @ want, np.eye(4), atol=1e-10)
 
 
 def test_pinv_matches_manual_svd():
     for cfg in (StructuredConfig(1, 3, 1, 2), StructuredConfig(4, 3, 2, 2)):
-        sm = StructureMatrix(cfg)
-        np.testing.assert_allclose(sm.pinv, svd_pinv(sm.A), atol=1e-12)
+        want = svd_pinv(loop_structure_matrix(cfg))
+        np.testing.assert_allclose(pinv_of(cfg), want, atol=1e-12)
 
 
 def test_structure_matrix_4322_column_sums():
-    sm = StructureMatrix(StructuredConfig(C=4, N=3, c=2, n=2))
-    assert sm.A.shape == (36, 8)
-    np.testing.assert_array_equal(sm.A.sum(axis=0), np.full(8, 12.0))
+    A = basis_matrix(StructuredConfig(C=4, N=3, c=2, n=2))
+    assert A.shape == (36, 8)
+    np.testing.assert_array_equal(A.sum(axis=0), np.full(8, 12.0))
 
 
 def test_identity_config_gives_identity_matrix():
-    sm = StructureMatrix(StructuredConfig(C=2, N=3, c=2, n=3))
-    np.testing.assert_array_equal(sm.A, np.eye(18))
-    np.testing.assert_allclose(sm.projector, np.eye(18), atol=1e-12)
+    cfg = StructuredConfig(C=2, N=3, c=2, n=3)
+    np.testing.assert_array_equal(basis_matrix(cfg), np.eye(18))
+    np.testing.assert_allclose(projector_of(cfg), np.eye(18), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -92,25 +100,10 @@ def test_identity_config_gives_identity_matrix():
     ],
 )
 def test_projector_algebra(cfg):
-    sm = StructureMatrix(cfg)
-    p = sm.projector
-    np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(cfg.basis_size), atol=1e-10)
+    p = projector_of(cfg)
+    np.testing.assert_allclose(pinv_of(cfg) @ basis_matrix(cfg), np.eye(cfg.basis_size), atol=1e-10)
     np.testing.assert_allclose(p, p.T, atol=1e-10)
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
-
-
-def loop_structure_matrix(cfg):
-    # Reference A built cuboid by cuboid: column (i, j, k) is the all-ones
-    # block with low corner (i, j, k), flattened channel-major.
-    wc, wn = cfg.C - cfg.c + 1, cfg.N - cfg.n + 1
-    A = np.zeros((cfg.C, cfg.N, cfg.N, cfg.basis_size))
-    m = 0
-    for i in range(cfg.c):
-        for j in range(cfg.n):
-            for k in range(cfg.n):
-                A[i : i + wc, j : j + wn, k : k + wn, m] = 1.0
-                m += 1
-    return A.reshape(-1, cfg.basis_size)
 
 
 def test_kronecker_structure_matrix_matches_loop_reference():
@@ -122,13 +115,12 @@ def test_kronecker_structure_matrix_matches_loop_reference():
             for c in range(1, C + 1):
                 for n in range(1, N + 1):
                     cfg = StructuredConfig(C, N, c, n)
-                    sm = StructureMatrix(cfg)
                     want = loop_structure_matrix(cfg)
-                    np.testing.assert_array_equal(sm.A, want)
+                    np.testing.assert_array_equal(basis_matrix(cfg), want)
                     pinv = np.linalg.pinv(want)
                     proj = want @ pinv
-                    np.testing.assert_allclose(sm.pinv, pinv, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(sm.projector, proj, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(pinv_of(cfg), pinv, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(projector_of(cfg), proj, rtol=0, atol=1e-12)
                     # The matrix-free operators on random rows, one of them zero.
                     flat = np.array(random_tensor(C * 100 + N * 10 + c + n, (3, C * N * N)))
                     flat[1] = 0.0
@@ -160,10 +152,11 @@ def test_kronecker_structure_matrix_matches_loop_reference():
 def test_band_pinv_at_fixture_scale():
     # struct_effnet's largest band, 1920 x 960, against the SVD pseudoinverse.
     cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
-    sm = StructureMatrix(cfg)
-    want = np.linalg.pinv(sm.A)
-    assert np.abs(sm.pinv - want).max() <= 1e-10 * np.abs(want).max()
-    np.testing.assert_allclose(sm.pinv @ sm.A, np.eye(cfg.basis_size), rtol=0, atol=1e-10)
+    A = loop_structure_matrix(cfg)
+    want = np.linalg.pinv(A)
+    pinv = pinv_of(cfg)
+    assert np.abs(pinv - want).max() <= 1e-10 * np.abs(want).max()
+    np.testing.assert_allclose(pinv @ A, np.eye(cfg.basis_size), rtol=0, atol=1e-10)
     alphas = np.array(random_tensor(29, (8, cfg.c, 1, 1)))
     dense = reconstruct(alphas, cfg)
     got = reconstruct(block_alphas(dense.reshape(8, -1), cfg).reshape(alphas.shape), cfg)
@@ -188,10 +181,11 @@ def test_matrix_free_operators_at_fixture_scale():
 
 def test_decompose_builds_no_dense_structure_matrix(monkeypatch):
     # struct_effnet's (320, 1920, 1, 1) pwconv: 4.9 MB of weights, against the
-    # 29.5 MB its dense projector alone would take.
+    # 29.5 MB its projector's one factor would take. decompose reads neither
+    # factor.
     cfg = StructuredConfig(C=1920, N=1, c=960, n=1)
     w = reconstruct(random_tensor(31, (320, cfg.c, 1, 1)), cfg)
-    forms = ("A", "pinv", "projector")
+    forms = ("channel_projector", "spatial_projector")
     built = []
     with monkeypatch.context() as m:
         for name in forms:
@@ -203,13 +197,63 @@ def test_decompose_builds_no_dense_structure_matrix(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peak <= 2 * w.nbytes
-    assert built == []  # no dense form evaluated
+    assert built == []  # no factor evaluated
     assert rel_err(reconstruct(layer.alpha, cfg), w) <= 1e-12
     sm = StructureMatrix(StructuredConfig(4, 3, 2, 2))
-    for name in forms:
+    for name in forms:  # each built on first use, once, read-only
         assert name not in vars(sm)
         assert getattr(sm, name) is getattr(sm, name)
         assert isinstance(vars(sm)[name], np.ndarray) and not vars(sm)[name].flags.writeable
+
+
+def test_structure_matrix_holds_no_dense_form():
+    # Only the config is stored, so building one for struct_effnet's widest
+    # band, whose one factor would take 29.5 MB, allocates next to nothing.
+    cfg = StructuredConfig(1920, 1, 960, 1)
+    tracemalloc.start()
+    try:
+        sm = StructureMatrix(cfg)
+        size = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size < 64 * 1024
+    for name in ("A", "pinv", "projector"):
+        assert not hasattr(sm, name)
+    assert vars(sm) == {"cfg": cfg}
+
+
+def _toy_and_mv2b_single_factor_configs():
+    # The toy student's dwconv and linear configs and mv2_b's pwconv configs:
+    # each has one band, so its one factor is the whole projector.
+    from structconv.cli import default_toy_model_spec
+    from structconv.training import ToyModel
+
+    toy = [l.cfg for l in ToyModel(default_toy_model_spec(), seed=0).structured_layers()]
+    toy = [cfg for cfg in toy if cfg.C == 1 or cfg.N == 1]
+    mv2_b = os.path.join(os.path.dirname(structconv.__file__), "fixtures", "struct_mv2_b.json")
+    pw = [spec.cfg for spec in parse_network_spec(mv2_b) if spec.kind == "pwconv"]
+    return sorted(set(toy + pw), key=lambda cfg: (cfg.C, cfg.N, cfg.c, cfg.n))
+
+
+def test_single_factor_row_projection_is_the_dense_projection_bit_for_bit():
+    # With C = 1 or N = 1 the row projection is one GEMM with the sweep's
+    # projection of an identity, the dense projector's construction.
+    cfgs = _toy_and_mv2b_single_factor_configs()
+    assert {cfg.C == 1 for cfg in cfgs} == {True, False}
+    for i, cfg in enumerate(cfgs):
+        d = cfg.C * cfg.N**2
+        flat = np.array(random_tensor(40 + i, (5, d)))
+        want = flat @ _worst_block_residual(np.eye(d), cfg, keep="P")[2]
+        np.testing.assert_array_equal(StructureMatrix(cfg).project_rows(flat), want, str(cfg))
+
+
+def test_row_projection_is_a_new_array():
+    # Also for the identity config, which has no factor and copies.
+    for cfg in (StructuredConfig(2, 3, 2, 3), StructuredConfig(4, 3, 2, 2)):
+        flat = np.array(random_tensor(41, (3, cfg.C * cfg.N**2)))
+        got = StructureMatrix(cfg).project_rows(flat)
+        assert got.shape == flat.shape and not np.may_share_memory(got, flat)
+        np.testing.assert_allclose(got, flat @ dense_projector(cfg).T, rtol=0, atol=1e-12)
 
 
 def test_structure_matrix_is_cached():
@@ -288,8 +332,7 @@ def test_project_corner_one_hot_matches_dense_projector():
     w = np.zeros((1, 3, 3))
     w[0, 0, 0] = 1.0
     w_hat, residual = project(w, cfg)
-    sm = StructureMatrix(cfg)
-    dense = (np.eye(9) - sm.A @ svd_pinv(sm.A)) @ w.reshape(-1)
+    dense = (np.eye(9) - dense_projector(cfg)) @ w.reshape(-1)
     assert residual == pytest.approx(np.linalg.norm(dense), abs=1e-12)
     np.testing.assert_allclose(w_hat.reshape(-1), w.reshape(-1) - dense, atol=1e-12)
 
@@ -325,8 +368,8 @@ def test_extract_alpha_identity_config():
 def test_extract_alpha_unstructured_matches_normal_equations():
     cfg = StructuredConfig(3, 3, 2, 2)
     w = random_tensor(5, (3, 3, 3))
-    sm = StructureMatrix(cfg)
-    want = np.linalg.solve(sm.A.T @ sm.A, sm.A.T @ w.reshape(-1))
+    A = loop_structure_matrix(cfg)
+    want = np.linalg.solve(A.T @ A, A.T @ w.reshape(-1))
     np.testing.assert_allclose(extract_alpha(w, cfg).reshape(-1), want, atol=1e-10)
 
 
@@ -346,8 +389,7 @@ def test_reconstruct_all_ones_overlap_counts():
 def test_reconstruct_matches_matrix_path():
     cfg = StructuredConfig(5, 4, 3, 2)
     alpha = random_tensor(6, (3, 2, 2))
-    sm = StructureMatrix(cfg)
-    want = (sm.A @ alpha.reshape(-1)).reshape(5, 4, 4)
+    want = (loop_structure_matrix(cfg) @ alpha.reshape(-1)).reshape(5, 4, 4)
     np.testing.assert_allclose(reconstruct(alpha, cfg), want, atol=1e-12)
 
 
@@ -580,13 +622,13 @@ def test_decomposed_layers_compare_and_hash_by_identity():
 
 def test_worst_block_residual_matches_per_kernel_loop():
     cfg = StructuredConfig(4, 3, 2, 2)
-    sm = StructureMatrix(cfg)
+    proj = dense_projector(cfg)
     flat = reconstruct(random_tensor(25, (6, 2, 2, 2)), cfg).reshape(6, -1)
     assert _worst_block_residual(flat, cfg)[1] < 1e-14
     flat[1] += np.array(random_tensor(26, (36,))) * 1e-3
     flat[4] += np.array(random_tensor(27, (36,))) * 1e-2
     flat[2] = 0.0
-    want = [np.linalg.norm(v - sm.projector @ v) / np.linalg.norm(v) if v.any() else 0.0 for v in flat]
+    want = [np.linalg.norm(v - proj @ v) / np.linalg.norm(v) if v.any() else 0.0 for v in flat]
     idx, res, _ = _worst_block_residual(flat, cfg)
     assert idx == 4 == int(np.argmax(want))
     assert abs(res - want[4]) <= 1e-12 * want[4]
@@ -626,8 +668,8 @@ OPERATORS = {
     "extract_alpha": lambda: extract_alpha(SWEEP_KERNEL, SWEEP_CFG),
     "block_alphas": lambda: block_alphas(SWEEP_KERNEL.reshape(1, -1), SWEEP_CFG),
     "worst_kernel_residual": lambda: worst_kernel_residual(SWEEP_KERNEL[None], SWEEP_CFG),
-    "pinv": lambda: StructureMatrix(SWEEP_CFG).pinv,
-    "projector": lambda: StructureMatrix(SWEEP_CFG).projector,
+    "channel_projector": lambda: StructureMatrix(SWEEP_CFG).channel_projector,
+    "spatial_projector": lambda: StructureMatrix(SWEEP_CFG).spatial_projector,
 }
 
 

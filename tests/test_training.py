@@ -13,6 +13,7 @@ from structconv.structured import ResidualError, StructuredConfig, StructureMatr
 from structconv.structured import decompose, decomposed_layer, reconstruct
 from structconv.structured import forward_decomposed
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, sum_pool3d
+from references import dense_projector
 from structconv.training import (
     Conv,
     DegenerateWeightError,
@@ -38,11 +39,11 @@ from structconv.training import (
 )
 
 
-def dense_residual(w, sm):
+def dense_residual(w, cfg):
     # Straight from the definition with an explicitly assembled projector.
-    p = np.eye(sm.A.shape[0]) - sm.A @ np.linalg.pinv(sm.A)
-    flat = np.asarray(w).reshape(-1, sm.A.shape[0])
-    return np.linalg.norm(flat @ p.T) / np.linalg.norm(flat)
+    d = cfg.C * cfg.N**2
+    flat = np.asarray(w).reshape(-1, d)
+    return np.linalg.norm(flat @ (np.eye(d) - dense_projector(cfg)).T) / np.linalg.norm(flat)
 
 
 def test_residual_zero_for_structured():
@@ -55,7 +56,7 @@ def test_residual_one_hot_matches_dense_projector():
     sm = StructureMatrix(StructuredConfig(1, 3, 1, 2))
     w = np.zeros((1, 3, 3))
     w[0, 0, 0] = 1.0
-    assert layer_residual(w, sm) == pytest.approx(dense_residual(w, sm), abs=1e-12)
+    assert layer_residual(w, sm) == pytest.approx(dense_residual(w, sm.cfg), abs=1e-12)
 
 
 def test_residual_scale_invariant():
@@ -607,7 +608,7 @@ def test_decompose_model_gates_on_the_worst_kernel():
 
 def test_projectors_die_with_their_model():
     # Each structured layer owns its StructureMatrix, so nothing outside the
-    # model keeps the dense projector that one regularized step builds.
+    # model keeps the projector factors that one regularized step builds.
     def one_step():
         model = ToyModel(TINY_SPEC, seed=20)
         layers = model.structured_layers()
@@ -619,11 +620,32 @@ def test_projectors_die_with_their_model():
         for l in layers:
             l.gw += 0.1 * sr_grad(l.w, l.sm)
         model.step(0.1)
-        return weakref.ref(layers[0].sm.projector)
+        return weakref.ref(layers[0].sm.channel_projector)
 
     projector = one_step()
     gc.collect()
     assert projector() is None
+
+
+def test_sr_grad_at_512_channels_holds_only_the_factors():
+    # A 512-channel 3x3 layer: its dense projector would hold 162 MiB. One
+    # gradient stays within 4x the weight's bytes, and what it leaves behind
+    # besides the gradient is the two factors, 512^2 + 9^2 doubles.
+    cfg = StructuredConfig(512, 3, 256, 2)
+    w = np.random.default_rng(22).standard_normal((512, 512, 3, 3))
+    sm = StructureMatrix(cfg)
+    tracemalloc.start()
+    try:
+        g = sr_grad(w, sm)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * w.nbytes
+    factors = sm.channel_projector.nbytes + sm.spatial_projector.nbytes
+    assert factors == 8 * (512**2 + 9**2)
+    assert held - g.nbytes <= 4 * 2**20
+    # Scaling W leaves its residual as it is, so the gradient is orthogonal to W.
+    assert abs(np.vdot(g, w)) <= 1e-9 * np.linalg.norm(g) * np.linalg.norm(w)
 
 
 def test_every_structured_forward_pools_once(monkeypatch):
