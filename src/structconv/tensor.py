@@ -7,8 +7,9 @@ training runs on it. Provides cross-correlation style convolution; the 1D
 all-ones window pair that 3D sum-pooling and every structured operation are
 built from, window_sum and its adjoint window_spread, which add strided
 slices for windows of up to 4 entries and take differences of running sums
-for longer ones; linear maps; a counter-based seeded random generator; and
-a bit-exact binary file container.
+for longer ones; linear maps; a counter-based seeded random generator, which
+fills its output in place one block at a time, so a draw needs its output
+plus two blocks of memory; and a bit-exact binary file container.
 
 Convolution is cross-correlation: no kernel flip, zero padding only. It
 computes one map (C x H x W) and takes one of three paths, picked from the
@@ -34,8 +35,8 @@ The window pair indexes the summed axis where it is: np.moveaxis costs about
 along an axis whose rows (the slices across that axis) are C-contiguous and
 hold at least _PLANE_SUM_MIN_SIZE = 512 entries as one add per row, plane by
 plane, and every other running sum in one call along the axis. Both give the
-same bits. The docstrings of conv and window_sum give the measurements
-behind each constant.
+same bits. The docstrings of conv, window_sum and random_tensor give the
+measurements behind each constant.
 """
 
 from __future__ import annotations
@@ -380,7 +381,9 @@ def window_sum(x, k: int, axis: int, stride: int = 1, dilation: int = 1):
             out += x[pre + (slice(j * d, j * d + span, stride),)]
         return out
     # Running sums with step d after d zeros: sums[i+d] = x[i] + x[i-d] + ...
-    sums = np.zeros_like(x, shape=_resized(x.shape, len(pre), n + d))
+    # Both paths below write every plane after the first d.
+    sums = np.empty_like(x, shape=_resized(x.shape, len(pre), n + d))
+    sums[pre + (slice(0, d),)] = 0.0
     row = x[pre + (0,)]
     if d == 1 and row.flags.c_contiguous and row.size >= _PLANE_SUM_MIN_SIZE:
         sums[pre + (1,)] = row
@@ -506,28 +509,63 @@ def linear(weight, x):
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _splitmix64(v):
-    v = (v ^ (v >> np.uint64(30))) * _MIX1
-    v = (v ^ (v >> np.uint64(27))) * _MIX2
-    return v ^ (v >> np.uint64(31))
+# Entries per block of a draw; random_tensor's docstring gives the
+# measurements behind the value.
+_DRAW_BLOCK = 1 << 15
 
 
 def random_tensor(seed: int, shape) -> np.ndarray:
-    """Seeded random tensor with values in [-1, 1), reproducible bit for bit."""
+    """Seeded random tensor with values in [-1, 1), reproducible bit for bit.
+
+    A shape of rank 0, an extent below 1 or more than _MAX_ELEMS = 2^40
+    entries (the container's limit) raises before anything is allocated.
+
+    SplitMix64 is counter-based (Steele, Lea & Flood 2014): entry i depends
+    only on the seed and i. So the output is filled in blocks of at most
+    _DRAW_BLOCK = 2^15 entries, with a one-pass draw's integer and float
+    operations in its order, each in place, which keeps every bit. The
+    mixing runs in one reused uint64 work block, and each round's shift goes
+    into the output block, viewed as uint64, which the mixed bits then
+    overwrite. Working memory is the output plus two blocks, the work block
+    and the counters 1..2^15 that each block offsets. On a (96, 112, 112)
+    draw of 9.6 MB, a one-pass draw with full-size temporaries peaked at
+    48.2 MB under tracemalloc and took 19.6 ms; blocked, it took 12.0 ms at
+    2^11 entries a block, 7.2 at 2^13, 6.9 at 2^14, 6.5 at 2^15, 6.1 at
+    2^16, 7.6 at 2^17 and 10.3 at 2^19 (min of 4 x 8 interleaved calls, 2
+    shared cores with 2 MB of L2 each, NumPy 2.4). 2^16 is inside the noise
+    of 2^15 with twice the blocks; at 2^15 the three blocks in use, 768 KB,
+    stay in L2, and the peak is 10.2 MB.
+    """
     shape = tuple(int(d) for d in shape)
     if len(shape) == 0:
         raise ShapeError("shape must have rank >= 1")
     if any(d < 1 for d in shape):
         raise ShapeError(f"all extents must be >= 1, got {shape}")
-    n = int(np.prod(shape))
-    idx = np.arange(1, n + 1, dtype=np.uint64)
+    n = math.prod(shape)
+    if n > _MAX_ELEMS:
+        raise ShapeError(f"shape {shape} has {n} entries, more than {_MAX_ELEMS}")
+    out = np.empty(n)
+    step = min(n, _DRAW_BLOCK)
+    counters = np.arange(1, step + 1, dtype=np.uint64)
+    work = np.empty(step, dtype=np.uint64)
+    seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
-        state = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
-        bits = _splitmix64(state)
-    u = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    out = (2.0 * u - 1.0).reshape(shape)
+        for start in range(0, n, step):
+            v, block = work[: n - start], out[start : start + step]
+            shifted = block.view(np.uint64)
+            np.add(counters[: len(v)], np.uint64(start), out=v)
+            np.multiply(v, _GOLDEN, out=v)
+            np.add(v, seed, out=v)
+            for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+                np.bitwise_xor(v, np.right_shift(v, np.uint64(shift), out=shifted), out=v)
+                if mix is not None:
+                    np.multiply(v, mix, out=v)
+            np.right_shift(v, np.uint64(11), out=v)
+            np.copyto(block, v)
+            block *= 2.0**-53
+            block *= 2.0
+            block -= 1.0
+    out = out.reshape(shape)
     out.flags.writeable = False
     return out
 

@@ -174,7 +174,8 @@ class TrainingConfig:
 
 def _he_init(seed, shape):
     # Uniform He init; the fan-in is one output's kernel, all trailing axes.
-    return np.array(random_tensor(seed, shape)) * np.sqrt(6.0 / np.prod(shape[1:]))
+    # The product is a new, writable array.
+    return random_tensor(seed, shape) * np.sqrt(6.0 / np.prod(shape[1:]))
 
 
 def _as_map(x):
@@ -403,6 +404,7 @@ _TEACHER_SPEC = ToyModelSpec(
 )
 
 _N_TRAIN, _N_TEST = 2048, 512
+_EVAL_BATCH = 256  # samples per predict call in evaluate and the teacher's labelling
 _BALANCE_LO, _BALANCE_HI = 0.225, 0.275  # within 10% of uniform over 4 classes
 
 
@@ -430,17 +432,22 @@ def _calibrate_head_bias(logits, classes):
 def make_toy_dataset(seed: int = 0) -> ToyDataset:
     """Inputs from the seeded generator, labels from a frozen random teacher.
 
-    The teacher's final bias is fitted so each class wins about a quarter of
-    the generated pool; if either split still leaves the 22.5%..27.5%
-    per-class band, the seed chain advances by 1000003 and everything is
-    regenerated.
+    The inputs are the generator's read-only draw, not a copy. The teacher
+    labels them in batches of 256 samples (evaluate's batch size), whose
+    logits have the bits of one pass over the whole pool, so only one
+    batch's columns are alive at a time. The teacher's final bias is fitted
+    so each class wins about a quarter of the generated pool; if either
+    split still leaves the 22.5%..27.5% per-class band, the seed chain
+    advances by 1000003 and everything is regenerated.
     """
     total = _N_TRAIN + _N_TEST
     for attempt in range(64):
         s = seed + 1000003 * attempt
-        x = np.array(random_tensor(s, (total, 3, 8, 8)))
+        x = random_tensor(s, (total, 3, 8, 8))
         teacher = ToyModel(_TEACHER_SPEC, seed=s + 7)
-        logits = teacher.predict(x)
+        logits = np.concatenate(
+            [teacher.predict(x[i : i + _EVAL_BATCH]) for i in range(0, total, _EVAL_BATCH)]
+        )
         # The head bias is zero until now, so logits + shift has the bits of
         # a second forward with the shifted bias.
         shift = _calibrate_head_bias(logits, 4)
@@ -464,7 +471,7 @@ class EvalResult:
     accuracy: float
 
 
-def evaluate(model: ToyModel, x, y, batch_size: int = 256) -> EvalResult:
+def evaluate(model: ToyModel, x, y, batch_size: int = _EVAL_BATCH) -> EvalResult:
     correct = 0
     for start in range(0, x.shape[0], batch_size):
         logits = model.predict(x[start : start + batch_size])

@@ -1,5 +1,6 @@
 """Dense references for the structure operators, built in the tests from the
-definitions and independent of the library's matrix-free route."""
+definitions and independent of the library's matrix-free route, and the
+seeded generator as one vectorized pass, without blocks."""
 
 import numpy as np
 
@@ -29,3 +30,18 @@ def dense_projector(cfg):
     # The orthogonal projector onto A's column span, A @ pinv(A).
     A = loop_structure_matrix(cfg)
     return A @ svd_pinv(A)
+
+
+def one_pass_random_tensor(seed, shape):
+    # SplitMix64 over all counters 1..n at once, with full-size temporaries:
+    # the generator before it was blocked.
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    mix1, mix2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+    idx = np.arange(1, int(np.prod(shape)) + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        v = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * golden
+        v = (v ^ (v >> np.uint64(30))) * mix1
+        v = (v ^ (v >> np.uint64(27))) * mix2
+        v = v ^ (v >> np.uint64(31))
+    u = (v >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (2.0 * u - 1.0).reshape(shape)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from structconv import tensor
 from structconv.tensor import (
     _DEPTHWISE_BLOCK_BYTES,
+    _DRAW_BLOCK,
     _PLANE_SUM_MIN_SIZE,
     ContainerError,
     ConvGeometry,
@@ -26,6 +27,7 @@ from structconv.tensor import (
     write_tensor,
     zero_pad,
 )
+from references import one_pass_random_tensor
 
 
 def conv_loops(x, kernel, geom):
@@ -825,6 +827,43 @@ def test_random_tensor_rejects_bad_shapes():
         random_tensor(0, ())
     with pytest.raises(ShapeError):
         random_tensor(0, (3, 0))
+
+
+@pytest.mark.parametrize("shape", [(2**32 + 1, 2**32), (2**40 + 1,)])
+def test_random_tensor_refuses_too_many_entries_before_allocating(shape):
+    # np.prod((2**32 + 1, 2**32)) wraps to 2**32 in int64, so a count taken
+    # with it would start a 34 GB draw; the exact count is over 2**40.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError):
+            random_tensor(0, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 + 5, 2**64 - 1, -3])
+def test_random_tensor_blocks_keep_the_one_pass_bits(seed):
+    n = 3 * _DRAW_BLOCK + 7  # three full blocks and a short one
+    got = random_tensor(seed, (n,))
+    assert got.tobytes() == one_pass_random_tensor(seed, (n,)).tobytes()
+    want = splitmix_reference(seed, n)
+    for i in (_DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, n - 1):
+        assert got[i] == want[i]
+
+
+def test_random_tensor_traced_peak_is_its_output_plus_two_blocks():
+    # The one-pass draw held about five full-size uint64 temporaries and
+    # peaked at 48.2 MB for this 9.6 MB draw.
+    random_tensor(5, (4,))
+    tracemalloc.start()
+    try:
+        out = random_tensor(5, (96, 112, 112))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 1e6
 
 
 @pytest.mark.parametrize("shape", [(1,), (2, 3), (2, 3, 4), (1, 1, 1, 1, 5)])
