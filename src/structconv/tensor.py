@@ -617,11 +617,9 @@ def read_tensor(path) -> np.ndarray:
         shape = struct.unpack(f"<{rank}I", extents)
         if any(d < 1 for d in shape):
             raise ContainerError(f"zero extent in shape {shape}")
-        n = 1
-        for d in shape:
-            n *= d
-            if n > _MAX_ELEMS:
-                raise ContainerError(f"element count overflow in shape {shape}")
+        n = math.prod(shape)
+        if n > _MAX_ELEMS:
+            raise ContainerError(f"element count overflow in shape {shape}")
         start = 12 + 4 * rank
         size, expected = os.fstat(f.fileno()).st_size, start + 8 * n
         if size < expected:

@@ -1,8 +1,38 @@
 """Dense references for the structure operators, built in the tests from the
-definitions and independent of the library's matrix-free route, and the
-seeded generator as one vectorized pass, without blocks."""
+definitions and independent of the library's matrix-free route, the seeded
+generator as one vectorized pass, without blocks, and the helpers that more
+than one test module shares."""
+
+import os
 
 import numpy as np
+
+import structconv
+from structconv.training import layer_residual
+
+
+def fixture_path(name):
+    # A fixture shipped inside the package.
+    return os.path.join(os.path.dirname(structconv.__file__), "fixtures", name)
+
+
+def rel_err(got, want):
+    # Max absolute error over the larger of 1 and want's max magnitude.
+    return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+
+
+def central_difference_grad(w, sm, h=1e-5):
+    # The gradient of layer_residual(w, sm), entry by entry.
+    w = np.asarray(w, dtype=np.float64)
+    g = np.zeros_like(w)
+    it = np.nditer(w, flags=["multi_index"])
+    for _ in it:
+        idx = it.multi_index
+        wp, wm = w.copy(), w.copy()
+        wp[idx] += h
+        wm[idx] -= h
+        g[idx] = (layer_residual(wp, sm) - layer_residual(wm, sm)) / (2 * h)
+    return g
 
 
 def svd_pinv(a):

@@ -6,7 +6,6 @@ stated tolerance and runtime budget.
 """
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -14,7 +13,6 @@ from fractions import Fraction
 
 import numpy as np
 
-import structconv
 from structconv.analyzer import (
     LayerSpec,
     NetworkSpecError,
@@ -45,12 +43,12 @@ from structconv.tensor import (
 )
 from structconv.training import (
     TrainingConfig,
-    layer_residual,
     make_toy_dataset,
     sr_grad,
     train,
 )
 from structconv.cli import default_toy_model_spec
+from references import central_difference_grad, fixture_path, rel_err
 
 SWEEP_CONFIGS = [
     StructuredConfig(C, N, c, n)
@@ -66,14 +64,6 @@ def report(name, ok, detail):
     line = f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
-
-
-def fixture_path(name):
-    return os.path.join(os.path.dirname(structconv.__file__), "fixtures", name)
-
-
-def rel_err(got, want):
-    return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
 
 
 def min_input_hw(n_kernel, stride, pad, dilation):
@@ -235,18 +225,6 @@ def test_acceptance_6_composite_patch_costs():
         f"4 shifted 2x2 patches -> {counts['mults_per_output']} mults, "
         f"{counts['adds_per_output']} adds per output (dense needs {dense_adds} adds)",
     )
-
-
-def central_difference_grad(w, sm, h=1e-5):
-    g = np.zeros_like(w)
-    it = np.nditer(w, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        wp, wm = w.copy(), w.copy()
-        wp[idx] += h
-        wm[idx] -= h
-        g[idx] = (layer_residual(wp, sm) - layer_residual(wm, sm)) / (2 * h)
-    return g
 
 
 def test_acceptance_7_regularizer_gradient():

@@ -1,12 +1,10 @@
 import json
-import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import structconv
 from structconv.analyzer import (
     LayerSpec,
     NetworkSpecError,
@@ -18,10 +16,7 @@ from structconv.analyzer import (
 )
 from structconv.structured import StructuredConfig
 from structconv.tensor import ConvGeometry
-
-
-def fixture_path(name):
-    return os.path.join(os.path.dirname(structconv.__file__), "fixtures", name)
+from references import fixture_path
 
 
 def conv_spec(cout, cin, k, c, n, stride=1, pad=0, dilation=1, hw=5, kind="conv"):

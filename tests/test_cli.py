@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import structconv
 from structconv import cli, structured, tensor, training
 from structconv.analyzer import parse_network_spec
 from structconv.structured import (
@@ -18,6 +17,7 @@ from structconv.structured import (
     reconstruct,
 )
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, write_tensor
+from references import fixture_path
 
 TINY_NET = [
     {"kind": "conv", "cout": 4, "cin": 3, "k": 3, "c": 2, "n": 2, "stride": 2, "pad": 1},
@@ -37,10 +37,6 @@ def write_config(tmp_path, layers=TINY_NET, name="net.json"):
     path = tmp_path / name
     path.write_text(json.dumps(layers), encoding="utf-8")
     return str(path)
-
-
-def fixture_path(name):
-    return os.path.join(os.path.dirname(structconv.__file__), "fixtures", name)
 
 
 def structured_weights(spec, seed):
@@ -292,16 +288,21 @@ def test_decompose_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
 
 
 def test_decompose_evaluates_each_kernel_once(tmp_path, monkeypatch, capsys):
-    # One residual evaluation per layer, over all of its kernels, which also
-    # gives the coefficients: one class residual per band of each layer for
-    # the norms, the first band's shared with the coefficients, one more per
-    # later band for the coefficients, and no block_alphas call while the
-    # layers are built and written.
+    # One read of each weight file, and one residual evaluation per layer,
+    # over all of its kernels, which also gives the coefficients: one class
+    # residual per band of each layer for the norms, the first band's shared
+    # with the coefficients, one more per later band for the coefficients,
+    # and no block_alphas call while the layers are built and written.
     cfg = write_config(tmp_path)
     wdir = write_weight_dir(tmp_path)
+    read = tensor.read_tensor
     evaluate = structured._worst_block_residual
     class_residual = structured._class_residual
-    kernels, bands = [], []
+    reads, kernels, bands = [], [], []
+
+    def spy_read(path):
+        reads.append(path)
+        return read(path)
 
     def spy(flat, cfg, *rest):
         kernels.append(len(flat))
@@ -314,12 +315,14 @@ def test_decompose_evaluates_each_kernel_once(tmp_path, monkeypatch, capsys):
     def no_second_solve(flat, cfg):
         raise AssertionError("block_alphas called")
 
+    monkeypatch.setattr(tensor, "read_tensor", spy_read)
     monkeypatch.setattr(structured, "_worst_block_residual", spy)
     monkeypatch.setattr(structured, "_class_residual", count_bands)
     monkeypatch.setattr(structured, "block_alphas", no_second_solve)
     out = tmp_path / "out"
     rc = cli.main(["decompose", "--weights", wdir, "--config", cfg, "--out", str(out)])
     assert rc == 0, capsys.readouterr().err
+    assert reads == [os.path.join(wdir, f"layer_{i:03d}.stcv") for i in range(1, len(TINY_NET) + 1)]
     assert kernels == [spec["cout"] for spec in TINY_NET]
     specs = parse_network_spec(cfg)
     assert len(bands) == sum(2 * len(structured._bands(spec.cfg)) - 1 for spec in specs) == 10

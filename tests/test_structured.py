@@ -38,7 +38,7 @@ from structconv.structured import (
     _worst_block_residual,
 )
 from structconv.tensor import ConvGeometry, GeometryError, ShapeError, conv, linear, random_tensor, write_tensor
-from references import dense_projector, loop_structure_matrix, svd_pinv
+from references import dense_projector, fixture_path, loop_structure_matrix, rel_err, svd_pinv
 
 
 # The three dense forms, each from the library operator that replaces it: A
@@ -172,7 +172,7 @@ def test_matrix_free_operators_at_fixture_scale():
     dense = reconstruct(alphas, cfg)
     got = block_alphas(dense.reshape(8, -1), cfg).reshape(alphas.shape)
     assert np.abs(got - alphas).max() <= 1e-12 * np.abs(alphas).max()
-    effnet = os.path.join(os.path.dirname(structconv.__file__), "fixtures", "struct_effnet.json")
+    effnet = fixture_path("struct_effnet.json")
     for spec in parse_network_spec(effnet):
         cfg = spec.cfg
         w = reconstruct(random_tensor(spec.index, (spec.cout, cfg.c, cfg.n, cfg.n)), cfg)
@@ -230,7 +230,7 @@ def _toy_and_mv2b_single_factor_configs():
 
     toy = [l.cfg for l in ToyModel(default_toy_model_spec(), seed=0).structured_layers()]
     toy = [cfg for cfg in toy if cfg.C == 1 or cfg.N == 1]
-    mv2_b = os.path.join(os.path.dirname(structconv.__file__), "fixtures", "struct_mv2_b.json")
+    mv2_b = fixture_path("struct_mv2_b.json")
     pw = [spec.cfg for spec in parse_network_spec(mv2_b) if spec.kind == "pwconv"]
     return sorted(set(toy + pw), key=lambda cfg: (cfg.C, cfg.N, cfg.c, cfg.n))
 
@@ -427,10 +427,6 @@ def test_reconstruct_takes_any_stack():
     for bad in (np.zeros((3, 3, 2, 2)), np.zeros((2, 2))):
         with pytest.raises(ShapeError, match="alpha shape"):
             reconstruct(bad, StructuredConfig(5, 4, 2, 2))
-
-
-def rel_err(got, want):
-    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("stride,pad,dil", [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 0, 1)])

@@ -13,7 +13,7 @@ from structconv.structured import ResidualError, StructuredConfig, StructureMatr
 from structconv.structured import decompose, decomposed_layer, reconstruct
 from structconv.structured import forward_decomposed
 from structconv.tensor import ConvGeometry, conv, linear, random_tensor, sum_pool3d
-from references import dense_projector
+from references import central_difference_grad, dense_projector
 from structconv.training import (
     Conv,
     DegenerateWeightError,
@@ -91,19 +91,6 @@ def test_sr_loss_reads_only_weights():
     before = sr_loss([(w, sm)])
     _ = random_tensor(99, (64,)).sum()
     assert sr_loss([(w, sm)]) == before
-
-
-def central_difference_grad(w, sm, h=1e-5):
-    w = np.asarray(w, dtype=np.float64)
-    g = np.zeros_like(w)
-    it = np.nditer(w, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        wp, wm = w.copy(), w.copy()
-        wp[idx] += h
-        wm[idx] -= h
-        g[idx] = (layer_residual(wp, sm) - layer_residual(wm, sm)) / (2 * h)
-    return g
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
