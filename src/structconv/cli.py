@@ -277,6 +277,8 @@ def cmd_decompose(args) -> int:
 def _check_log_path(path):
     # Checked before training, so that a bad path fails at once and not after
     # the last epoch.
+    if not path:
+        raise ValueError("--log path is empty")
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise ValueError(f"--log {path} is a directory")
@@ -298,11 +300,11 @@ def cmd_train_toy(args) -> int:
         seed=args.seed,
         mode=args.mode,
     )
-    if args.log:
+    if args.log is not None:
         _check_log_path(args.log)
     dataset = training.make_toy_dataset(args.seed)
     model, log = training.train(default_toy_model_spec(), dataset, config)
-    if args.log:
+    if args.log is not None:
         training.save_train_log(args.log, log)
     final = log.epochs[-1]
     residuals = final["residuals"]

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -62,10 +63,18 @@ class ContainerError(ValueError):
     """Malformed tensor container file."""
 
 
+def _as_int(v, name):
+    # Any integer, NumPy's too, but no bool; int() would truncate a float.
+    try:
+        if not isinstance(v, bool):
+            return operator.index(v)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def _as_pair(v, name, minimum):
-    if isinstance(v, int):
-        v = (v, v)
-    v = tuple(int(x) for x in v)
+    v = tuple(_as_int(x, name) for x in (v if hasattr(v, "__iter__") else (v, v)))
     if len(v) != 2:
         raise ValueError(f"{name} must be an int or a pair, got {v!r}")
     if any(x < minimum for x in v):
@@ -90,6 +99,7 @@ class ConvGeometry:
         object.__setattr__(self, "stride", _as_pair(self.stride, "stride", 1))
         object.__setattr__(self, "padding", _as_pair(self.padding, "padding", 0))
         object.__setattr__(self, "dilation", _as_pair(self.dilation, "dilation", 1))
+        object.__setattr__(self, "groups", _as_int(self.groups, "groups"))
         if self.groups < 1:
             raise ValueError(f"groups must be >= 1, got {self.groups}")
 

@@ -5,7 +5,10 @@ average pool, linear) trained with plain mini-batch SGD on softmax cross
 entropy. The conv, depthwise and linear layers are one structured layer type,
 built from its descriptor's analyzer.LayerSpec, that gathers its batch's
 im2col columns once for both passes; a depthwise conv has a group per
-channel, a linear layer a 1x1 map. Three modes:
+channel, a linear layer a 1x1 map. The layers pass C x H x W x B maps and
+gradients, the batch last, as tensor.sum_pool3d and im2col take them; only
+ToyModel changes the layout, of the (B, C, H, W) input batch and of the 1x1
+logits map and its gradient. Three modes:
 
   regularized  adds lam * sum of per-layer structural residuals to the loss,
                pulling dense weights toward the structured subspace
@@ -178,45 +181,33 @@ def _he_init(seed, shape):
     return random_tensor(seed, shape) * np.sqrt(6.0 / np.prod(shape[1:]))
 
 
-def _as_map(x):
-    # A (B, Q) feature vector is a (B, Q, 1, 1) feature map.
-    return x.reshape(x.shape[:2] + (x.shape[2:] or (1, 1)))
-
-
 # The layer names that training logs and errors use, by LayerSpec kind.
 _NAMES = {"conv": "conv2d", "pwconv": "conv2d", "dwconv": "depthwiseconv2d", "linear": "linear"}
 
 
-class _Layer:
-    cfg = cols = None
-
-    def params(self):
-        return []
-
-
-class _Structured(_Layer):
+class _Structured:
     """A structured conv, depthwise conv or linear layer, built from its
-    LayerSpec's cfg, geom and cout.
+    LayerSpec's index, cfg, geom and cout.
 
     One weight per output, laid out (out, C, N, N) when dense and
     (out, c, n, n) when direct, where direct mode sum-pools the input with
     cfg.pool_dims before the small kernel. Input channels split into
     geom.groups blocks as in tensor.conv: a depthwise conv has one group per
-    channel and C = c = 1. A linear layer has N = n = 1 and reads (B, Q)
-    inputs as 1x1 maps. sm is the layer's StructureMatrix, whose projection
-    of the kernel rows the regularizer reads.
+    channel and C = c = 1. A linear layer has N = n = 1 and reads a
+    (C, 1, 1, B) map. sm is the layer's StructureMatrix, whose projection of
+    the kernel rows the regularizer reads.
 
-    The forward pads and, in direct mode, pools the batch as a (C, H, W, B)
-    map in one sum_pool3d call, gathers its im2col columns and runs one
-    product per group over them: one GEMM for a conv or linear layer, one
-    batched product for a depthwise layer. It returns a view of the
-    (C', H', W', B) output, so the next layer's batch-last map is free. The
-    columns live until the backward, whose weight gradient is one product per
-    group with them and input gradient one product per group and one col2im.
+    The forward takes a (C, H, W, B) map, pads and, in direct mode, pools it
+    in one sum_pool3d call, gathers its im2col columns and runs one product
+    per group over them (one GEMM for a conv or linear layer, one batched
+    product for a depthwise layer), whose (C', H', W', B) array it returns.
+    The columns live until the backward, which takes and returns batch-last
+    gradients: its weight gradient is one product per group with the
+    columns, and its input gradient one product per group and one col2im.
     """
 
     def __init__(self, spec: LayerSpec, seed, direct):
-        self.name = _NAMES[spec.kind]
+        self.index, self.name = spec.index, _NAMES[spec.kind]
         self.cfg = cfg = spec.cfg
         self.sm = StructureMatrix(cfg)
         # Each geometry is built once: a ConvGeometry costs about 5 us.
@@ -231,23 +222,22 @@ class _Structured(_Layer):
         self.gb = np.zeros_like(self.b)
 
     def forward(self, x):
-        self.x_shape = x.shape
-        xt = sum_pool3d(_as_map(x).transpose(1, 2, 3, 0), self.pool_dims, self.pool_geom)
-        k, s, grp = self.w.shape[-1], self.geom.stride[0], self.geom.groups
-        self.pad_shape, cols = xt.shape, im2col(xt, (k, k), (s, s))
+        xt = sum_pool3d(x, self.pool_dims, self.pool_geom)
+        k, stride, grp = self.w.shape[-1], self.geom.stride, self.geom.groups
+        self.pad_shape, cols = xt.shape, im2col(xt, (k, k), stride)
         self.cols = cols.reshape(grp, -1, cols.shape[-1])
         out = self.w.reshape(grp, len(self.w) // grp, -1) @ self.cols
-        out = out.reshape((len(self.w),) + tuple((n - k) // s + 1 for n in xt.shape[1:3]) + (-1,))
+        out_hw = tuple((n - k) // s + 1 for n, s in zip(xt.shape[1:3], stride))
+        out = out.reshape((len(self.w),) + out_hw + (-1,))
         out += self.b[:, None, None, None]
-        return out.transpose(3, 0, 1, 2).reshape(-1, *out.shape[: len(self.x_shape) - 1])
+        return out
 
     def backward(self, g, input_grad=True):
         """Add this batch's weight and bias gradients to gw and gb and, with
         input_grad, return the gradient with respect to the layer's input."""
-        g = _as_map(g)
-        self.gb += g.sum(axis=(0, 2, 3))
-        grp, k, s, p = self.geom.groups, self.w.shape[-1], self.geom.stride[0], self.geom.padding[0]
-        gt = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(grp, -1, self.cols.shape[-1])
+        self.gb += g.sum(axis=(1, 2, 3))
+        grp, k = self.geom.groups, self.w.shape[-1]
+        gt = np.ascontiguousarray(g).reshape(grp, -1, self.cols.shape[-1])
         self.gw += np.matmul(gt, self.cols.transpose(0, 2, 1)).reshape(self.w.shape)
         self.cols = None  # the input gradient needs only gt and the weights
         if not input_grad:
@@ -263,15 +253,16 @@ class _Structured(_Layer):
                 np.setbufsize(bufsize)
         else:
             dcols = np.matmul(wt, gt)
-        dxp = col2im(dcols, self.pad_shape, (k, k), (s, s)).transpose(3, 0, 1, 2)
+        dxp = col2im(dcols, self.pad_shape, (k, k), self.geom.stride)
         if self.direct:
             # The stride-1 pool's adjoint spreads each axis over its window,
             # which is the reconstruction A @ alpha applied to every sample's
-            # every group of c channels.
-            b, _, h, w = dxp.shape
-            dxp = reconstruct(dxp.reshape(b, grp, -1, h, w), self.cfg)
-            dxp = dxp.reshape((b, -1) + dxp.shape[3:])
-        return dxp[:, :, p : dxp.shape[2] - p, p : dxp.shape[3] - p].reshape(self.x_shape)
+            # every group of c channels. reconstruct reads the batch first.
+            _, h, w, b = dxp.shape
+            dxp = reconstruct(dxp.transpose(3, 0, 1, 2).reshape(b, grp, -1, h, w), self.cfg)
+            dxp = dxp.reshape((b, -1) + dxp.shape[3:]).transpose(1, 2, 3, 0)
+        ph, pw = self.geom.padding
+        return dxp[:, ph : dxp.shape[1] - ph, pw : dxp.shape[2] - pw]
 
     def params(self):
         return [(self.w, self.gw), (self.b, self.gb)]
@@ -283,7 +274,7 @@ class _Structured(_Layer):
         return layer_residual(self.effective_weight(), self.sm)
 
 
-class _Relu(_Layer):
+class _Relu:
     def forward(self, x):
         self.mask = x > 0
         return x * self.mask
@@ -292,28 +283,36 @@ class _Relu(_Layer):
         return g * self.mask
 
 
-class _GlobalAvgPool(_Layer):
+class _GlobalAvgPool:
+    # Keeps the (C, 1, 1, B) shape, so the linear head reads a 1x1 map.
     def forward(self, x):
-        self.x_shape = x.shape
-        return x.mean(axis=(2, 3))
+        self.hw = x.shape[1:3]
+        return x.mean(axis=(1, 2), keepdims=True)
 
     def backward(self, g):
-        b, c, h, w = self.x_shape  # a view with the batch last, like the layers' outputs
-        return np.broadcast_to((g / (h * w)).T[:, None, None], (c, h, w, b)).transpose(3, 0, 1, 2)
+        (h, w), (c, _, _, b) = self.hw, g.shape
+        return np.broadcast_to(g / (h * w), (c, h, w, b))
+
+
+_PREDICT_BATCH = 256  # samples per slice of ToyModel.predict
 
 
 class ToyModel:
-    """Ordered layer stack built from a ToyModelSpec."""
+    """Ordered layer stack built from a ToyModelSpec, and its structured
+    (trainable) layers in order. forward and predict map a (B, C, H, W)
+    batch to (B, classes) logits, the last layer's 1x1 map, and backward
+    takes their gradient; the layers between pass (C, H, W, B) maps."""
 
     def __init__(self, spec: ToyModelSpec, seed: int, direct: bool = False):
         self.spec = spec
         self.direct = direct
         channels = spec.input_shape[0]
-        layers = []
+        self.layers, self.structured_layers = [], []
         for i, desc in enumerate(spec.layers):
             if isinstance(desc, (Conv, DepthwiseConv, Linear)):
                 layer_spec = desc.layer_spec(i, channels)
                 layer = _Structured(layer_spec, seed + 101 * i + 1, direct)
+                self.structured_layers.append(layer)
                 channels = layer_spec.cout
             elif isinstance(desc, Relu):
                 layer = _Relu()
@@ -321,53 +320,54 @@ class ToyModel:
                 layer = _GlobalAvgPool()
             else:
                 raise TypeError(f"unknown layer descriptor {desc!r}")
-            layers.append(layer)
-        self.layers = layers
+            self.layers.append(layer)
 
     def forward(self, x):
+        x = x.transpose(1, 2, 3, 0)
         for layer in self.layers:
             x = layer.forward(x)
-        return x
+        return x.transpose(3, 0, 1, 2).reshape(x.shape[3], -1)
 
     def predict(self, x):
-        """The logits of a forward that no backward follows: no columns kept."""
-        for layer in self.layers:
-            x = layer.forward(x)
-            layer.cols = None
-        return x
+        """The logits of a forward that no backward follows, run 256 samples
+        at a time. Each structured layer drops its columns as soon as its
+        forward returns, so one slice's columns of one layer are alive at a
+        time; the logits have the bits of one forward over the whole batch."""
+        logits = []
+        for start in range(0, x.shape[0], _PREDICT_BATCH):
+            h = x[start : start + _PREDICT_BATCH].transpose(1, 2, 3, 0)
+            for layer in self.layers:
+                h = layer.forward(h)
+                if isinstance(layer, _Structured):
+                    layer.cols = None
+            logits.append(h.transpose(3, 0, 1, 2).reshape(h.shape[3], -1))
+        return np.concatenate(logits)
 
     def backward(self, g):
         """Add the gradients of the loss whose logits gradient is g to every
         parameter's gradient. The gradient with respect to the data is never
         built: nothing reads it, so the backward stops at the first
         structured layer's weight and bias gradients."""
-        trainable = self.structured_layers()
-        if not trainable:
+        if not self.structured_layers:
             return
-        first = self.layers.index(trainable[0])
-        for layer in reversed(self.layers[first + 1 :]):
+        g = g.reshape(g.shape + (1, 1)).transpose(1, 2, 3, 0)
+        first = self.structured_layers[0]
+        for layer in reversed(self.layers[self.layers.index(first) + 1 :]):
             g = layer.backward(g)
-        trainable[0].backward(g, input_grad=False)
+        first.backward(g, input_grad=False)
 
     def zero_grads(self):
-        for layer in self.layers:
+        for layer in self.structured_layers:
             for _, grad in layer.params():
                 grad[...] = 0.0
 
     def step(self, lr):
-        for layer in self.layers:
+        for layer in self.structured_layers:
             for param, grad in layer.params():
                 param -= lr * grad
 
-    def structured_layers(self):
-        return [l for l in self.layers if l.cfg is not None]
-
     def residuals(self) -> dict[str, float]:
-        return {
-            f"layer_{i}_{layer.name}": layer.residual()
-            for i, layer in enumerate(self.layers)
-            if layer.cfg is not None
-        }
+        return {f"layer_{l.index}_{l.name}": l.residual() for l in self.structured_layers}
 
 
 def _softmax_ce(logits, labels):
@@ -404,7 +404,6 @@ _TEACHER_SPEC = ToyModelSpec(
 )
 
 _N_TRAIN, _N_TEST = 2048, 512
-_EVAL_BATCH = 256  # samples per predict call in evaluate and the teacher's labelling
 _BALANCE_LO, _BALANCE_HI = 0.225, 0.275  # within 10% of uniform over 4 classes
 
 
@@ -432,26 +431,21 @@ def _calibrate_head_bias(logits, classes):
 def make_toy_dataset(seed: int = 0) -> ToyDataset:
     """Inputs from the seeded generator, labels from a frozen random teacher.
 
-    The inputs are the generator's read-only draw, not a copy. The teacher
-    labels them in batches of 256 samples (evaluate's batch size), whose
-    logits have the bits of one pass over the whole pool, so only one
-    batch's columns are alive at a time. The teacher's final bias is fitted
-    so each class wins about a quarter of the generated pool; if either
-    split still leaves the 22.5%..27.5% per-class band, the seed chain
-    advances by 1000003 and everything is regenerated.
+    The inputs are the generator's read-only draw, not a copy, which the
+    teacher's predict labels 256 samples at a time. The teacher's final bias
+    is fitted so each class wins about a quarter of the generated pool; if
+    either split still leaves the 22.5%..27.5% per-class band, the seed
+    chain advances by 1000003 and everything is regenerated.
     """
-    total = _N_TRAIN + _N_TEST
     for attempt in range(64):
         s = seed + 1000003 * attempt
-        x = random_tensor(s, (total, 3, 8, 8))
+        x = random_tensor(s, (_N_TRAIN + _N_TEST, 3, 8, 8))
         teacher = ToyModel(_TEACHER_SPEC, seed=s + 7)
-        logits = np.concatenate(
-            [teacher.predict(x[i : i + _EVAL_BATCH]) for i in range(0, total, _EVAL_BATCH)]
-        )
+        logits = teacher.predict(x)
         # The head bias is zero until now, so logits + shift has the bits of
         # a second forward with the shifted bias.
         shift = _calibrate_head_bias(logits, 4)
-        teacher.layers[-1].b += shift
+        teacher.structured_layers[-1].b += shift
         labels = np.argmax(logits + shift, axis=1)
         train_y, test_y = labels[:_N_TRAIN], labels[_N_TRAIN:]
         if _balanced(train_y, 4) and _balanced(test_y, 4):
@@ -471,11 +465,8 @@ class EvalResult:
     accuracy: float
 
 
-def evaluate(model: ToyModel, x, y, batch_size: int = _EVAL_BATCH) -> EvalResult:
-    correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        logits = model.predict(x[start : start + batch_size])
-        correct += int(np.sum(np.argmax(logits, axis=1) == y[start : start + batch_size]))
+def evaluate(model: ToyModel, x, y) -> EvalResult:
+    correct = int(np.sum(np.argmax(model.predict(x), axis=1) == y))
     return EvalResult(accuracy=correct / x.shape[0])
 
 
@@ -523,24 +514,21 @@ def decompose_model(model: ToyModel, residual_tol: float = 1e-6) -> ToyModel:
     already in direct form just has its parameters copied.
     """
     out = ToyModel(model.spec, seed=0, direct=True)
-    for i, (src, dst) in enumerate(zip(model.layers, out.layers)):
-        if src.cfg is None:
-            continue
+    for src, dst in zip(model.structured_layers, out.structured_layers):
         if src.direct:
             dst.w = src.w.copy()
-            dst.b = src.b.copy()
         else:
             try:
                 layer = decompose(src.w, src.cfg, src.geom, residual_tol=residual_tol)[0]
             except ResidualError as e:
                 raise ResidualError(
-                    f"layer {i} ({src.name}) kernel {e.kernel} has residual {e.residual:.3e} "
-                    f"> tolerance {residual_tol:.3e}",
+                    f"layer {src.index} ({src.name}) kernel {e.kernel} has residual "
+                    f"{e.residual:.3e} > tolerance {residual_tol:.3e}",
                     e.kernel,
                     e.residual,
                 ) from None
             dst.w = layer.alpha.reshape(dst.w.shape)
-            dst.b = src.b.copy()
+        dst.b = src.b.copy()
     return out
 
 
@@ -570,7 +558,7 @@ def train(spec: ToyModelSpec, dataset: ToyDataset, config: TrainingConfig):
             model.zero_grads()
             model.backward(g)
             if config.mode == "regularized" and config.lam != 0.0:
-                for layer in model.structured_layers():
+                for layer in model.structured_layers:
                     layer.gw += config.lam * sr_grad(layer.w, layer.sm)
             model.step(config.lr)
             batch_losses.append(loss)

@@ -542,6 +542,17 @@ def test_train_toy_bad_log_path_exits_2_before_training(tmp_path, monkeypatch, c
     assert "--log" in err and str(log if where == "directory" else log.parent) in err
 
 
+def test_train_toy_empty_log_path_exits_2_before_training(monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the --log path was checked")
+
+    monkeypatch.setattr(training, "make_toy_dataset", no_training)
+    monkeypatch.setattr(training, "train", no_training)
+    rc = cli.main(["train-toy", "--mode", "plain", "--epochs", "1", "--seed", "0", "--log", ""])
+    assert rc == 2
+    assert "--log path is empty" in capsys.readouterr().err
+
+
 def test_train_toy_rejects_lambda_in_plain_mode():
     r = run_cli("train-toy", "--mode", "plain", "--lambda", "0.5", "--epochs", "1",
                 "--seed", "0")

@@ -186,6 +186,24 @@ def config_from_spec_and_one_sweep(root):
     return _flagged_nodes(root, _sources(root, "src"), flag)
 
 
+def batch_permuted_only_at_the_models_edge(root):
+    # training's layers pass (C, H, W, B) maps. ToyModel's methods permute
+    # the input batch and the logits, and the direct-mode branch of
+    # _Structured.backward hands reconstruct its (B, C, H, W) view; no other
+    # code in training.py moves the batch axis.
+    perms, branch = (["1", "2", "3", "0"], ["3", "0", "1", "2"]), set()
+
+    def flag(name, node, where):
+        if (where == "_Structured.backward" and isinstance(node, ast.If)
+                and ast.unparse(node.test) == "self.direct"):
+            branch.update(range(node.lineno, node.end_lineno + 1))  # seen before its body
+        if _called(node) == "transpose":
+            args = [ast.unparse(a) for a in node.args]
+            if args in perms and not where.startswith("ToyModel.") and node.lineno not in branch:
+                yield f"transpose({', '.join(args)}) in {where}"
+    return _flagged_nodes(root, [TRAINING], flag)
+
+
 GUARDS = {
     "no_inverse_in_structured": no_inverse_in_structured,
     "config_from_spec_and_one_sweep": config_from_spec_and_one_sweep,
@@ -199,6 +217,7 @@ GUARDS = {
     "im2col_takes_one_layout": im2col_takes_one_layout,
     "layer_built_only_in_decomposed_layer": layer_built_only_in_decomposed_layer,
     "private_names_of_structured_only_in_it": private_names_of_structured_only_in_it,
+    "batch_permuted_only_at_the_models_edge": batch_permuted_only_at_the_models_edge,
 }
 
 # (guard, file relative to the repository root, planted code, text the
@@ -323,6 +342,17 @@ PLANTED = {
     "private_import_from_structured_in_training": (
         "private_names_of_structured_only_in_it", TRAINING,
         "\n\nfrom .structured import _bands\n", "structured._bands",
+    ),
+    "batch_permutation_in_a_layer": (
+        "batch_permuted_only_at_the_models_edge", TRAINING,
+        "\n\nclass _GlobalAvgPool:\n    def backward(self, g):\n"
+        "        return g.transpose(3, 0, 1, 2)\n",
+        "transpose(3, 0, 1, 2) in _GlobalAvgPool.backward",
+    ),
+    "batch_permutation_in_a_function": (
+        "batch_permuted_only_at_the_models_edge", TRAINING,
+        "\n\ndef planted(x):\n    if x.direct:\n        return x.transpose(1, 2, 3, 0)\n",
+        "transpose(1, 2, 3, 0) in planted",
     ),
 }
 

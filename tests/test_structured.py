@@ -228,7 +228,7 @@ def _toy_and_mv2b_single_factor_configs():
     from structconv.cli import default_toy_model_spec
     from structconv.training import ToyModel
 
-    toy = [l.cfg for l in ToyModel(default_toy_model_spec(), seed=0).structured_layers()]
+    toy = [l.cfg for l in ToyModel(default_toy_model_spec(), seed=0).structured_layers]
     toy = [cfg for cfg in toy if cfg.C == 1 or cfg.N == 1]
     mv2_b = fixture_path("struct_mv2_b.json")
     pw = [spec.cfg for spec in parse_network_spec(mv2_b) if spec.kind == "pwconv"]

@@ -487,6 +487,23 @@ def test_geometry_validation():
     assert g.stride == (2, 2) and g.padding == (0, 1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stride", (2.7, 1)), ("stride", 2.0), ("padding", (True, 0)), ("dilation", "2"),
+    ("groups", 2.5), ("groups", True),
+])
+def test_geometry_rejects_non_integers_by_field(field, value):
+    # A float is not truncated and a bool is not a count: each raises a
+    # ValueError that names its field.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        ConvGeometry(**{field: value})
+
+
+def test_geometry_takes_numpy_integers():
+    g = ConvGeometry(stride=np.int64(2), padding=(np.int32(1), 0), groups=np.int64(3))
+    assert g == ConvGeometry(stride=2, padding=(1, 0), groups=3)
+    assert type(g.groups) is int and all(type(v) is int for v in g.stride + g.padding)
+
+
 @pytest.mark.parametrize(
     "size,k,s,p,d,want",
     [

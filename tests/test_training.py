@@ -26,7 +26,6 @@ from structconv.training import (
     ToyModelSpec,
     TrainingConfig,
     TrainLog,
-    _as_map,
     _softmax_ce,
     decompose_model,
     evaluate,
@@ -161,15 +160,23 @@ def test_labels_match_a_second_teacher_forward(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 7101])
-def test_batched_teacher_logits_match_one_pass_over_the_pool(seed):
-    # make_toy_dataset labels the pool in evaluate-sized batches; the head
-    # bias it calibrates and every label rest on these logits having the
-    # bits of one predict over the whole pool.
+def test_batched_teacher_logits_match_one_pass_over_the_pool(monkeypatch, seed):
+    # make_toy_dataset labels the pool with predict, which runs it 256
+    # samples at a time; the head bias it calibrates and every label rest on
+    # these logits having the bits of one forward over the whole pool.
     ds = make_toy_dataset(seed)
     x = np.concatenate([ds.train_x, ds.test_x])
-    step = training._EVAL_BATCH
-    batched = np.concatenate([ds.teacher.predict(x[i : i + step]) for i in range(0, len(x), step)])
-    assert batched.tobytes() == ds.teacher.predict(x).tobytes()
+    first, slices = ds.teacher.layers[0], []
+    real = first.forward
+
+    def forward(h):
+        slices.append(h.shape)
+        return real(h)
+
+    monkeypatch.setattr(first, "forward", forward)
+    logits = ds.teacher.predict(x)
+    assert slices == [(3, 8, 8, 256)] * 10
+    assert logits.tobytes() == ds.teacher.forward(x).tobytes()
 
 
 def test_untrained_model_near_chance():
@@ -226,7 +233,7 @@ def test_backward_matches_numeric_gradients(direct):
     base_masks = relu_masks(model)
     h = 1e-6
     checked = 0
-    for layer in model.layers:
+    for layer in model.structured_layers:
         for param, grad in layer.params():
             flat = param.reshape(-1)
             gflat = grad.reshape(-1)
@@ -280,14 +287,17 @@ def test_pool3d_backward_matches_loop_reference(dims, padding):
 
 def test_input_gradient_matches_numeric():
     # ToyModel.backward never builds the data's gradient, so the layers'
-    # backwards are chained here, down to the first one's input gradient.
+    # backwards are chained here, on (C, H, W, B) gradients, down to the
+    # first one's input gradient.
     model = ToyModel(TINY_SPEC, seed=4)
     x = np.array(random_tensor(9, (2, 3, 6, 6)))
     y = np.array([1, 3])
     logits = model.forward(x)
-    _, dx = _softmax_ce(logits, y)
+    _, dlogits = _softmax_ce(logits, y)
+    dx = dlogits.T.reshape(4, 1, 1, 2)
     for layer in reversed(model.layers):
         dx = layer.backward(dx)
+    dx = dx.transpose(3, 0, 1, 2)
     assert dx.shape == x.shape
     h = 1e-6
     for idx in [(0, 0, 0, 0), (1, 2, 5, 5), (0, 1, 3, 2)]:
@@ -378,7 +388,7 @@ def test_train_gathers_each_layers_columns_once_per_forward(monkeypatch, mode):
     model, _ = train(TINY_SPEC, small, cfg)
     gathers = [(where, layer) for fn, where, layer in calls if fn == "im2col"]
     scatters = [(where, layer) for fn, where, layer in calls if fn == "col2im"]
-    assert len(forwards) > len(model.structured_layers())
+    assert len(forwards) > len(model.structured_layers)
     assert gathers == [("forward", layer) for layer in forwards]
     assert scatters and {where for where, _ in scatters} == {"backward"}
     assert model.layers[0] not in {layer for _, layer in scatters}
@@ -389,7 +399,7 @@ def test_columns_live_from_a_forward_to_its_backward():
     # a forward that no backward follows keeps none.
     model = ToyModel(TINY_SPEC, seed=5)
     x = np.array(random_tensor(6, (4, 3, 6, 6)))
-    layers = model.structured_layers()
+    layers = model.structured_layers
     model.forward(x)
     assert all(layer.cols is not None for layer in layers)
     model.backward(np.ones((4, 4)))
@@ -436,7 +446,7 @@ def small_dataset(seed=0, count=96):
 
 
 def clone_weights(model):
-    return [param.copy() for layer in model.layers for param, _ in layer.params()]
+    return [param.copy() for layer in model.structured_layers for param, _ in layer.params()]
 
 
 def test_plain_equals_regularized_lambda_zero():
@@ -542,9 +552,9 @@ def test_train_evaluates_once_per_epoch_and_once_decomposed(monkeypatch):
     ds = make_toy_dataset(4)
     calls = []
 
-    def spy(model, x, y, **kwargs):
+    def spy(model, x, y):
         calls.append(model.direct)
-        return evaluate(model, x, y, **kwargs)
+        return evaluate(model, x, y)
 
     monkeypatch.setattr(training, "evaluate", spy)
     cfg = TrainingConfig(lam=0.0, lr=0.2, epochs=3, batch_size=64, seed=7, mode="plain")
@@ -611,7 +621,7 @@ def test_projectors_die_with_their_model():
     # model keeps the projector factors that one regularized step builds.
     def one_step():
         model = ToyModel(TINY_SPEC, seed=20)
-        layers = model.structured_layers()
+        layers = model.structured_layers
         assert all(type(l.sm) is StructureMatrix and l.sm.cfg == l.cfg for l in layers)
         assert len({id(l.sm) for l in layers}) == len(layers)
         model.zero_grads()
@@ -662,7 +672,7 @@ def test_every_structured_forward_pools_once(monkeypatch):
         model = ToyModel(TINY_SPEC, seed=18, direct=direct)
         calls.clear()
         model.forward(np.array(random_tensor(19, (4, 3, 6, 6))))
-        want = [l.cfg.pool_dims if direct else (1, 1, 1) for l in model.structured_layers()]
+        want = [l.cfg.pool_dims if direct else (1, 1, 1) for l in model.structured_layers]
         assert calls == want
 
 
@@ -689,6 +699,13 @@ def test_model_build_rejects_a_bad_descriptor_by_its_layer(desc, message):
     spec = ToyModelSpec(layers=(Relu(), desc), input_shape=(3, 6, 6))
     with pytest.raises(NetworkSpecError, match=f"^layer 1: {message}"):
         ToyModel(spec, seed=0)
+
+
+def test_backward_of_a_model_without_parameters_does_nothing():
+    model = ToyModel(ToyModelSpec(layers=(Relu(), GlobalAvgPool()), input_shape=(3, 2, 2)), seed=0)
+    assert model.forward(np.array(random_tensor(34, (2, 3, 2, 2)))).shape == (2, 3)
+    model.backward(np.ones((2, 3)))
+    model.step(0.1)
 
 
 def test_model_build_rejects_an_unknown_descriptor():
@@ -723,7 +740,7 @@ def test_structured_layers_take_the_analyzers_config_and_geometry(tmp_path, name
     path = tmp_path / "net.json"
     path.write_text(json.dumps(network))
     want = parse_network_spec(path, spec.input_shape[1:])
-    layers = ToyModel(spec, seed=0).structured_layers()
+    layers = ToyModel(spec, seed=0).structured_layers
     assert [(l.cfg, l.geom) for l in layers] == [(w.cfg, w.geom) for w in want]
 
 
@@ -742,14 +759,15 @@ def test_decompose_model_passes_each_layers_geometry(monkeypatch):
     assert kinds == [("conv", 1), ("conv", 1), ("dwconv", 16), ("conv", 1)]
 
 
-# One model per structured kind: (spec, index of the layer under test, input shape).
+# One model per structured kind: (spec, index of the layer under test,
+# (C, H, W, B) input shape).
 REFERENCE_LAYERS = {
     "conv": (ToyModelSpec(layers=(Conv(out_channels=5, kernel=3, c=2, n=2, stride=2, padding=1),),
-                          input_shape=(3, 7, 7)), 0, (3, 3, 7, 7)),
+                          input_shape=(3, 7, 7)), 0, (3, 7, 7, 3)),
     "depthwise": (ToyModelSpec(layers=(DepthwiseConv(kernel=3, n=2, stride=1, padding=1),),
-                               input_shape=(4, 5, 5)), 0, (3, 4, 5, 5)),
+                               input_shape=(4, 5, 5)), 0, (4, 5, 5, 3)),
     "linear": (ToyModelSpec(layers=(Linear(out_features=3, R=4),), input_shape=(6, 1, 1)),
-               0, (3, 6)),
+               0, (6, 1, 1, 3)),
 }
 
 
@@ -764,13 +782,16 @@ def test_layer_forward_matches_reference_ops(kind, direct):
     x = np.array(random_tensor(23, x_shape))
     got = layer.forward(x)
     w = layer.effective_weight()
+    samples = [x[..., i] for i in range(x_shape[3])]
     if kind == "linear":
-        want = np.stack([linear(w.reshape(w.shape[0], -1), xi) + layer.b for xi in x])
+        w = w.reshape(w.shape[0], -1)
+        want = [(linear(w, xi.reshape(-1)) + layer.b)[:, None, None] for xi in samples]
     else:
         desc = spec.layers[index]
         geom = ConvGeometry(stride=desc.stride, padding=desc.padding,
-                            groups=x_shape[1] if kind == "depthwise" else 1)
-        want = np.stack([conv(xi, w, geom) + layer.b[:, None, None] for xi in x])
+                            groups=x_shape[0] if kind == "depthwise" else 1)
+        want = [conv(xi, w, geom) + layer.b[:, None, None] for xi in samples]
+    want = np.stack(want, axis=-1)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -780,9 +801,8 @@ def einsum_reference(layer, x, g):
     the formulation training used before it ran through tensor.conv: the
     gathered K x K patches of the padded (or pooled) input, split into
     groups and contracted with np.einsum, and a scatter of every tap's share
-    of the input gradient."""
-    x_shape = x.shape
-    x = x.reshape(x.shape[:2] + (x.shape[2:] or (1, 1)))
+    of the input gradient. x, g and the returned maps are (C, H, W, B)."""
+    x, g = x.transpose(3, 0, 1, 2), g.transpose(3, 0, 1, 2)
     map_shape, p = x.shape, layer.geom.padding[0]
     if layer.direct:
         pool_geom = ConvGeometry(padding=p)
@@ -808,34 +828,51 @@ def einsum_reference(layer, x, g):
     dx = dxp[:, :, p : p + h, p : p + w]
     if layer.direct:
         dx = pool3d_backward_loops(dx, map_shape, layer.cfg.pool_dims, layer.geom.padding[0])
-    return out.reshape(out.shape[: len(x_shape)]), gw, dx.reshape(x_shape)
+    return out.transpose(1, 2, 3, 0), gw, dx.transpose(1, 2, 3, 0)
 
 
-# One layer per case: (descriptor, input batch shape).
+# One layer per case: (descriptor, (C, H, W, B) input shape).
 EINSUM_CASES = {
-    "conv": (Conv(out_channels=5, kernel=3, c=2, n=2, stride=2, padding=1), (3, 3, 7, 7)),
-    "conv-stride1": (Conv(out_channels=4, kernel=3, c=3, n=2, stride=1, padding=0), (2, 4, 6, 5)),
-    "depthwise": (DepthwiseConv(kernel=3, n=2, stride=1, padding=1), (3, 4, 5, 5)),
-    "depthwise-stride2": (DepthwiseConv(kernel=3, n=2, stride=2, padding=1), (2, 5, 6, 7)),
-    "linear": (Linear(out_features=3, R=4), (3, 6)),
+    "conv": (Conv(out_channels=5, kernel=3, c=2, n=2, stride=2, padding=1), (3, 7, 7, 3)),
+    "conv-stride1": (Conv(out_channels=4, kernel=3, c=3, n=2, stride=1, padding=0), (4, 6, 5, 2)),
+    "depthwise": (DepthwiseConv(kernel=3, n=2, stride=1, padding=1), (4, 5, 5, 3)),
+    "depthwise-stride2": (DepthwiseConv(kernel=3, n=2, stride=2, padding=1), (5, 6, 7, 2)),
+    "linear": (Linear(out_features=3, R=4), (6, 1, 1, 3)),
 }
+
+
+def einsum_case_layer(case, seed, direct):
+    desc, x_shape = EINSUM_CASES[case]
+    spec = ToyModelSpec(layers=(desc,), input_shape=(x_shape[0], 1, 1))
+    return ToyModel(spec, seed=seed, direct=direct).layers[0], x_shape
 
 
 @pytest.mark.parametrize("direct", [False, True], ids=["dense", "direct"])
 @pytest.mark.parametrize("case", sorted(EINSUM_CASES))
 def test_layer_matches_einsum_reference(case, direct):
-    desc, x_shape = EINSUM_CASES[case]
-    spec = ToyModelSpec(layers=(desc,), input_shape=(x_shape[1], 1, 1))
-    layer = ToyModel(spec, seed=25, direct=direct).layers[0]
+    layer, x_shape = einsum_case_layer(case, 25, direct)
     layer.b = np.array(random_tensor(26, layer.b.shape))
     x = np.array(random_tensor(27, x_shape))
     out = layer.forward(x)
     g = np.array(random_tensor(28, out.shape))
     dx = layer.backward(g)
-    want_out, want_gw, want_dx = einsum_reference(layer, x, _as_map(g))
+    want_out, want_gw, want_dx = einsum_reference(layer, x, g)
     for got, want in ((out, want_out), (layer.gw, want_gw), (dx, want_dx)):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["dense", "direct"])
+@pytest.mark.parametrize("case", sorted(EINSUM_CASES))
+def test_layer_forward_returns_its_output_array(case, direct):
+    # A structured layer's forward returns its (C', H', W', B) output array
+    # itself, not a transposed view of another layout, and its backward a
+    # gradient of its input's (C, H, W, B) shape.
+    layer, x_shape = einsum_case_layer(case, 29, direct)
+    out = layer.forward(np.array(random_tensor(30, x_shape)))
+    assert out.shape[0] == len(layer.w) and out.shape[3] == x_shape[3]
+    assert out.flags.c_contiguous
+    assert layer.backward(np.ones(out.shape)).shape == x_shape
 
 
 @pytest.mark.parametrize("case", sorted(EINSUM_CASES))
@@ -843,16 +880,17 @@ def test_direct_forward_matches_forward_decomposed(case):
     # Training's decomposed math is inference's: a direct-mode layer's batch
     # forward equals structured.forward_decomposed, sample by sample, on the
     # decomposed layer built from the same alphas, geometry and bias.
-    desc, x_shape = EINSUM_CASES[case]
-    spec = ToyModelSpec(layers=(desc,), input_shape=(x_shape[1], 1, 1))
-    layer = ToyModel(spec, seed=31, direct=True).layers[0]
+    layer, x_shape = einsum_case_layer(case, 31, True)
     layer.b = np.array(random_tensor(32, layer.b.shape))
     x = np.array(random_tensor(33, x_shape))
-    if isinstance(desc, Linear):
+    samples = [x[..., i] for i in range(x_shape[3])]
+    if layer.name == "linear":
         decomposed = decomposed_layer(layer.w.reshape(len(layer.w), -1), layer.cfg, bias=layer.b)
+        want = [forward_decomposed(xi.reshape(-1), decomposed)[:, None, None] for xi in samples]
     else:
         decomposed = decomposed_layer(layer.w, layer.cfg, layer.geom, layer.b)
+        want = [forward_decomposed(xi, decomposed) for xi in samples]
     got = layer.forward(x)
-    want = np.stack([forward_decomposed(xi, decomposed) for xi in x])
+    want = np.stack(want, axis=-1)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
