@@ -30,9 +30,7 @@ from .structured import (
     DecomposedLayer,
     decompose,
     decomposed_layer,
-    extract_alpha,
     forward_decomposed,
-    generate_structured_basis,
     load_decomposed_layer,
     project,
     reconstruct,
@@ -45,7 +43,6 @@ from .analyzer import (
     NetworkCostReport,
     NetworkSpecError,
     aggregate,
-    count_ops_instrumented,
     generate_config,
     layer_costs,
     parse_network_spec,

@@ -1,10 +1,9 @@
-"""Analytic cost model for structured networks, plus an instrumented checker.
+"""Analytic cost model for structured networks.
 
 Counts are exact integers (multiplications, additions, parameters) for both
 the dense evaluation of each layer and its pooled decomposition; ratios are
-exact rationals. count_ops_instrumented re-derives the same counts by running
-scalar evaluators that tally every multiply and add, which is the ground truth
-the closed-form model is tested against.
+exact rationals. The tests check every count against loop evaluators that
+tally each multiply and add as they run.
 
 Layer kinds: "conv" (dense), "pwconv" (1x1 conv), "dwconv" (depthwise, one
 kernel per channel, costed per channel since nothing is shared across them),
@@ -17,10 +16,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .structured import StructuredConfig, reconstruct
-from .tensor import ConvGeometry, GeometryError, out_extent, random_tensor
+from .structured import StructuredConfig
+from .tensor import ConvGeometry, GeometryError, _as_int, out_extent
 
 _KINDS = ("conv", "pwconv", "dwconv", "linear")
 # The exact integer counts that a CostReport and a NetworkCostReport share.
@@ -51,6 +48,10 @@ class LayerSpec:
     in_w: int = 1
 
     def __post_init__(self):
+        # Every integer field's type is checked before any range.
+        for name in ("cout", "cin", "k", "c", "n", "stride", "pad", "dilation", "in_h", "in_w"):
+            value = _as_int(getattr(self, name), f"layer {self.index}: {name}", NetworkSpecError)
+            object.__setattr__(self, name, value)
         if self.kind not in _KINDS:
             raise NetworkSpecError(f"layer {self.index}: unknown kind {self.kind!r}")
         for name in ("cout", "cin", "k", "c", "n", "stride", "dilation", "in_h", "in_w"):
@@ -216,7 +217,7 @@ def parse_network_spec(path, input_size=(224, 224)) -> list[LayerSpec]:
         raise NetworkSpecError("network description must be a JSON array of layers")
     if not raw:
         raise NetworkSpecError("empty network")
-    h, w = (int(v) for v in input_size)
+    h, w = (_as_int(v, "input size", NetworkSpecError) for v in input_size)
     if h < 1 or w < 1:
         raise NetworkSpecError(f"input size must be positive, got {input_size}")
     layers = []
@@ -231,9 +232,6 @@ def parse_network_spec(path, input_size=(224, 224)) -> list[LayerSpec]:
         if missing:
             raise NetworkSpecError(f"layer {i}: missing key {missing[0]!r}")
         fields = {key: value for key, value in obj.items() if key != "kind"}
-        for key, value in fields.items():
-            if type(value) is not int:  # bool is an int subclass and is rejected too
-                raise NetworkSpecError(f"layer {i}: {key} must be an integer, got {value!r}")
         linear = obj["kind"] == "linear"
         spec = LayerSpec(
             index=i, kind=obj["kind"], in_h=1 if linear else h, in_w=1 if linear else w, **fields
@@ -287,122 +285,3 @@ def generate_config(layers, target_ratio) -> list[dict]:
         achieved = Fraction(spec.cin * spec.k * spec.k, c * n * n)
         out.append({"index": spec.index, "c": c, "n": n, "achieved_ratio": achieved})
     return out
-
-
-# Instrumented scalar evaluators. Every multiply and every add of a K-term
-# accumulation (K-1 adds) is tallied, including work on zero padding, which
-# the closed forms count too.
-
-
-@dataclass
-class OpCounts:
-    mults: int = 0
-    adds: int = 0
-
-
-def _conv_scalar(x, w, stride, pad, dilation, counts: OpCounts):
-    cin, h, win = x.shape
-    cout, _, k, _ = w.shape
-    ho = out_extent(h, k, stride, pad, dilation)
-    wo = out_extent(win, k, stride, pad, dilation)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((cout, ho, wo))
-    mults = adds = 0
-    for b in range(cout):
-        for i in range(ho):
-            for j in range(wo):
-                acc = 0.0
-                first = True
-                for ch in range(cin):
-                    for u in range(k):
-                        for v in range(k):
-                            term = xp[ch, i * stride + u * dilation, j * stride + v * dilation] * w[b, ch, u, v]
-                            mults += 1
-                            if first:
-                                acc = term
-                                first = False
-                            else:
-                                acc += term
-                                adds += 1
-                out[b, i, j] = acc
-    counts.mults += mults
-    counts.adds += adds
-    return out
-
-
-def _pool_scalar(x, dims, pad, dilation, counts: OpCounts):
-    # Stride-1 sum pool; channel window has no padding or dilation.
-    kc, kh, kw = dims
-    cin, h, w = x.shape
-    h1 = h + 2 * pad - dilation * (kh - 1)
-    w1 = w + 2 * pad - dilation * (kw - 1)
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((cin - kc + 1, h1, w1))
-    adds = 0
-    for ch in range(cin - kc + 1):
-        for i in range(h1):
-            for j in range(w1):
-                acc = 0.0
-                first = True
-                for dc in range(kc):
-                    for u in range(kh):
-                        for v in range(kw):
-                            term = xp[ch + dc, i + u * dilation, j + v * dilation]
-                            if first:
-                                acc = term
-                                first = False
-                            else:
-                                acc += term
-                                adds += 1
-                out[ch, i, j] = acc
-    counts.adds += adds
-    return out
-
-
-_MAX_INSTRUMENTED = 10**6
-
-
-def count_ops_instrumented(spec: LayerSpec, seed: int = 0) -> dict:
-    """Execute both evaluation paths with counting scalar arithmetic.
-
-    Builds structured weights from seeded coefficients, runs the dense path
-    and the pooled path on the same random input, checks they agree, and
-    returns {"direct": {...}, "decomposed": {...}} tallies. Guarded to small
-    problems; use layer_costs for real networks.
-    """
-    ho, wo = spec.out_hw
-    h, w = spec.in_hw
-    work = spec.cout * spec.cin * spec.k * spec.k * max(h * w, ho * wo)
-    if work > _MAX_INSTRUMENTED:
-        raise ValueError(f"problem too large to instrument ({work} > {_MAX_INSTRUMENTED})")
-    direct = OpCounts()
-    decomposed = OpCounts()
-    cfg = spec.cfg
-    alphas = np.asarray(random_tensor(seed, (spec.cout, cfg.c, cfg.n, cfg.n)))
-    w = reconstruct(alphas, cfg)
-    if spec.kind == "dwconv":
-        x = random_tensor(seed + 1, (spec.cout, *spec.in_hw))
-        outs_d, outs_p = [], []
-        for b in range(spec.cout):
-            outs_d.append(
-                _conv_scalar(x[b : b + 1], w[b : b + 1], spec.stride, spec.pad, spec.dilation, direct)
-            )
-            pooled = _pool_scalar(x[b : b + 1], cfg.pool_dims, spec.pad, spec.dilation, decomposed)
-            outs_p.append(
-                _conv_scalar(pooled, alphas[b : b + 1], spec.stride, 0, spec.dilation, decomposed)
-            )
-        y_direct = np.concatenate(outs_d)
-        y_decomp = np.concatenate(outs_p)
-    else:
-        # A linear layer runs as the conv case on its (cin, 1, 1) map.
-        x = random_tensor(seed + 1, (spec.cin, *spec.in_hw))
-        y_direct = _conv_scalar(x, w, spec.stride, spec.pad, spec.dilation, direct)
-        pooled = _pool_scalar(x, cfg.pool_dims, spec.pad, spec.dilation, decomposed)
-        y_decomp = _conv_scalar(pooled, alphas, spec.stride, 0, spec.dilation, decomposed)
-    err = np.max(np.abs(y_direct - y_decomp)) / max(1.0, np.max(np.abs(y_direct)))
-    if err > 1e-10:
-        raise RuntimeError(f"instrumented paths disagree (relative error {err:.3e})")
-    return {
-        "direct": {"mults": direct.mults, "adds": direct.adds},
-        "decomposed": {"mults": decomposed.mults, "adds": decomposed.adds},
-    }

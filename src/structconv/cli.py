@@ -348,10 +348,11 @@ def default_toy_model_spec() -> training.ToyModelSpec:
 
 
 def _parse_size(text):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"input size must look like 224x224, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        h, w = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"input size must look like 224x224, got {text!r}") from None
+    return h, w
 
 
 def _build_parser():

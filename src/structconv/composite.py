@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ConvGeometry, ShapeError, conv, read_tensor, write_tensor
+from .tensor import ConvGeometry, ShapeError, conv
 
 
 class BasisError(ValueError):
@@ -132,13 +132,3 @@ def count_composite_ops(basis: CompositeBasis) -> dict[str, int]:
         "mults_per_output": basis.size,
         "adds_per_output": sum(supports) - 1,
     }
-
-
-def save_basis(path, basis: CompositeBasis) -> None:
-    """Write the basis stack (M x C x N x N) as a tensor container."""
-    write_tensor(path, basis.elements)
-
-
-def load_basis(path) -> CompositeBasis:
-    data = read_tensor(path)
-    return CompositeBasis(data)

@@ -6,11 +6,11 @@ with its low corner at (i, j, k). Convolution with such a kernel factors
 exactly into a 3D sum-pool with that cuboid's window followed by a small
 c x n x n convolution, which is where the parameter and op savings come from.
 
-This module generates the basis, projects arbitrary kernels onto the
-structured subspace, measures their residuals, and decomposes conv, depthwise
-and fully connected layers alike: decompose gives one DecomposedLayer, which
-the one forward_decomposed runs and one sidecar format stores whatever its
-kind, and reconstruct maps any stack of coefficients back to kernels.
+This module projects arbitrary kernels onto the structured subspace,
+measures their residuals, and decomposes conv, depthwise and fully connected
+layers alike: decompose gives one DecomposedLayer, which the one
+forward_decomposed runs and one sidecar format stores whatever its kind, and
+reconstruct maps any stack of coefficients back to kernels.
 Vectorization order is fixed everywhere: channel-major, then kernel row, then
 kernel column (a plain row-major flatten of a (C, N, N) array).
 
@@ -27,7 +27,7 @@ against (C*N^2)^2, and applies them to rows of kernels.
 
 Every structure operator is one sweep over a stack of kernels at unit scale
 (_worst_block_residual), which keeps the coefficients (decompose,
-block_alphas, extract_alpha), the projection (project, and the projector's
+block_alphas), the projection (project, and the projector's
 factors as the projection of an identity) or only the residual norms.
 """
 
@@ -41,11 +41,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .composite import CompositeBasis
 from .tensor import (
     ConvGeometry,
     GeometryError,
     ShapeError,
+    _as_int,
     conv,
     read_tensor,
     sum_pool3d,
@@ -85,9 +85,7 @@ class StructuredConfig:
 
     def __post_init__(self):
         for name in ("C", "N", "c", "n"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{name} must be an int, got {v!r}")
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, ConfigError))
         if not (1 <= self.c <= self.C):
             raise ConfigError(f"need 1 <= c <= C, got c={self.c}, C={self.C}")
         if not (1 <= self.n <= self.N):
@@ -246,12 +244,6 @@ class StructureMatrix:
         return flat.copy() if y is flat else y.reshape(flat.shape)
 
 
-def generate_structured_basis(cfg: StructuredConfig) -> CompositeBasis:
-    """The c*n*n shifted all-ones cuboids, in lexicographic (i, j, k) order."""
-    eye = np.eye(cfg.basis_size).reshape(-1, cfg.c, cfg.n, cfg.n)
-    return CompositeBasis(reconstruct(eye, cfg))
-
-
 def _check_kernel(w, cfg: StructuredConfig, name="kernel"):
     w = np.asarray(w, dtype=np.float64)
     expect = (cfg.C, cfg.N, cfg.N)
@@ -270,12 +262,6 @@ def project(w, cfg: StructuredConfig) -> tuple[np.ndarray, float]:
     w = _check_kernel(w, cfg)
     _, residual, w_hat = _worst_block_residual(w.reshape(1, -1), cfg, keep="P")
     return w_hat.reshape(w.shape), residual
-
-
-def extract_alpha(w, cfg: StructuredConfig) -> np.ndarray:
-    """Least-squares coefficients pinv(A) @ vec(w), shaped (c, n, n)."""
-    w = _check_kernel(w, cfg)
-    return block_alphas(w.reshape(1, -1), cfg).reshape(cfg.c, cfg.n, cfg.n)
 
 
 def block_alphas(flat, cfg: StructuredConfig) -> np.ndarray:

@@ -63,14 +63,16 @@ class ContainerError(ValueError):
     """Malformed tensor container file."""
 
 
-def _as_int(v, name):
-    # Any integer, NumPy's too, but no bool; int() would truncate a float.
+def _as_int(v, name, error=ValueError):
+    # The package's one rule for a count or an extent: any integer, NumPy's
+    # too, returned as an int, but no bool, and no float, which int() would
+    # truncate. Anything else raises error.
     try:
         if not isinstance(v, bool):
             return operator.index(v)
     except TypeError:
         pass
-    raise ValueError(f"{name} must be an integer, got {v!r}")
+    raise error(f"{name} must be an integer, got {v!r}")
 
 
 def _as_pair(v, name, minimum):
@@ -481,7 +483,7 @@ def sum_pool3d(x, pool_dims, geom: ConvGeometry = ConvGeometry()):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (3, 4):
         raise ShapeError(f"input must be a C x H x W map or C x H x W x B batch, got rank {x.ndim}")
-    kc, kh, kw = (int(d) for d in pool_dims)
+    kc, kh, kw = [_as_int(d, "pool dim", ShapeError) for d in pool_dims]
     if min(kc, kh, kw) < 1:
         raise ShapeError(f"pool dims must be >= 1, got {pool_dims}")
     c_in, h, w = x.shape[:3]
@@ -527,8 +529,9 @@ _DRAW_BLOCK = 1 << 15
 def random_tensor(seed: int, shape) -> np.ndarray:
     """Seeded random tensor with values in [-1, 1), reproducible bit for bit.
 
-    A shape of rank 0, an extent below 1 or more than _MAX_ELEMS = 2^40
-    entries (the container's limit) raises before anything is allocated.
+    A shape of rank 0, an extent that is not an integer or is below 1, or
+    more than _MAX_ELEMS = 2^40 entries (the container's limit) raises
+    before anything is allocated.
 
     SplitMix64 is counter-based (Steele, Lea & Flood 2014): entry i depends
     only on the seed and i. So the output is filled in blocks of at most
@@ -546,7 +549,7 @@ def random_tensor(seed: int, shape) -> np.ndarray:
     of 2^15 with twice the blocks; at 2^15 the three blocks in use, 768 KB,
     stay in L2, and the peak is 10.2 MB.
     """
-    shape = tuple(int(d) for d in shape)
+    shape = tuple(_as_int(d, "extent", ShapeError) for d in shape)
     if len(shape) == 0:
         raise ShapeError("shape must have rank >= 1")
     if any(d < 1 for d in shape):

@@ -460,14 +460,10 @@ def make_toy_dataset(seed: int = 0) -> ToyDataset:
     raise RuntimeError("could not draw a class-balanced dataset in 64 attempts")
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    accuracy: float
-
-
-def evaluate(model: ToyModel, x, y) -> EvalResult:
+def evaluate(model: ToyModel, x, y) -> float:
+    """The fraction of samples whose largest logit is at their label."""
     correct = int(np.sum(np.argmax(model.predict(x), axis=1) == y))
-    return EvalResult(accuracy=correct / x.shape[0])
+    return correct / x.shape[0]
 
 
 @dataclass
@@ -571,12 +567,10 @@ def train(spec: ToyModelSpec, dataset: ToyDataset, config: TrainingConfig):
                 "task_loss": float(np.mean(batch_losses)),
                 "sr_loss": sr_total,
                 "residuals": residuals,
-                "test_accuracy": acc.accuracy,
+                "test_accuracy": acc,
             }
         )
     log.final_accuracy = log.epochs[-1]["test_accuracy"]
     decomposed = decompose_model(model, residual_tol=np.inf)
-    log.final_accuracy_decomposed = evaluate(
-        decomposed, dataset.test_x, dataset.test_y
-    ).accuracy
+    log.final_accuracy_decomposed = evaluate(decomposed, dataset.test_x, dataset.test_y)
     return model, log

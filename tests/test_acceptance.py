@@ -17,7 +17,6 @@ from structconv.analyzer import (
     LayerSpec,
     NetworkSpecError,
     aggregate,
-    count_ops_instrumented,
     layer_costs,
     parse_network_spec,
 )
@@ -28,7 +27,6 @@ from structconv.structured import (
     block_alphas,
     decompose,
     forward_decomposed,
-    generate_structured_basis,
     load_decomposed_layer,
     reconstruct,
     save_decomposed_layer,
@@ -48,7 +46,13 @@ from structconv.training import (
     train,
 )
 from structconv.cli import default_toy_model_spec
-from references import central_difference_grad, fixture_path, rel_err
+from references import (
+    central_difference_grad,
+    count_ops_instrumented,
+    fixture_path,
+    rel_err,
+    structured_basis,
+)
 
 SWEEP_CONFIGS = [
     StructuredConfig(C, N, c, n)
@@ -120,12 +124,13 @@ def test_acceptance_2_linear_decomposition_equivalence():
 
 
 def test_acceptance_3_projector_algebra():
-    # A from the generated basis, pinv(A) from the coefficients of an identity
-    # and P from the row projection of an identity: the library's operators.
+    # A from the cuboid basis (reconstruct of an identity), pinv(A) from the
+    # coefficients of an identity and P from the row projection of an
+    # identity: the library's operators.
     worst = 0.0
     for i, cfg in enumerate(SWEEP_CONFIGS):
         eye = np.eye(cfg.C * cfg.N * cfg.N)
-        A = generate_structured_basis(cfg).elements.reshape(cfg.basis_size, -1).T
+        A = structured_basis(cfg).elements.reshape(cfg.basis_size, -1).T
         pinv = block_alphas(eye, cfg).T
         proj = StructureMatrix(cfg).project_rows(eye).T
         worst = max(worst, float(np.max(np.abs(pinv @ A - np.eye(cfg.basis_size)))))
@@ -215,7 +220,7 @@ def test_acceptance_5_reference_network_totals():
 
 
 def test_acceptance_6_composite_patch_costs():
-    basis = generate_structured_basis(StructuredConfig(C=1, N=3, c=1, n=2))
+    basis = structured_basis(StructuredConfig(C=1, N=3, c=1, n=2))
     counts = count_composite_ops(basis)
     dense_adds = 1 * 3 * 3 - 1
     ok = counts == {"mults_per_output": 4, "adds_per_output": 15} and counts["adds_per_output"] > dense_adds

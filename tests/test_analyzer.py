@@ -1,6 +1,8 @@
+import dataclasses
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,13 @@ from structconv.analyzer import (
     LayerSpec,
     NetworkSpecError,
     aggregate,
-    count_ops_instrumented,
     generate_config,
     layer_costs,
     parse_network_spec,
 )
 from structconv.structured import StructuredConfig
 from structconv.tensor import ConvGeometry
-from references import fixture_path
+from references import count_ops_instrumented, fixture_path
 
 
 def conv_spec(cout, cin, k, c, n, stride=1, pad=0, dilation=1, hw=5, kind="conv"):
@@ -27,8 +28,8 @@ def conv_spec(cout, cin, k, c, n, stride=1, pad=0, dilation=1, hw=5, kind="conv"
 
 
 def assert_counts_match(spec):
-    # The scalar evaluators tally every multiply and every add of a K-term
-    # accumulation; the closed forms must agree to the integer.
+    # The counted loop conv and pool tally every multiply and every add of a
+    # K-term accumulation; the closed forms must agree to the integer.
     r = layer_costs(spec)
     got = count_ops_instrumented(spec, seed=11)
     want = {
@@ -264,6 +265,21 @@ def test_layer_spec_rejects_bad_fields():
     for fields in bad:
         with pytest.raises(NetworkSpecError):
             LayerSpec(**fields)
+
+
+@pytest.mark.parametrize("value", [2.5, 0.5, True, "a", None])
+def test_layer_spec_rejects_non_integer_fields(value):
+    # The type is checked before any range or kind, in parse_network_spec's
+    # words.
+    with pytest.raises(NetworkSpecError, match=f"^layer 1: cout must be an integer, got {value!r}$"):
+        conv_spec(value, 1, 1, 1, 1, kind="deconv")
+
+
+def test_layer_spec_takes_numpy_integers_as_ints():
+    spec = conv_spec(np.int64(2), np.int32(2), np.int64(3), 1, 2, pad=np.int64(1))
+    assert spec == conv_spec(2, 2, 3, 1, 2, pad=1)
+    fields = [f.name for f in dataclasses.fields(spec) if f.name != "kind"]
+    assert all(type(getattr(spec, name)) is int for name in fields)
 
 
 def test_layer_spec_geometry_error():

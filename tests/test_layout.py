@@ -1,10 +1,10 @@
-"""Structural guards over src/ and tests/, run with the rest of the tests.
+"""Structural guards over src/, tests/ and perfbench/, run with the rest of the tests.
 
 This module is the one home of the repository's structural rules. Each guard
 reads a source tree and returns its violations, one "path:line: text" entry
 each. A test asserts that the repository has none, and a parametrized test
-plants one violation in a copy of src/ and tests/ under tmp_path and asserts
-that the guard names it. Three rules wait in the CI workflow until the
+plants one violation in a copy of src/, tests/ and perfbench/ under tmp_path
+and asserts that the guard names it. Three rules wait in the CI workflow until the
 benchmark under perfbench/ moves onto public names (ROADMAP item 1): the
 per-kind layer names, lru_cache, and the per-kind forward names, each kept
 inside structured.py's compatibility block.
@@ -204,6 +204,49 @@ def batch_permuted_only_at_the_models_edge(root):
     return _flagged_nodes(root, [TRAINING], flag)
 
 
+# The library API that README documents: a caller outside the package uses
+# it, and nothing inside need call it. composite.py's names stay only while
+# perfbench/tracing.py imports that module; the benchmark change that moves
+# perfbench/ onto public names (ROADMAP item 1) removes them with it.
+LIBRARY_API = {
+    "project", "block_alphas", "worst_kernel_residual", "generate_config", "sr_loss",
+    "check_linear_independence", "compose_kernel", "conv_composite", "count_composite_ops",
+}
+
+
+def public_names_reached_from_src_or_benchmark(root):
+    # A public top-level function or class of src/ is a command's, training's
+    # or the benchmark's, or the documented library API: some code in src/
+    # or perfbench/ other than its own definition and the package's
+    # re-export names it (perfbench/ also by the attribute string its tracer
+    # patches). Code that only tests/ reach belongs in tests/.
+    used = set()
+    for name in _sources(root, "src", "perfbench"):
+        if name == "src/structconv/__init__.py":
+            continue
+        for stmt in ast.parse((root / name).read_text()).body:
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    refs.add(node.name)
+                elif isinstance(node, ast.Constant) and name.startswith("perfbench/"):
+                    refs.add(node.value)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                refs.discard(stmt.name)
+            used |= refs
+    bad = []
+    for name in _sources(root, "src"):
+        for stmt in ast.parse((root / name).read_text()).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+                    and stmt.name not in used and stmt.name not in LIBRARY_API):
+                bad.append(f"{name}:{stmt.lineno}: {stmt.name}")
+    return bad
+
+
 GUARDS = {
     "no_inverse_in_structured": no_inverse_in_structured,
     "config_from_spec_and_one_sweep": config_from_spec_and_one_sweep,
@@ -218,6 +261,7 @@ GUARDS = {
     "layer_built_only_in_decomposed_layer": layer_built_only_in_decomposed_layer,
     "private_names_of_structured_only_in_it": private_names_of_structured_only_in_it,
     "batch_permuted_only_at_the_models_edge": batch_permuted_only_at_the_models_edge,
+    "public_names_reached_from_src_or_benchmark": public_names_reached_from_src_or_benchmark,
 }
 
 # (guard, file relative to the repository root, planted code, text the
@@ -354,6 +398,15 @@ PLANTED = {
         "\n\ndef planted(x):\n    if x.direct:\n        return x.transpose(1, 2, 3, 0)\n",
         "transpose(1, 2, 3, 0) in planted",
     ),
+    "function_only_tests_reach": (
+        "public_names_reached_from_src_or_benchmark", TENSOR,
+        "\n\ndef planted_oracle(x):\n    return planted_oracle(x - 1) if x else 0\n",
+        "planted_oracle",
+    ),
+    "class_only_tests_reach": (
+        "public_names_reached_from_src_or_benchmark", "src/structconv/analyzer.py",
+        "\n\nclass PlantedCounts:\n    pass\n", "PlantedCounts",
+    ),
 }
 
 
@@ -365,9 +418,9 @@ def test_guard_passes_on_the_tree(guard):
 @pytest.mark.parametrize("case", sorted(PLANTED))
 def test_guard_fails_on_a_planted_violation(tmp_path, case):
     guard, name, code, names = PLANTED[case]
-    for tree in ("src", "tests"):
+    for tree in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / tree, tmp_path / tree,
-                        ignore=shutil.ignore_patterns("__pycache__", ".*"))
+                        ignore=shutil.ignore_patterns("__pycache__", ".*", "out"))
     assert GUARDS[guard](tmp_path) == []
     with open(tmp_path / name, "a", encoding="utf-8") as f:
         f.write(code)

@@ -22,9 +22,7 @@ from structconv.structured import (
     block_alphas,
     decompose,
     decomposed_layer,
-    extract_alpha,
     forward_decomposed,
-    generate_structured_basis,
     load_decomposed_layer,
     project,
     reconstruct,
@@ -38,14 +36,21 @@ from structconv.structured import (
     _worst_block_residual,
 )
 from structconv.tensor import ConvGeometry, GeometryError, ShapeError, conv, linear, random_tensor, write_tensor
-from references import dense_projector, fixture_path, loop_structure_matrix, rel_err, svd_pinv
+from references import (
+    dense_projector,
+    fixture_path,
+    loop_structure_matrix,
+    rel_err,
+    structured_basis,
+    svd_pinv,
+)
 
 
 # The three dense forms, each from the library operator that replaces it: A
-# from the generated basis (reconstruct of an identity), pinv(A) from the
+# from the cuboid basis (reconstruct of an identity), pinv(A) from the
 # coefficients of an identity, and P from the row projection of an identity.
 def basis_matrix(cfg):
-    return generate_structured_basis(cfg).elements.reshape(cfg.basis_size, -1).T
+    return structured_basis(cfg).elements.reshape(cfg.basis_size, -1).T
 
 
 def pinv_of(cfg):
@@ -275,7 +280,7 @@ def test_basis_full_rank_sweep():
             for c in range(1, C + 1):
                 for n in range(1, N + 1):
                     cfg = StructuredConfig(C, N, c, n)
-                    basis = generate_structured_basis(cfg)
+                    basis = structured_basis(cfg)
                     flat = basis.elements.reshape(basis.size, -1)
                     assert np.linalg.matrix_rank(flat) == cfg.basis_size, cfg
                     if C <= 4 and N <= 4:
@@ -283,7 +288,7 @@ def test_basis_full_rank_sweep():
 
 
 def test_generate_basis_1312_patches():
-    basis = generate_structured_basis(StructuredConfig(1, 3, 1, 2))
+    basis = structured_basis(StructuredConfig(1, 3, 1, 2))
     assert basis.size == 4
     for m, rows in enumerate(A_132_COLUMNS):
         np.testing.assert_array_equal(
@@ -292,7 +297,7 @@ def test_generate_basis_1312_patches():
 
 
 def test_generate_basis_identity_config_is_one_hot():
-    basis = generate_structured_basis(StructuredConfig(2, 2, 2, 2))
+    basis = structured_basis(StructuredConfig(2, 2, 2, 2))
     np.testing.assert_array_equal(basis.elements.reshape(8, 8), np.eye(8))
 
 
@@ -307,6 +312,20 @@ def test_config_validation():
         StructuredConfig(C=0, N=3, c=1, n=1)
 
 
+def test_config_takes_numpy_integers_as_ints(tmp_path):
+    # NumPy integers are stored as ints, so a layer built on them still
+    # writes its sidecar JSON; floats, bools and strings raise.
+    cfg = StructuredConfig(np.int64(3), 3, np.int32(1), np.int64(1))
+    assert cfg == StructuredConfig(3, 3, 1, 1)
+    assert all(type(v) is int for v in dataclasses.astuple(cfg))
+    layer, _ = decompose(reconstruct(random_tensor(2, (2, 1, 1, 1)), cfg), cfg)
+    save_decomposed_layer(tmp_path, "layer", layer)
+    assert load_decomposed_layer(tmp_path / "layer.json").cfg == cfg
+    for bad in (3.0, True, "3"):
+        with pytest.raises(ConfigError, match="^C must be an integer"):
+            StructuredConfig(bad, 3, 1, 1)
+
+
 def test_config_derived_quantities():
     cfg = StructuredConfig(C=4, N=3, c=2, n=2)
     assert cfg.basis_size == 8
@@ -319,7 +338,7 @@ def test_config_derived_quantities():
 
 def test_project_structured_input_is_fixed_point():
     cfg = StructuredConfig(4, 3, 2, 2)
-    basis = generate_structured_basis(cfg)
+    basis = structured_basis(cfg)
     alpha = random_tensor(1, (8,))
     w = compose_kernel(CompositeKernel(basis, alpha))
     w_hat, residual = project(w, cfg)
@@ -356,13 +375,17 @@ def test_extract_alpha_recovers_coefficients():
     cfg = StructuredConfig(4, 3, 2, 2)
     alpha0 = random_tensor(3, (2, 2, 2))
     w = reconstruct(alpha0, cfg)
-    np.testing.assert_allclose(extract_alpha(w, cfg), alpha0, atol=1e-10)
+    np.testing.assert_allclose(
+        block_alphas(w.reshape(1, -1), cfg).reshape(alpha0.shape), alpha0, atol=1e-10
+    )
 
 
 def test_extract_alpha_identity_config():
     cfg = StructuredConfig(2, 3, 2, 3)
     w = random_tensor(4, (2, 3, 3))
-    np.testing.assert_allclose(extract_alpha(w, cfg), w, atol=1e-12)
+    np.testing.assert_allclose(
+        block_alphas(w.reshape(1, -1), cfg).reshape(w.shape), w, atol=1e-12
+    )
 
 
 def test_extract_alpha_unstructured_matches_normal_equations():
@@ -370,14 +393,14 @@ def test_extract_alpha_unstructured_matches_normal_equations():
     w = random_tensor(5, (3, 3, 3))
     A = loop_structure_matrix(cfg)
     want = np.linalg.solve(A.T @ A, A.T @ w.reshape(-1))
-    np.testing.assert_allclose(extract_alpha(w, cfg).reshape(-1), want, atol=1e-10)
+    np.testing.assert_allclose(block_alphas(w.reshape(1, -1), cfg)[0], want, atol=1e-10)
 
 
 def test_reconstruct_single_coefficient_is_first_cuboid():
     cfg = StructuredConfig(4, 3, 2, 2)
     alpha = np.zeros((2, 2, 2))
     alpha[0, 0, 0] = 1.0
-    basis = generate_structured_basis(cfg)
+    basis = structured_basis(cfg)
     np.testing.assert_array_equal(reconstruct(alpha, cfg), basis.elements[0])
 
 
@@ -397,7 +420,9 @@ def test_extract_reconstruct_round_trip():
     cfg = StructuredConfig(4, 5, 2, 3)
     alpha = random_tensor(7, (2, 3, 3))
     np.testing.assert_allclose(
-        extract_alpha(reconstruct(alpha, cfg), cfg), alpha, atol=1e-10
+        block_alphas(reconstruct(alpha, cfg).reshape(1, -1), cfg).reshape(alpha.shape),
+        alpha,
+        atol=1e-10,
     )
 
 
@@ -661,7 +686,6 @@ SWEEP_CFG = StructuredConfig(4, 3, 2, 2)
 SWEEP_KERNEL = np.array(random_tensor(34, (4, 3, 3)))
 OPERATORS = {
     "project": lambda: project(SWEEP_KERNEL, SWEEP_CFG),
-    "extract_alpha": lambda: extract_alpha(SWEEP_KERNEL, SWEEP_CFG),
     "block_alphas": lambda: block_alphas(SWEEP_KERNEL.reshape(1, -1), SWEEP_CFG),
     "worst_kernel_residual": lambda: worst_kernel_residual(SWEEP_KERNEL[None], SWEEP_CFG),
     "channel_projector": lambda: StructureMatrix(SWEEP_CFG).channel_projector,

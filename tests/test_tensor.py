@@ -27,56 +27,7 @@ from structconv.tensor import (
     write_tensor,
     zero_pad,
 )
-from references import one_pass_random_tensor
-
-
-def conv_loops(x, kernel, geom):
-    # Independent reference: nothing vectorized, every index written out.
-    c_in, h, w = x.shape
-    c_out, c_k, kh, kw = kernel.shape
-    g = geom.groups
-    (sh, sw), (ph, pw), (dh, dw) = geom.stride, geom.padding, geom.dilation
-    ho = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
-    wo = (w + 2 * pw - dw * (kw - 1) - 1) // sw + 1
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw))
-    xp[:, ph : ph + h, pw : pw + w] = x
-    y = np.zeros((c_out, ho, wo))
-    per_g_out = c_out // g
-    for o in range(c_out):
-        base = (o // per_g_out) * c_k
-        for i in range(ho):
-            for j in range(wo):
-                acc = 0.0
-                for ck in range(c_k):
-                    for u in range(kh):
-                        for v in range(kw):
-                            acc += (
-                                xp[base + ck, i * sh + u * dh, j * sw + v * dw]
-                                * kernel[o, ck, u, v]
-                            )
-                y[o, i, j] = acc
-    return y
-
-
-def pool_loops(x, pool_dims, geom):
-    c_in, h, w = x.shape
-    kc, kh, kw = pool_dims
-    (sh, sw), (ph, pw), (dh, dw) = geom.stride, geom.padding, geom.dilation
-    ho = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
-    wo = (w + 2 * pw - dw * (kw - 1) - 1) // sw + 1
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw))
-    xp[:, ph : ph + h, pw : pw + w] = x
-    y = np.zeros((c_in - kc + 1, ho, wo))
-    for t in range(c_in - kc + 1):
-        for i in range(ho):
-            for j in range(wo):
-                acc = 0.0
-                for ck in range(kc):
-                    for u in range(kh):
-                        for v in range(kw):
-                            acc += xp[t + ck, i * sh + u * dh, j * sw + v * dw]
-                y[t, i, j] = acc
-    return y
+from references import conv_loops, one_pass_random_tensor, pool_loops
 
 
 GEOMS = [
@@ -559,6 +510,16 @@ def test_sum_pool3d_rejects_bad_windows():
         sum_pool3d(x, (0, 1, 1))
 
 
+def test_sum_pool3d_rejects_non_integer_windows():
+    # A float window is not truncated and a bool is not a window; a NumPy
+    # integer is one.
+    x = random_tensor(9, (3, 4, 4))
+    for dims in [(2.9, 1, 1), (1, True, 1), (1, 1, "2")]:
+        with pytest.raises(ShapeError, match="^pool dim must be an integer"):
+            sum_pool3d(x, dims)
+    np.testing.assert_array_equal(sum_pool3d(x, (np.int64(2), 1, 1)), sum_pool3d(x, (2, 1, 1)))
+
+
 @pytest.mark.parametrize("pool_dims", [(1, 2, 2), (3, 2, 1), (5, 3, 3)])
 def test_sum_pool3d_batch_equals_stacked_samples(pool_dims):
     # A C x H x W x B batch pools each sample, bit for bit.
@@ -844,6 +805,17 @@ def test_random_tensor_rejects_bad_shapes():
         random_tensor(0, ())
     with pytest.raises(ShapeError):
         random_tensor(0, (3, 0))
+
+
+def test_random_tensor_rejects_non_integer_extents():
+    # A float extent is not truncated and a bool is not an extent; NumPy
+    # integers draw the same bits as ints.
+    for shape in [(2.7,), (2, True), (2.0, 3)]:
+        with pytest.raises(ShapeError, match="^extent must be an integer"):
+            random_tensor(0, shape)
+    np.testing.assert_array_equal(
+        random_tensor(0, (np.int64(2), np.int32(3))), random_tensor(0, (2, 3))
+    )
 
 
 @pytest.mark.parametrize("shape", [(2**32 + 1, 2**32), (2**40 + 1,)])

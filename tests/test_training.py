@@ -145,8 +145,8 @@ def test_teacher_consistent_with_labels():
     ds = make_toy_dataset(1)
     pred = np.argmax(ds.teacher.forward(ds.test_x), axis=1)
     np.testing.assert_array_equal(pred, ds.test_y)
-    result = evaluate(ds.teacher, ds.test_x, ds.test_y)
-    assert result.accuracy == 1.0
+    accuracy = evaluate(ds.teacher, ds.test_x, ds.test_y)
+    assert type(accuracy) is float and accuracy == 1.0
 
 
 @pytest.mark.parametrize("seed", [3, 7101])
@@ -191,8 +191,14 @@ def test_untrained_model_near_chance():
         input_shape=(3, 8, 8),
     )
     model = ToyModel(spec, seed=11)
-    result = evaluate(model, ds.test_x, ds.test_y)
-    assert abs(result.accuracy - 0.25) <= 0.1
+    assert abs(evaluate(model, ds.test_x, ds.test_y) - 0.25) <= 0.1
+
+
+def test_model_rejects_a_float_channel_count():
+    # Each descriptor's counts reach LayerSpec, which rejects a float.
+    spec = ToyModelSpec(layers=(Conv(out_channels=8.0, kernel=3, c=2, n=2),))
+    with pytest.raises(NetworkSpecError, match="^layer 0: cout must be an integer, got 8.0$"):
+        ToyModel(spec, seed=0)
 
 
 TINY_SPEC = ToyModelSpec(
